@@ -13,12 +13,14 @@
 //! | `telemetry` | + `obs::with_recording`, recorder installed | `telemetry.hooks.ns_per_uop` (minus processor) |
 //! | `checked` | + `CheckedHooks` | `penelope.checked.ns_per_uop` (minus telemetry) |
 //! | `par_cell` | as one `par` cell, journal armed | `penelope.par.ns_per_uop` (minus checked) |
+//! | `table3_config` | `PenelopeHooks` as Table 3 configures them, fed uop by uop | `penelope.table3_config.ns_per_uop` (minus event_core) |
 
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use penelope::cache_aware::SchemeRuntime;
+use penelope::cache_aware::{SchemeKind, SchemeRuntime};
 use penelope::checked::{CheckedHooks, Policy};
+use penelope::experiments::Scale;
 use penelope::journal::{CheckpointContext, JournalHeader};
 use penelope::obs::with_recording;
 use penelope::par;
@@ -44,7 +46,7 @@ use crate::Size;
 /// RINV sampling period of the mechanism rungs (`PenelopeConfig`'s own).
 const PERIOD: u64 = 1024;
 
-const RUNGS: [&str; 9] = [
+const RUNGS: [&str; 10] = [
     "tracegen",
     "event_core",
     "regfile_aware",
@@ -54,6 +56,7 @@ const RUNGS: [&str; 9] = [
     "telemetry",
     "checked",
     "par_cell",
+    "table3_config",
 ];
 
 /// One trace per suite: trace 0 at the default seed, a seed-chosen one
@@ -143,10 +146,42 @@ fn checked_run(config: &PenelopeConfig, spec: &TraceSpec, uops: usize) -> Result
     }
 }
 
-/// Runs one rung over one trace and returns the host time of its timed
-/// region. Set-up a rung needs but its layer does not (installing the
-/// recorder, creating the journal) stays outside that region.
-fn run_rung(rung: &str, spec: &TraceSpec, uops: usize, journal: &Path) -> Result<Duration, String> {
+/// Table 3's own configuration (its `scheme_cpi`): the composed hooks with
+/// the register-file and scheduler mechanisms never sampled and the BTB
+/// unprotected, one of the four DL0 schemes a DL0 row compares at
+/// standard scale, and the trace fed uop by uop rather than in chunks.
+/// The ladder gives the suite traces the four schemes in turn.
+fn table3_run(suite_index: usize, spec: &TraceSpec, uops: usize) -> Result<(), String> {
+    let time_scale = Scale::standard().time_scale;
+    let dl0_scheme = match suite_index % 4 {
+        0 => SchemeKind::Baseline,
+        1 => SchemeKind::set_fixed_50((10_000_000 / time_scale).max(2_000)),
+        2 => SchemeKind::line_fixed_50(),
+        _ => SchemeKind::line_dynamic_60(SchemeKind::dl0_threshold(32), time_scale),
+    };
+    let config = PenelopeConfig {
+        dl0_scheme,
+        dtlb_scheme: SchemeKind::Baseline,
+        btb_scheme: SchemeKind::Baseline,
+        sample_period: u64::MAX / 2,
+        ..PenelopeConfig::default()
+    };
+    let (mut pipe, mut hooks) = build(&config).map_err(err)?;
+    let run = with_recording(&mut hooks, |mut h| pipe.run(spec.generate(uops), &mut h));
+    retired(&run, uops)
+}
+
+/// Runs one rung over one trace (suite `suite_index`) and returns the
+/// host time of its timed region. Set-up a rung needs but its layer does
+/// not (installing the recorder, creating the journal) stays outside that
+/// region.
+fn run_rung(
+    rung: &str,
+    suite_index: usize,
+    spec: &TraceSpec,
+    uops: usize,
+    journal: &Path,
+) -> Result<Duration, String> {
     let config = PenelopeConfig::default();
     let bare = || Pipeline::try_new(PipelineConfig::default()).map_err(err);
     match rung {
@@ -236,6 +271,7 @@ fn run_rung(rung: &str, spec: &TraceSpec, uops: usize, journal: &Path) -> Result
             let _ = recorder::finish();
             result
         }
+        "table3_config" => timed(|| table3_run(suite_index, spec, uops)),
         other => Err(format!("unknown rung {other}")),
     }
 }
@@ -255,16 +291,16 @@ pub fn run(
     let specs = specs(seed);
     let uops = size.ladder_uops;
     let journal = work_dir.join("ladder-journal.jsonl");
-    let mut rounds: Vec<[f64; 9]> = Vec::new();
+    let mut rounds: Vec<[f64; RUNGS.len()]> = Vec::new();
     let started = Instant::now();
     tracer.span("ladder", |t| {
         while rounds.len() < size.min_samples || started.elapsed() < budget {
-            let mut round = [0.0f64; 9];
-            for spec in &specs {
+            let mut round = [0.0f64; RUNGS.len()];
+            for (s, spec) in specs.iter().enumerate() {
                 t.span(&format!("suite.{}", spec.suite().name()), |t| {
                     for (i, rung) in RUNGS.iter().enumerate() {
                         let result = t.span(&format!("rung.{rung}"), |_| {
-                            run_rung(rung, spec, uops, &journal)
+                            run_rung(rung, s, spec, uops, &journal)
                         });
                         if let Some(d) = ops.record(&format!("ladder {rung} {spec}"), result) {
                             round[i] += d.as_nanos() as f64;
@@ -298,6 +334,7 @@ pub fn run(
     values.set("telemetry.hooks.ns_per_uop", delta(6, 5));
     values.set("penelope.checked.ns_per_uop", delta(7, 6));
     values.set("penelope.par.ns_per_uop", delta(8, 7));
+    values.set("penelope.table3_config.ns_per_uop", delta(9, 1));
     eprintln!(
         "  ladder: {} round(s) of {} suite traces x {uops} uops; rung medians in ns/uop:",
         rounds.len(),

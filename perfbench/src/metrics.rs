@@ -35,6 +35,7 @@ pub const PER_LAYER: &[Metric] = &[
     m("telemetry.hooks.ns_per_uop", "ns/uop", "lower"),
     m("penelope.checked.ns_per_uop", "ns/uop", "lower"),
     m("penelope.par.ns_per_uop", "ns/uop", "lower"),
+    m("penelope.table3_config.ns_per_uop", "ns/uop", "lower"),
     // Exact simulated counts over the same traces.
     m("uarch.pipeline.cycles_per_uop", "cycles/uop", "lower"),
     m("uarch.pipeline.idle_cycle_frac", "frac", "higher"),

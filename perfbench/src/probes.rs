@@ -316,8 +316,26 @@ fn par_engine(size: &Size, ops: &mut Ops, values: &mut Values) {
     }
 }
 
-/// `CheckpointContext::append` as the journal grows. Each append rewrites
-/// the whole file, so its cost rises with the record count.
+/// Bytes the calling thread hands to `write(2)` while `body` runs: the
+/// change in `wchar` of `/proc/thread-self/io`. Per thread, so writes by
+/// other threads of the process do not count.
+fn bytes_written_by(body: impl FnOnce() -> Result<(), String>) -> Result<u64, String> {
+    fn wchar() -> Result<u64, String> {
+        let io = std::fs::read_to_string("/proc/thread-self/io")
+            .map_err(|e| format!("cannot read /proc/thread-self/io: {e}"))?;
+        io.lines()
+            .find_map(|line| line.strip_prefix("wchar:"))
+            .and_then(|n| n.trim().parse().ok())
+            .ok_or_else(|| "/proc/thread-self/io has no wchar field".to_string())
+    }
+    let before = wchar()?;
+    body()?;
+    Ok(wchar()? - before)
+}
+
+/// `CheckpointContext::append` as the journal grows, and the bytes each
+/// append writes. Each append rewrites the whole file, so both rise with
+/// the record count; an appending journal would write one record each.
 fn journal(seed: u64, size: &Size, work_dir: &Path, ops: &mut Ops, values: &mut Values) {
     const AT: [(usize, &str); 3] = [
         (16, "penelope.journal.append_us.r16"),
@@ -350,13 +368,14 @@ fn journal(seed: u64, size: &Size, work_dir: &Path, ops: &mut Ops, values: &mut 
         .map_err(err)
         .and_then(|context| {
             let mut times = Vec::with_capacity(total);
-            let mut written = 0u64;
-            for record in 1..=total {
-                let started = Instant::now();
-                context.append("probe", record, payload.clone(), snapshot.as_ref());
-                times.push(started.elapsed().as_secs_f64());
-                written += std::fs::metadata(&path).map_err(err)?.len();
-            }
+            let written = bytes_written_by(|| {
+                for record in 1..=total {
+                    let started = Instant::now();
+                    context.append("probe", record, payload.clone(), snapshot.as_ref());
+                    times.push(started.elapsed().as_secs_f64());
+                }
+                Ok(())
+            })?;
             if let Some(fault) = context.take_fault() {
                 return Err(fault);
             }
@@ -478,5 +497,44 @@ fn gatesim(seed: u64, size: &Size, ops: &mut Ops, values: &mut Values) {
             "penelope.netlist_study.stimulus_ns_per_vector",
             s[4] * per_vector,
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Write;
+
+    /// A whole-file rewrite per record and an append per record leave the
+    /// same file, but `bytes_written_by` tells them apart.
+    #[test]
+    fn bytes_written_tell_a_rewrite_from_an_append() {
+        const RECORDS: u64 = 40;
+        let line = "x".repeat(99) + "\n";
+        let dir = std::env::temp_dir().join(format!("perfbench-io-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let (rewritten, appended) = (dir.join("rewrite"), dir.join("append"));
+        let rewrite = bytes_written_by(|| {
+            let mut contents = String::new();
+            for _ in 0..RECORDS {
+                contents.push_str(&line);
+                std::fs::write(&rewritten, &contents).map_err(err)?;
+            }
+            Ok(())
+        })
+        .expect("rewrite");
+        let append = bytes_written_by(|| {
+            let mut file = std::fs::File::create(&appended).map_err(err)?;
+            for _ in 0..RECORDS {
+                file.write_all(line.as_bytes()).map_err(err)?;
+            }
+            Ok(())
+        })
+        .expect("append");
+        let size = |p: &Path| std::fs::metadata(p).expect("written").len();
+        assert_eq!(size(&rewritten), size(&appended));
+        assert_eq!(append, RECORDS * 100);
+        assert_eq!(rewrite, RECORDS * (RECORDS + 1) / 2 * 100);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -183,24 +183,51 @@ fn timed_call<T>(t: &mut Tracer, name: &str, call: impl FnOnce() -> T) -> (Durat
     })
 }
 
-/// Times `setup` as the median over 31 batches of each batch's mean.
-/// Set-up takes micro- to milliseconds, below what one timing resolves
-/// steadily, so each batch repeats it for at least a millisecond.
-fn time_setup<T>(mut setup: impl FnMut() -> Result<T, String>) -> Result<(T, f64), String> {
-    const BATCHES: usize = 31;
-    let started = Instant::now();
-    let mut last = setup()?;
-    let once = started.elapsed().as_secs_f64().max(1e-9);
-    let per_batch = (1e-3 / once).ceil().clamp(1.0, 100_000.0) as usize;
-    let mut means = Vec::with_capacity(BATCHES);
-    for _ in 0..BATCHES {
-        let started = Instant::now();
-        for _ in 0..per_batch {
-            last = setup()?;
+/// A workload's set-up: each call builds the workload afresh.
+type Setup<'a> = Box<dyn FnMut() -> Result<Box<dyn Bench>, String> + 'a>;
+
+/// Times set-up in batches. Set-up takes micro- to milliseconds, below
+/// what one timing resolves steadily, so a batch repeats it for at least
+/// 10 ms and records its mean.
+struct SetupTimer<'a> {
+    setup: Setup<'a>,
+    per_batch: usize,
+    means: Vec<f64>,
+}
+
+impl<'a> SetupTimer<'a> {
+    /// Runs set-up once and returns the workload, then sizes the batches
+    /// on warm calls: the first call pays for cold caches and would size
+    /// them far too small.
+    fn new(mut setup: Setup<'a>) -> Result<(Self, Box<dyn Bench>), String> {
+        let bench = setup()?;
+        let mut timer = SetupTimer {
+            setup,
+            per_batch: 1,
+            means: Vec::new(),
+        };
+        while timer.batch()? < Duration::from_millis(10) && timer.per_batch < 1 << 20 {
+            timer.per_batch *= 2;
         }
-        means.push(started.elapsed().as_secs_f64() / per_batch as f64);
+        Ok((timer, bench))
     }
-    Ok((last, median(&means)))
+
+    fn batch(&mut self) -> Result<Duration, String> {
+        let started = Instant::now();
+        for _ in 0..self.per_batch {
+            drop((self.setup)()?);
+        }
+        Ok(started.elapsed())
+    }
+
+    fn batches(&mut self, count: usize) -> Result<(), String> {
+        for _ in 0..count {
+            let elapsed = self.batch()?;
+            self.means
+                .push(elapsed.as_secs_f64() / self.per_batch as f64);
+        }
+        Ok(())
+    }
 }
 
 /// One workload. An iteration is one run of its driver calls.
@@ -229,20 +256,19 @@ pub fn run(
     ops: &mut Ops,
     values: &mut Values,
 ) -> Result<(), String> {
-    let (mut bench, setup_s): (Box<dyn Bench>, f64) = match workload {
-        Workload::Pipeline => {
-            let (b, s) = time_setup(|| PipelineBench::setup(seed, size))?;
-            (Box::new(b), s)
-        }
-        Workload::Sweep => {
-            let (b, s) = time_setup(|| SweepBench::setup(seed, size, work_dir))?;
-            (Box::new(b), s)
-        }
-        Workload::Netlist => {
-            let (b, s) = time_setup(|| NetlistBench::setup(seed, size))?;
-            (Box::new(b), s)
-        }
+    let setup: Setup = match workload {
+        Workload::Pipeline => Box::new(|| -> Result<Box<dyn Bench>, String> {
+            Ok(Box::new(PipelineBench::setup(seed, size)?))
+        }),
+        Workload::Sweep => Box::new(|| -> Result<Box<dyn Bench>, String> {
+            Ok(Box::new(SweepBench::setup(seed, size, work_dir)?))
+        }),
+        Workload::Netlist => Box::new(|| -> Result<Box<dyn Bench>, String> {
+            Ok(Box::new(NetlistBench::setup(seed, size)?))
+        }),
     };
+    let (mut setup, mut bench) = SetupTimer::new(setup)?;
+    setup.batches(7)?;
     let trace = tracer.enabled();
     // The warm-up lets host caches fill and lazy set-up finish; its
     // calls are checked like the timed ones.
@@ -259,15 +285,19 @@ pub fn run(
         } else {
             plain.push(bench.iteration(&mut Tracer::new(false), ops).as_secs_f64());
         }
+        // Set-up batches between iterations sample the same stretch of
+        // host time as `wall_s`, not only its first milliseconds.
+        setup.batches(3)?;
     }
     // Read before `finish`, whose extra checking run is not the workload.
     let peak_rss_mb = proc_status_kb("VmHWM:")? as f64 / 1024.0;
     let cycles = bench.finish(ops);
-    // The lower quartile, not the median: on a shared host, neighbours
-    // slow whole stretches of seconds by up to ~40%, and how much of a
-    // run they cover varies from run to run. The lower quartile of many
-    // iterations tracks the uncontended speed of the code.
+    // Lower quartiles, not medians: on a shared host, neighbours slow
+    // whole stretches of seconds by up to ~60%, and how much of a run
+    // they cover varies from run to run. The lower quartile of many
+    // samples tracks the uncontended speed of the code.
     let wall_s = quantile(&plain, 0.25);
+    let setup_s = quantile(&setup.means, 0.25);
     eprintln!(
         "  {} timed iteration(s) {plain:.3?}: lower quartile {wall_s:.4} s, median {:.4} s, \
          {cycles} simulated cycles each, set-up {setup_s:.3e} s",
@@ -330,6 +360,7 @@ impl PipelineBench {
         if scale.workload().is_empty() {
             return Err("the pipeline workload has no traces".into());
         }
+        par::set_jobs(1);
         Ok(PipelineBench {
             scale,
             pinned: seed == DEFAULT_SEED,
@@ -508,8 +539,6 @@ impl SweepBench {
             retries: policy.retries,
             cell_budget: policy.cycle_budget,
         };
-        std::fs::create_dir_all(work_dir)
-            .map_err(|e| format!("cannot create {}: {e}", work_dir.display()))?;
         Ok(SweepBench {
             scale,
             config,
