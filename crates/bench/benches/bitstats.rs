@@ -1,7 +1,7 @@
 //! Criterion microbench for the word-parallel bit-residency kernel.
 //!
-//! `bitstats_record` times `BitResidency::record` (bit-sliced carry-save
-//! SWAR) against `ScalarResidency::record` (the per-bit reference oracle)
+//! `bitstats_record` times `BitResidency::record` (`u16` pending lanes
+//! charged a byte at a time) against `ScalarResidency::record` (the per-bit reference oracle)
 //! over identical pseudo-random event streams at widths 32, 64 and 128.
 //! The acceptance bar is a >=3x speedup at width 64; durations are drawn
 //! from 1..=64 cycles, the regime pipeline events live in.

@@ -701,12 +701,15 @@ fn scheme_cpi(
         dl0_scheme,
         dtlb_scheme,
         btb_scheme: SchemeKind::Baseline,
-        sample_period: u64::MAX / 2, // regfile/sched mechanisms irrelevant here
+        // Freezes the regfile/sched RINVs after their first sample.
+        sample_period: u64::MAX / 2,
         seed,
         ..PenelopeConfig::default()
     };
     let (mut pipe, mut hooks) = build(&config)?;
-    // Only the cache schemes matter for Table 3: run with cache hooks only.
+    // Only the cache schemes matter for Table 3, but `build` assembles the
+    // full `PenelopeHooks`: register-file and scheduler balancing still run
+    // on every uop. Nothing here reads their residency.
     let total = with_recording(&mut hooks, |mut h| {
         let mut total: Option<RunResult> = None;
         for spec in scale.workload().specs() {

@@ -601,7 +601,7 @@ impl CellPayload for SchedulerPolicy {
         self.to_json()
     }
     fn from_payload(json: &Json) -> Result<Self, String> {
-        SchedulerPolicy::from_json(json)
+        SchedulerPolicy::from_json(json).map_err(|e| e.to_string())
     }
 }
 

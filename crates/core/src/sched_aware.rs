@@ -202,25 +202,28 @@ impl SchedulerPolicy {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed field or technique.
-    pub fn from_json(json: &penelope_telemetry::Json) -> Result<Self, String> {
+    /// Returns a [`PolicyDecodeError`] for the first malformed field or
+    /// technique, including a field whose array does not hold exactly one
+    /// technique per bit.
+    pub fn from_json(json: &penelope_telemetry::Json) -> Result<Self, PolicyDecodeError> {
         use penelope_telemetry::Json;
-        let fields = json
-            .as_array()
-            .ok_or("scheduler policy must be an array of per-field arrays")?;
+        let fields = json.as_array().ok_or(PolicyDecodeError::NotAnArray)?;
         if fields.len() != Field::ALL.len() {
-            return Err(format!(
-                "scheduler policy has {} fields, expected {}",
-                fields.len(),
-                Field::ALL.len()
-            ));
+            return Err(PolicyDecodeError::FieldCount(fields.len()));
         }
         let mut bits: [Vec<Technique>; 18] = std::array::from_fn(|_| Vec::new());
-        for (i, field_bits) in fields.iter().enumerate() {
+        for (field, field_bits) in Field::ALL.into_iter().zip(fields) {
+            let malformed = |message: String| PolicyDecodeError::Technique { field, message };
             let field_bits = field_bits
                 .as_array()
-                .ok_or_else(|| format!("policy field {i} must be an array"))?;
-            bits[i] = field_bits
+                .ok_or_else(|| malformed("must be an array".into()))?;
+            if field_bits.len() != field.width() {
+                return Err(PolicyDecodeError::Width {
+                    field,
+                    bits: field_bits.len(),
+                });
+            }
+            bits[field.index()] = field_bits
                 .iter()
                 .map(|t| match t {
                     Json::Str(name) => match name.as_str() {
@@ -244,71 +247,104 @@ impl SchedulerPolicy {
                     )),
                 })
                 .collect::<Result<Vec<_>, String>>()
-                .map_err(|e| format!("policy field {i}: {e}"))?;
+                .map_err(malformed)?;
         }
         Ok(SchedulerPolicy { bits })
     }
 }
 
-/// Precomputed write plan for one field, derived from the policy once at
-/// construction. The release path runs once per retired uop, so the per-bit
-/// technique match is folded ahead of time: `ALL1`/`ALL0` bits collapse into
-/// a constant mask, and only the bits that need per-release work (stateful
-/// K-counters, ISV image reads) remain in `dynamic`, in ascending bit order
-/// so the `KCounter::tick` sequence is unchanged.
-#[derive(Debug, Clone)]
-struct FieldPlan {
-    /// Mirrors [`SchedulerPolicy::protects`].
-    protected: bool,
-    /// Whether any bit is ISV (the field honors a timestamp gate).
-    gated: bool,
-    /// The `ALL1` bits, pre-assembled.
-    constant: u128,
-    /// `(bit, technique)` for K-counter and ISV bits only.
-    dynamic: Vec<(u8, Technique)>,
+/// Why a [`SchedulerPolicy::to_json`] encoding failed to decode.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PolicyDecodeError {
+    /// The encoding is not an array of per-field arrays.
+    NotAnArray,
+    /// The encoding holds this many fields instead of one per [`Field`].
+    FieldCount(usize),
+    /// A field's array holds this many techniques instead of one per bit.
+    Width {
+        /// The field.
+        field: Field,
+        /// Techniques found.
+        bits: usize,
+    },
+    /// A field's array or one of its techniques is malformed.
+    Technique {
+        /// The field.
+        field: Field,
+        /// What is wrong with it.
+        message: String,
+    },
 }
 
-impl FieldPlan {
-    fn build(bits: &[Technique]) -> Self {
-        let mut plan = FieldPlan {
-            protected: false,
-            gated: false,
-            constant: 0,
-            dynamic: Vec::new(),
-        };
-        for (bit, t) in bits.iter().enumerate() {
-            match t {
-                Technique::None => continue,
-                Technique::All1 => plan.constant |= 1 << bit,
-                Technique::All0 => {}
-                Technique::Isv => {
-                    plan.gated = true;
-                    plan.dynamic.push((bit as u8, *t));
-                }
-                Technique::All1K(_) | Technique::All0K(_) => plan.dynamic.push((bit as u8, *t)),
+impl std::fmt::Display for PolicyDecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PolicyDecodeError::NotAnArray => {
+                f.write_str("scheduler policy must be an array of per-field arrays")
             }
-            plan.protected = true;
+            PolicyDecodeError::FieldCount(n) => write!(
+                f,
+                "scheduler policy has {n} fields, expected {}",
+                Field::ALL.len()
+            ),
+            PolicyDecodeError::Width { field, bits } => write!(
+                f,
+                "policy field {field} has {bits} techniques, expected one per bit ({})",
+                field.width()
+            ),
+            PolicyDecodeError::Technique { field, message } => {
+                write!(f, "policy field {field}: {message}")
+            }
         }
-        plan
     }
+}
+
+impl std::error::Error for PolicyDecodeError {}
+
+/// One K-counter bit of a field: `ALL1-K%` writes 1 on the counter's
+/// majority ticks, `ALL0-K%` writes 0.
+#[derive(Debug, Clone)]
+struct KBit {
+    bit: u8,
+    majority_one: bool,
+    counter: KCounter,
+}
+
+/// The per-release work of a field that is not constant: its `ALL1` bits,
+/// its ISV bits (copied from the field's RINV image) and its K-counter bits
+/// in ascending bit order.
+#[derive(Debug, Clone)]
+struct DynamicField {
+    field: Field,
+    constant: u128,
+    isv: u128,
+    k_bits: Vec<KBit>,
+}
+
+/// Which ISV timestamp gate a field with ISV bits honors: the immediate
+/// has its own, every other field shares the SRC-data gate.
+fn gate_of(field: Field) -> usize {
+    usize::from(field == Field::Immediate)
 }
 
 /// The balancing mechanism: slot-release rewrites driven by a policy.
 #[derive(Debug, Clone)]
 pub struct SchedulerBalancer {
     policy: SchedulerPolicy,
-    /// Per-field write plans precomputed from the policy.
-    plans: [FieldPlan; 18],
-    /// K-counters, one per (field, bit) that needs one.
-    counters: [Vec<KCounter>; 18],
+    /// Write sets of the constant protected bits, folded from the policy
+    /// once: every protected field is driven whole (its `ALL0`/`None`
+    /// bits as 0) with its `ALL1` bits set. A field with ISV bits is
+    /// written only while its gate is open, so the template is indexed by
+    /// the open gates (bit `g` for gate `g`).
+    templates: [EntryValues; 4],
+    /// Fields with ISV or K-counter bits, rewritten on top of the template.
+    dynamic: Vec<DynamicField>,
     /// RINV images for the ISV fields.
     rinv_src1: Rinv,
     rinv_src2: Rinv,
     rinv_imm: Rinv,
-    /// ISV timestamp gates: one shared by the SRC data fields, one for the
-    /// immediate, sampled on slot 0.
-    gate_data: IsvGate,
-    gate_imm: IsvGate,
+    /// ISV timestamp gates (data, immediate), sampled on slot 0.
+    gates: [IsvGate; 2],
     attempts: u64,
     successes: u64,
 }
@@ -321,25 +357,55 @@ impl SchedulerBalancer {
     /// Creates the mechanism with the given policy; ISV fields sample every
     /// `sample_period` cycles.
     pub fn new(policy: SchedulerPolicy, sample_period: u64) -> Self {
-        let counters: [Vec<KCounter>; 18] = std::array::from_fn(|i| {
-            policy.bits[i]
-                .iter()
-                .map(|t| match t {
-                    Technique::All1K(k) | Technique::All0K(k) => KCounter::new(*k),
-                    _ => KCounter::new(1.0),
-                })
-                .collect()
-        });
-        let plans: [FieldPlan; 18] = std::array::from_fn(|i| FieldPlan::build(&policy.bits[i]));
+        let mut templates = [EntryValues::default(); 4];
+        let mut dynamic = Vec::new();
+        for field in Field::ALL {
+            let mut constant = 0u128;
+            let mut isv = 0u128;
+            let mut k_bits = Vec::new();
+            let mut protected = false;
+            for (bit, t) in policy.bits[field.index()].iter().enumerate() {
+                match *t {
+                    Technique::None => continue,
+                    Technique::All1 => constant |= 1 << bit,
+                    Technique::All0 => {}
+                    Technique::Isv => isv |= 1 << bit,
+                    Technique::All1K(k) | Technique::All0K(k) => k_bits.push(KBit {
+                        bit: bit as u8,
+                        majority_one: matches!(t, Technique::All1K(_)),
+                        counter: KCounter::new(k),
+                    }),
+                }
+                protected = true;
+            }
+            if !protected {
+                continue;
+            }
+            // Ungated fields go into every template, gated ones into the
+            // templates where their gate is open.
+            let open = if isv != 0 { 1 << gate_of(field) } else { 0 };
+            for (index, template) in templates.iter_mut().enumerate() {
+                if index & open == open {
+                    template.set(field, constant);
+                }
+            }
+            if isv != 0 || !k_bits.is_empty() {
+                dynamic.push(DynamicField {
+                    field,
+                    constant,
+                    isv,
+                    k_bits,
+                });
+            }
+        }
         SchedulerBalancer {
             policy,
-            plans,
-            counters,
+            templates,
+            dynamic,
             rinv_src1: Rinv::new(32, sample_period),
             rinv_src2: Rinv::new(32, sample_period),
             rinv_imm: Rinv::new(16, sample_period),
-            gate_data: IsvGate::default(),
-            gate_imm: IsvGate::default(),
+            gates: [IsvGate::default(); 2],
             attempts: 0,
             successes: 0,
         }
@@ -370,10 +436,10 @@ impl SchedulerBalancer {
         }
         if slot == SAMPLED_SLOT {
             if values.is_driven(Field::Src1Data) || values.is_driven(Field::Src2Data) {
-                self.gate_data.flip(false, now);
+                self.gates[gate_of(Field::Src1Data)].flip(false, now);
             }
             if values.is_driven(Field::Immediate) {
-                self.gate_imm.flip(false, now);
+                self.gates[gate_of(Field::Immediate)].flip(false, now);
             }
         }
     }
@@ -387,67 +453,49 @@ impl SchedulerBalancer {
             return;
         }
         self.successes += 1;
-        for field in Field::ALL {
-            // ISV-protected fields honor their timestamp gate: writing
-            // inverted samples into every released slot forever would swing
-            // the bias past 50% the other way.
-            let gated = self.plans[field.index()].gated;
-            if gated {
-                let gate = if field == Field::Immediate {
-                    &self.gate_imm
-                } else {
-                    &self.gate_data
+        // ISV-protected fields honor their timestamp gate: writing inverted
+        // samples into every released slot forever would swing the bias
+        // past 50% the other way. A gate's decision at `now` does not
+        // change when it flips at `now`, so each gate is read once. (A gate
+        // no field honors is read and flipped too; nothing reads its state.)
+        let mut open = 0;
+        for (g, gate) in self.gates.iter().enumerate() {
+            if gate.should_invert(now) {
+                open |= 1 << g;
+            }
+        }
+        let mut write = self.templates[open];
+        for dynamic in &mut self.dynamic {
+            let field = dynamic.field;
+            if dynamic.isv != 0 && open & (1 << gate_of(field)) == 0 {
+                continue;
+            }
+            let mut value = dynamic.constant;
+            if dynamic.isv != 0 {
+                let rinv = match field {
+                    Field::Src2Data => &self.rinv_src2,
+                    Field::Immediate => &self.rinv_imm,
+                    // ISV on a non-data field samples the same image as
+                    // src1 (profiled policies may assign it).
+                    _ => &self.rinv_src1,
                 };
-                if !gate.should_invert(now) {
-                    continue;
+                value |= rinv.value() & dynamic.isv;
+            }
+            for k in &mut dynamic.k_bits {
+                if k.counter.tick() == k.majority_one {
+                    value |= 1 << k.bit;
                 }
             }
-            if let Some(value) = self.field_value(field) {
-                sched.write_field(slot, field, value, now);
-                if gated && slot == SAMPLED_SLOT {
-                    let gate = if field == Field::Immediate {
-                        &mut self.gate_imm
-                    } else {
-                        &mut self.gate_data
-                    };
+            write.set(field, value);
+        }
+        sched.write_driven(slot, &write, now);
+        if slot == SAMPLED_SLOT {
+            for (g, gate) in self.gates.iter_mut().enumerate() {
+                if open & (1 << g) != 0 {
                     gate.flip(true, now);
                 }
             }
         }
-    }
-
-    fn field_value(&mut self, field: Field) -> Option<u128> {
-        let idx = field.index();
-        let plan = &self.plans[idx];
-        if !plan.protected {
-            return None;
-        }
-        let mut value = plan.constant;
-        for di in 0..self.plans[idx].dynamic.len() {
-            let (bit, t) = self.plans[idx].dynamic[di];
-            let bit = bit as usize;
-            let one = match t {
-                Technique::All1K(_) => self.counters[idx][bit].tick(),
-                Technique::All0K(_) => !self.counters[idx][bit].tick(),
-                Technique::Isv => {
-                    let rinv = match field {
-                        Field::Src1Data => &self.rinv_src1,
-                        Field::Src2Data => &self.rinv_src2,
-                        Field::Immediate => &self.rinv_imm,
-                        // ISV on a non-data field samples the same image as
-                        // src1 (profiled policies may assign it).
-                        _ => &self.rinv_src1,
-                    };
-                    (rinv.value() >> bit) & 1 == 1
-                }
-                // ALL1 bits live in `constant`; ALL0/None bits are absent.
-                Technique::All1 | Technique::All0 | Technique::None => unreachable!(),
-            };
-            if one {
-                value |= 1 << bit;
-            }
-        }
-        Some(value)
     }
 
     /// XORs a mask into all three ISV RINV images (fault injection).
@@ -552,6 +600,48 @@ mod tests {
                 "expected decode error: {why}"
             );
         }
+    }
+
+    /// The paper policy's encoding with one field's array resized to
+    /// `bits` entries.
+    fn resized(field: Field, bits: usize) -> penelope_telemetry::Json {
+        let mut json = SchedulerPolicy::paper_default().to_json();
+        if let penelope_telemetry::Json::Array(fields) = &mut json {
+            fields[field.index()] = penelope_telemetry::Json::Array(vec![
+                    penelope_telemetry::Json::Str("all1".into());
+                    bits
+                ]);
+        }
+        json
+    }
+
+    #[test]
+    fn policy_decode_rejects_arrays_of_the_wrong_width() {
+        // Longer than the 128-bit word, one bit short, one bit long, and
+        // empty: each is a typed error naming the field, never a panic.
+        for (field, bits) in [
+            (Field::Src1Data, 129),
+            (Field::Latency, 4),
+            (Field::Immediate, 17),
+            (Field::Valid, 0),
+        ] {
+            assert_eq!(
+                SchedulerPolicy::from_json(&resized(field, bits)),
+                Err(PolicyDecodeError::Width { field, bits }),
+                "{field} with {bits} bits"
+            );
+        }
+        let exact = SchedulerPolicy::from_json(&resized(Field::Latency, 5)).expect("exact width");
+        assert_eq!(exact.technique(Field::Latency, 4), Technique::All1);
+        let message = PolicyDecodeError::Width {
+            field: Field::Latency,
+            bits: 4,
+        }
+        .to_string();
+        assert!(
+            message.contains("Latency") && message.contains('5'),
+            "{message}"
+        );
     }
 
     #[test]

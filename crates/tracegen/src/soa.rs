@@ -3,7 +3,7 @@
 //! Trace generation interleaved with simulation costs more than the sum of
 //! its parts: every allocated uop drags the generator's RNG state, profile
 //! tables and opcode map back through the cache while the pipeline's own
-//! working set (scheduler arrays, residency planes, issue queues) is hot.
+//! working set (scheduler arrays, residency lanes, issue queues) is hot.
 //! [`UopChunk`] decouples the two: the generator runs a block of uops at a
 //! time into parallel arrays (one per field, in field order), and the
 //! consumer decodes them sequentially from those arrays.

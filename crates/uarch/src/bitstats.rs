@@ -8,19 +8,23 @@
 //! time it was written, and charges `(now − since) × zero-mask` into a
 //! [`BitResidency`] when the value changes.
 //!
-//! # The word-parallel kernel
+//! # The lane kernel
 //!
-//! Charging an event used to walk every bit position — up to 128 scalar
-//! iterations per write — which made `record` the hottest loop in the
-//! simulator. [`BitResidency`] now accumulates events in *bit-sliced
-//! carry-save planes*: `planes[j]` is a `u128` whose bit `i` contributes
-//! `2^j` cycles to bit position `i`'s zero-count. Adding `(mask, duration)`
-//! ripple-carries the zero-mask once per set bit of `duration`, so the cost
-//! is O(popcount(duration) + carry chain) *word* operations regardless of
-//! width. Planes drain into the exact `zero_time` lanes via an
-//! integer-only [`flush_planes`](BitResidency::flush_planes) before any
-//! lane can overflow, so `bias()`/`merge()`/reports see the same integers
-//! the scalar loop produced — byte-identical, not approximately equal.
+//! Every register write, scheduler group change and cache line state change
+//! funnels through [`BitResidency::record`], so charging an event must cost
+//! the same few word operations whatever its zero-mask and duration.
+//! [`BitResidency`] keeps one `u16` *pending lane* per bit position and
+//! charges the zero-mask a byte at a time: [`EXPAND`] maps each byte to
+//! eight lane masks (all-ones where the byte has a bit set), and
+//! `lanes[8j..8j + 8] += EXPAND[byte j] & duration` adds the duration to
+//! exactly the zero bits — no branch on any bit, one 8-lane add per byte.
+//!
+//! `pending` sums the durations charged since the last spill and bounds
+//! every lane, so the lanes spill into the exact `u64` `zero_time` lanes
+//! before that sum could pass `u16::MAX`; an event longer than that goes
+//! straight to the `u64` lanes. `zero_cycles` is one addition, and
+//! `bias()`/`merge()`/reports see the same integers the scalar loop
+//! produced — byte-identical, not approximately equal.
 //!
 //! [`ScalarResidency`] keeps the original per-bit loop alive as a reference
 //! oracle; the differential property suite (`tests/bitstats_prop.rs`) and
@@ -29,13 +33,31 @@
 
 use nbti_model::duty::Duty;
 
-/// Number of carry-save planes; per-bit pending counts fit in `PLANES` bits.
-const PLANES: usize = 32;
+/// Largest duration the `u16` pending lanes absorb between spills: while
+/// the durations charged since the last spill sum to at most this, no lane
+/// can wrap. Longer single events go straight to the `u64` lanes.
+pub const LANE_CAPACITY: u64 = u16::MAX as u64;
 
-/// Maximum duration the planes may accumulate before a flush is forced.
-/// With `PLANES = 32` every per-bit pending count stays below `2^32`, so a
-/// ripple carry can never run off the last plane.
-const PLANE_CAPACITY: u64 = (1 << PLANES) - 1;
+/// `EXPAND[b][k]` is all-ones when bit `k` of byte `b` is set, else zero:
+/// AND-ed with a duration it gives the eight lane increments of one byte of
+/// a zero-mask.
+static EXPAND: [[u16; 8]; 256] = expand_table();
+
+const fn expand_table() -> [[u16; 8]; 256] {
+    let mut table = [[0u16; 8]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut k = 0;
+        while k < 8 {
+            if (byte >> k) & 1 == 1 {
+                table[byte][k] = u16::MAX;
+            }
+            k += 1;
+        }
+        byte += 1;
+    }
+    table
+}
 
 /// Aggregated per-bit zero-time for words of a fixed width.
 ///
@@ -44,13 +66,12 @@ const PLANE_CAPACITY: u64 = (1 << PLANES) - 1;
 /// figures).
 #[derive(Debug, Clone)]
 pub struct BitResidency {
-    /// Exact zero-cycles per bit position, LSB first (flushed state).
+    /// Exact zero-cycles per bit position, LSB first (spilled state).
     zero_time: Vec<u64>,
-    /// Bit-sliced carry-save accumulator: bit `i` of `planes[j]` adds
-    /// `2^j` pending zero-cycles to position `i`.
-    planes: [u128; PLANES],
-    /// Total duration absorbed into `planes` since the last flush;
-    /// bounded by [`PLANE_CAPACITY`].
+    /// Pending zero-cycles per bit position since the last spill.
+    lanes: [u16; 128],
+    /// Total duration charged to `lanes` since the last spill; bounds every
+    /// lane and never exceeds [`LANE_CAPACITY`].
     pending: u64,
     /// Mask selecting the low `width` bits.
     mask: u128,
@@ -76,7 +97,7 @@ impl BitResidency {
         assert!((1..=128).contains(&width), "width must be in 1..=128");
         BitResidency {
             zero_time: vec![0; width],
-            planes: [0; PLANES],
+            lanes: [0; 128],
             pending: 0,
             mask: width_mask(width),
             total_time: 0,
@@ -89,60 +110,17 @@ impl BitResidency {
     }
 
     /// Records that `value` was held for `duration` cycles.
-    ///
-    /// Word-parallel: the zero-mask is ripple-carried into the bit-sliced
-    /// planes once per set bit of `duration` instead of once per bit
-    /// position.
     pub fn record(&mut self, value: u128, duration: u64) {
         if duration == 0 {
             return;
         }
         self.total_time += duration;
+        // An all-ones value accrues no zero-time anywhere. Balancing
+        // schemes hold most protected fields at all-ones, so this is the
+        // common case on the release path.
         let zeros = !value & self.mask;
-        if zeros == 0 {
-            // All-ones value: no zero-time accrues anywhere. Balancing
-            // schemes hold most protected fields at all-ones, so this is
-            // the common case on the release path.
-            return;
-        }
-        // Cost model: the lane path costs one addition per *set* bit of the
-        // zero-mask (iterated sparsely below); the carry-save path costs
-        // ~2 word ops per set bit of `duration` (ripple chains average
-        // under two planes). Sparse zero-masks and dense durations go
-        // straight to the lanes — which is also the only valid path for a
-        // single event too large for the planes (~4 billion cycles). Lane
-        // adds and plane adds produce the same integers, so the choice is
-        // invisible to every reader.
-        let lane_is_cheaper = zeros.count_ones() < 2 * duration.count_ones();
-        if lane_is_cheaper || duration > PLANE_CAPACITY {
-            let mut z = zeros;
-            while z != 0 {
-                let i = z.trailing_zeros() as usize;
-                z &= z - 1;
-                self.zero_time[i] += duration;
-            }
-            return;
-        }
-        if duration > PLANE_CAPACITY - self.pending {
-            self.flush_planes();
-        }
-        self.pending += duration;
-        let mut weight = duration;
-        while weight != 0 {
-            let bit = weight.trailing_zeros() as usize;
-            weight &= weight - 1;
-            // Carry-save add of `zeros` with weight 2^bit: XOR is the sum,
-            // AND the carry into the next plane. `pending <= PLANE_CAPACITY`
-            // guarantees the carry dies before running off the last plane.
-            let mut carry = zeros;
-            let mut plane = bit;
-            while carry != 0 {
-                debug_assert!(plane < PLANES, "carry escaped the planes");
-                let overflow = self.planes[plane] & carry;
-                self.planes[plane] ^= carry;
-                carry = overflow;
-                plane += 1;
-            }
+        if zeros != 0 {
+            self.charge(zeros, duration);
         }
     }
 
@@ -150,11 +128,42 @@ impl BitResidency {
     /// of an idle/stall region the simulator skipped over in one step.
     ///
     /// This is the bulk-advance entry point of the event-driven core; it is
-    /// exactly [`BitResidency::record`] (the kernel has always been
-    /// span-based — one event of `n` cycles costs O(popcount(n)), not
-    /// O(n)), named explicitly so span-application sites read as such.
+    /// exactly [`BitResidency::record`] (one event costs the same whatever
+    /// its length), named explicitly so span-application sites read as
+    /// such.
     pub fn record_span(&mut self, value: u128, duration: u64) {
         self.record(value, duration);
+    }
+
+    /// Adds `duration` to the zero-count of every bit set in `zeros`.
+    fn charge(&mut self, zeros: u128, duration: u64) {
+        if duration > LANE_CAPACITY {
+            return self.charge_long(zeros, duration);
+        }
+        if duration > LANE_CAPACITY - self.pending {
+            self.spill();
+        }
+        self.pending += duration;
+        let d = duration as u16;
+        let used = self.zero_time.len().div_ceil(8);
+        let bytes = zeros.to_le_bytes();
+        for (lanes, &byte) in self.lanes.chunks_exact_mut(8).zip(&bytes).take(used) {
+            let expand = &EXPAND[usize::from(byte)];
+            for (lane, e) in lanes.iter_mut().zip(expand) {
+                *lane += e & d;
+            }
+        }
+    }
+
+    /// Adds an event too long for the lanes straight to the `u64` lanes.
+    /// Kept out of line, like [`spill`](Self::spill), so the lane path
+    /// stays small.
+    #[cold]
+    #[inline(never)]
+    fn charge_long(&mut self, zeros: u128, duration: u64) {
+        for (i, zt) in self.zero_time.iter_mut().enumerate() {
+            *zt += ((zeros >> i) as u64 & 1) * duration;
+        }
     }
 
     /// Charges `duration` zero-cycles to every bit set in `zeros`, without
@@ -162,9 +171,9 @@ impl BitResidency {
     ///
     /// This is the carrier half of the *grouped charge* protocol: several
     /// fields whose values changed at the same instant concatenate their
-    /// zero-masks into one word and pay a single plane-add here instead of
-    /// one `record` each. The owner later moves the accumulated counts into
-    /// the real per-field accumulators with
+    /// zero-masks into one word and pay a single lane charge here instead
+    /// of one `record` each. The owner later moves the accumulated counts
+    /// into the real per-field accumulators with
     /// [`drain_zero_counts`](Self::drain_zero_counts) /
     /// [`credit_zero_cycles`](Self::credit_zero_cycles) and accounts
     /// `total_time` separately via
@@ -175,34 +184,7 @@ impl BitResidency {
             return;
         }
         debug_assert_eq!(zeros & !self.mask, 0, "zeros outside the word");
-        let lane_is_cheaper = zeros.count_ones() < 2 * duration.count_ones();
-        if lane_is_cheaper || duration > PLANE_CAPACITY {
-            let mut z = zeros;
-            while z != 0 {
-                let i = z.trailing_zeros() as usize;
-                z &= z - 1;
-                self.zero_time[i] += duration;
-            }
-            return;
-        }
-        if duration > PLANE_CAPACITY - self.pending {
-            self.flush_planes();
-        }
-        self.pending += duration;
-        let mut weight = duration;
-        while weight != 0 {
-            let bit = weight.trailing_zeros() as usize;
-            weight &= weight - 1;
-            let mut carry = zeros;
-            let mut plane = bit;
-            while carry != 0 {
-                debug_assert!(plane < PLANES, "carry escaped the planes");
-                let overflow = self.planes[plane] & carry;
-                self.planes[plane] ^= carry;
-                carry = overflow;
-                plane += 1;
-            }
-        }
+        self.charge(zeros, duration);
     }
 
     /// Moves every accumulated zero-count out of this accumulator, calling
@@ -210,7 +192,7 @@ impl BitResidency {
     /// empty. Part of the grouped-charge protocol (see
     /// [`record_zeros`](Self::record_zeros)).
     pub(crate) fn drain_zero_counts(&mut self, mut f: impl FnMut(usize, u64)) {
-        self.flush_planes();
+        self.spill();
         for (i, zt) in self.zero_time.iter_mut().enumerate() {
             if *zt != 0 {
                 f(i, *zt);
@@ -238,39 +220,27 @@ impl BitResidency {
         std::mem::take(&mut self.total_time)
     }
 
-    /// Drains the carry-save planes into the exact `zero_time` lanes.
-    ///
-    /// Integer-only, so the lane values are identical to what the scalar
-    /// per-bit loop would have produced. O(width × planes), but amortized
-    /// away: it runs once per ~2^32 accumulated cycles (or on merge).
-    fn flush_planes(&mut self) {
+    /// Moves the pending lanes into the exact `zero_time` lanes. Runs at
+    /// most once per [`LANE_CAPACITY`] charged cycles (or on drain).
+    #[cold]
+    #[inline(never)]
+    fn spill(&mut self) {
         if self.pending == 0 {
             return;
         }
-        for (i, zt) in self.zero_time.iter_mut().enumerate() {
-            let mut count = 0u64;
-            for (j, plane) in self.planes.iter().enumerate() {
-                count |= (((plane >> i) as u64) & 1) << j;
-            }
-            *zt += count;
+        for (zt, lane) in self.zero_time.iter_mut().zip(&mut self.lanes) {
+            *zt += u64::from(std::mem::take(lane));
         }
-        self.planes = [0; PLANES];
         self.pending = 0;
     }
 
-    /// Exact zero-cycles of one bit position, including pending plane state.
+    /// Exact zero-cycles of one bit position, including its pending lane.
     ///
     /// # Panics
     ///
     /// Panics if `bit` is out of range.
     pub fn zero_cycles(&self, bit: usize) -> u64 {
-        let mut count = self.zero_time[bit];
-        if self.pending != 0 {
-            for (j, plane) in self.planes.iter().enumerate() {
-                count += (((plane >> bit) as u64) & 1) << j;
-            }
-        }
-        count
+        self.zero_time[bit] + u64::from(self.lanes[bit])
     }
 
     /// Total observed time (per bit position).
@@ -311,7 +281,6 @@ impl BitResidency {
     /// Panics if widths differ.
     pub fn merge(&mut self, other: &BitResidency) {
         assert_eq!(self.width(), other.width(), "width mismatch");
-        self.flush_planes();
         for (i, zt) in self.zero_time.iter_mut().enumerate() {
             *zt += other.zero_cycles(i);
         }
@@ -321,7 +290,7 @@ impl BitResidency {
 
 /// Equality is over *effective* counts — two accumulators that charged the
 /// same cycles compare equal regardless of how much is still pending in
-/// their carry-save planes.
+/// their `u16` lanes.
 impl PartialEq for BitResidency {
     fn eq(&self, other: &Self) -> bool {
         self.width() == other.width()
@@ -708,8 +677,9 @@ mod tests {
 
     #[test]
     fn equality_ignores_plane_representation() {
-        // Same effective counts via one large event vs many small ones:
-        // the pending plane state differs, the accumulators must not.
+        // Same effective counts via one large event vs many small ones
+        // that force spills: the pending lane state differs, the
+        // accumulators must not.
         let mut one = BitResidency::new(8);
         one.record(0xA5, 1000);
         let mut many = BitResidency::new(8);
@@ -717,29 +687,35 @@ mod tests {
             many.record(0xA5, 1);
         }
         assert_eq!(one, many);
+        let mut spilled = BitResidency::new(8);
+        for _ in 0..3 {
+            spilled.record(0xA5, LANE_CAPACITY);
+        }
+        one.record(0xA5, 3 * LANE_CAPACITY - 1000);
+        assert_eq!(one, spilled);
     }
 
     #[test]
     fn plane_capacity_boundary_flushes_exactly() {
-        // Crossing the 2^32−1 accumulation boundary forces a flush;
-        // counts must remain exact on both sides.
+        // Crossing the lane capacity forces a spill; counts must remain
+        // exact on both sides.
         let mut r = BitResidency::new(2);
-        r.record(0b10, PLANE_CAPACITY - 1);
-        r.record(0b01, 3); // forces flush_planes, then re-accumulates
-        assert_eq!(r.zero_cycles(0), PLANE_CAPACITY - 1);
+        r.record(0b10, LANE_CAPACITY - 1);
+        r.record(0b01, 3); // spills, then re-accumulates
+        assert_eq!(r.zero_cycles(0), LANE_CAPACITY - 1);
         assert_eq!(r.zero_cycles(1), 3);
-        assert_eq!(r.total_time(), PLANE_CAPACITY + 2);
+        assert_eq!(r.total_time(), LANE_CAPACITY + 2);
     }
 
     #[test]
     fn oversized_single_event_takes_the_lane_path() {
         let mut r = BitResidency::new(2);
-        let huge = PLANE_CAPACITY + 17;
+        let huge = LANE_CAPACITY + 17;
         r.record(0b01, huge);
         assert_eq!(r.zero_cycles(0), 0);
         assert_eq!(r.zero_cycles(1), huge);
         assert_eq!(r.total_time(), huge);
-        // And the planes still work afterwards.
+        // And the lanes still work afterwards.
         r.record(0b10, 5);
         assert_eq!(r.zero_cycles(0), 5);
         assert_eq!(r.zero_cycles(1), huge);

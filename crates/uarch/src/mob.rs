@@ -9,9 +9,9 @@ use crate::bitstats::BitResidency;
 
 /// Circular MOB id allocator.
 ///
-/// Id residency rides the word-parallel [`BitResidency`] kernel: each
-/// allocation charges one `(id, 1)` event, a single carry-save add rather
-/// than a per-bit loop.
+/// Id residency rides the [`BitResidency`] lane kernel: each allocation
+/// charges one `(id, 1)` event, a single lane add rather than a per-bit
+/// loop.
 #[derive(Debug, Clone)]
 pub struct MobAllocator {
     capacity: u8,

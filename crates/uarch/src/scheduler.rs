@@ -8,8 +8,10 @@
 //!
 //! The scheduler is modeled as a storage structure: allocation captures the
 //! field values of a uop, release frees the slot but *keeps the contents*
-//! (bit cells do not forget), and `write_field` allows both ready-bit
-//! updates while busy and NBTI-balancing writes into free slots.
+//! (bit cells do not forget), and `write_field` allows ready-bit updates
+//! while busy. Allocation and an NBTI-balancing rewrite of a free slot are
+//! each one [`EntryValues`] write set merged by
+//! [`Scheduler::write_driven`].
 
 use crate::bitstats::{BitResidency, OccupancyTracker, TrackedWord};
 use tracegen::uop::{Uop, UopClass};
@@ -171,36 +173,50 @@ impl DataUsage {
     }
 }
 
-/// Values captured into a slot at allocation.
+/// A write set for one slot: the values of the fields a write drives, and
+/// which fields those are.
 ///
-/// Fields that a uop does not use (the MOB id of a non-memory uop, the
-/// destination tag of a store, ...) are *not driven*: allocation leaves the
-/// old cell contents in place, exactly as hardware whose write enables stay
-/// low. This is what makes the tag/MOB-id fields self-balanced (§4.5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Allocation captures a uop this way, and a balancing rewrite of a free
+/// slot is one write set too; [`Scheduler::write_driven`] merges either in
+/// one step. Fields that a uop does not use (the MOB id of a non-memory
+/// uop, the destination tag of a store, ...) are *not driven*: allocation
+/// leaves the old cell contents in place, exactly as hardware whose write
+/// enables stay low. This is what makes the tag/MOB-id fields
+/// self-balanced (§4.5).
+///
+/// The storage mirrors the slot's: the fifteen grouped fields as two
+/// concatenated words with their driven masks, and the three 1-bit fields
+/// (`Valid`, `Ready1`, `Ready2`) as bits of one byte. An undriven field
+/// still reports the value it was built with through
+/// [`get`](Self::get); the merge ignores it. The default drives nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EntryValues {
-    values: [u128; 18],
-    driven: [bool; 18],
-    /// Concatenated driven values and write-enable masks per group, derived
-    /// from `values`/`driven` (see the layout constants below). Allocation
-    /// merges these into the slot's group words in one step.
     group_val: [u128; 2],
     group_driven: [u128; 2],
+    /// Bit `k` holds the field `SINGLE_FIELDS[k]`.
+    single_val: u8,
+    single_driven: u8,
 }
 
-fn concat_groups(values: &[u128; 18], driven: &[bool; 18]) -> ([u128; 2], [u128; 2]) {
-    let mut gv = [0u128; 2];
-    let mut gd = [0u128; 2];
-    for i in 0..18 {
-        let g = GROUP_OF[i];
-        if g == NO_GROUP || !driven[i] {
-            continue;
-        }
-        let g = g as usize;
-        gd[g] |= FIELD_MASKS[i] << FIELD_OFFSETS[i];
-        gv[g] |= (values[i] & FIELD_MASKS[i]) << FIELD_OFFSETS[i];
+/// Bits of a grouped field within its group word.
+fn field_bits(field: Field) -> u128 {
+    let i = field.index();
+    FIELD_MASKS[i] << FIELD_OFFSETS[i]
+}
+
+/// A grouped field's value, masked to its width and placed at its offset.
+fn place(field: Field, value: u128) -> u128 {
+    let i = field.index();
+    (value & FIELD_MASKS[i]) << FIELD_OFFSETS[i]
+}
+
+/// The bits of a grouped field if `cond` holds, else none.
+fn bits_if(field: Field, cond: bool) -> u128 {
+    if cond {
+        field_bits(field)
+    } else {
+        0
     }
-    (gv, gd)
 }
 
 impl EntryValues {
@@ -214,64 +230,72 @@ impl EntryValues {
         ready1: bool,
         ready2: bool,
     ) -> Self {
-        let mut driven = [true; 18];
-        driven[Field::MobId.index()] = uop.class.is_memory();
-        driven[Field::DstTag.index()] = uop.dst.is_some();
-        driven[Field::Src1Tag.index()] = uop.src1.is_some();
-        driven[Field::Src2Tag.index()] = uop.src2.is_some();
-        driven[Field::Src1Data.index()] = uop.src1.is_some();
-        driven[Field::Src2Data.index()] = uop.src2.is_some();
-        driven[Field::Immediate.index()] = uop.immediate.is_some();
-        driven[Field::Taken.index()] = uop.class == UopClass::Branch;
-        driven[Field::Tos.index()] = uop.class.is_fp();
-        let mut values = [0u128; 18];
-        values[Field::Valid.index()] = 1;
-        values[Field::Latency.index()] = u128::from(uop.latency & 0x1F);
-        values[Field::Port.index()] = 1u128 << (uop.port % 5);
-        values[Field::Taken.index()] = u128::from(uop.taken);
-        values[Field::MobId.index()] = u128::from(mob_id & 0x3F);
-        values[Field::Tos.index()] = u128::from(uop.tos & 0x7);
-        values[Field::Flags.index()] = u128::from(uop.flags & 0x3F);
-        values[Field::Shift1.index()] = u128::from(uop.shift1);
-        values[Field::Shift2.index()] = u128::from(uop.shift2);
-        values[Field::DstTag.index()] = u128::from(dst_tag & 0x7F);
-        values[Field::Src1Tag.index()] = u128::from(src1_tag & 0x7F);
-        values[Field::Src2Tag.index()] = u128::from(src2_tag & 0x7F);
-        values[Field::Ready1.index()] = u128::from(ready1);
-        values[Field::Ready2.index()] = u128::from(ready2);
-        values[Field::Src1Data.index()] = u128::from(uop.src1_val);
-        values[Field::Src2Data.index()] = u128::from(uop.src2_val);
-        values[Field::Immediate.index()] = u128::from(uop.immediate.unwrap_or(0));
-        values[Field::Opcode.index()] = u128::from(uop.opcode & 0xFFF);
-        let (group_val, group_driven) = concat_groups(&values, &driven);
+        let control = place(Field::Latency, uop.latency.into())
+            | place(Field::Port, 1u128 << (uop.port % 5))
+            | place(Field::Taken, uop.taken.into())
+            | place(Field::MobId, mob_id.into())
+            | place(Field::Tos, uop.tos.into())
+            | place(Field::Flags, uop.flags.into())
+            | place(Field::Shift1, uop.shift1.into())
+            | place(Field::Shift2, uop.shift2.into())
+            | place(Field::DstTag, dst_tag.into())
+            | place(Field::Src1Tag, src1_tag.into())
+            | place(Field::Src2Tag, src2_tag.into());
+        let control_undriven = bits_if(Field::Taken, uop.class != UopClass::Branch)
+            | bits_if(Field::MobId, !uop.class.is_memory())
+            | bits_if(Field::Tos, !uop.class.is_fp())
+            | bits_if(Field::DstTag, uop.dst.is_none())
+            | bits_if(Field::Src1Tag, uop.src1.is_none())
+            | bits_if(Field::Src2Tag, uop.src2.is_none());
+        let data = place(Field::Src1Data, uop.src1_val.into())
+            | place(Field::Src2Data, uop.src2_val.into())
+            | place(Field::Immediate, uop.immediate.unwrap_or(0).into())
+            | place(Field::Opcode, uop.opcode.into());
+        let data_driven = bits_if(Field::Src1Data, uop.src1.is_some())
+            | bits_if(Field::Src2Data, uop.src2.is_some())
+            | bits_if(Field::Immediate, uop.immediate.is_some())
+            | field_bits(Field::Opcode);
         EntryValues {
-            values,
-            driven,
-            group_val,
-            group_driven,
+            group_val: [control, data],
+            group_driven: [GROUP_MASKS[0] & !control_undriven, data_driven],
+            // Valid, Ready1, Ready2: always driven.
+            single_val: 1 | (u8::from(ready1) << 1) | (u8::from(ready2) << 2),
+            single_driven: 0b111,
         }
     }
 
     /// The value of one field.
     pub fn get(&self, field: Field) -> u128 {
-        self.values[field.index()]
+        let i = field.index();
+        match single_slot(i) {
+            Some(k) => u128::from((self.single_val >> k) & 1),
+            None => (self.group_val[GROUP_OF[i] as usize] >> FIELD_OFFSETS[i]) & FIELD_MASKS[i],
+        }
     }
 
-    /// Whether allocation drives (writes) the field.
+    /// Whether the write drives the field.
     pub fn is_driven(&self, field: Field) -> bool {
-        self.driven[field.index()]
+        let i = field.index();
+        match single_slot(i) {
+            Some(k) => (self.single_driven >> k) & 1 == 1,
+            None => self.group_driven[GROUP_OF[i] as usize] & field_bits(field) != 0,
+        }
     }
 
-    /// Overwrites one field (marks it driven).
+    /// Overwrites one field (masked to its width) and marks it driven.
     pub fn set(&mut self, field: Field, value: u128) {
         let i = field.index();
-        self.values[i] = value & FIELD_MASKS[i];
-        self.driven[i] = true;
-        if GROUP_OF[i] != NO_GROUP {
-            let g = GROUP_OF[i] as usize;
-            let mask = FIELD_MASKS[i] << FIELD_OFFSETS[i];
-            self.group_driven[g] |= mask;
-            self.group_val[g] = (self.group_val[g] & !mask) | (self.values[i] << FIELD_OFFSETS[i]);
+        match single_slot(i) {
+            Some(k) => {
+                let bit = 1u8 << k;
+                self.single_val = (self.single_val & !bit) | (u8::from(value & 1 == 1) << k);
+                self.single_driven |= bit;
+            }
+            None => {
+                let g = GROUP_OF[i] as usize;
+                self.group_val[g] = (self.group_val[g] & !field_bits(field)) | place(field, value);
+                self.group_driven[g] |= field_bits(field);
+            }
         }
     }
 }
@@ -399,7 +423,7 @@ pub struct Scheduler {
     residency: [BitResidency; 18],
     /// Staging accumulators for the grouped charges: when a group word
     /// changes (allocation, balancing write) or is flushed (sync), the whole
-    /// word pays one carry-save zero-mask add covering every member field's
+    /// word pays one zero-mask lane charge covering every member field's
     /// elapsed span. Drained back into the per-field `residency` at
     /// [`Scheduler::sync`]; the integers are identical to per-field charging
     /// (zero-time is additive over disjoint bit ranges and adjacent spans).
@@ -508,39 +532,10 @@ impl Scheduler {
         slot.busy = true;
         slot.issued = false;
         slot.data_held = usage.count();
-        // Valid always drives to 1; Ready1/Ready2 come from the entry.
-        // Rewriting the value a cell already holds does not change its
-        // residency: the open span keeps accruing from the original write
-        // time and settles at the next real change or flush (residency is
-        // additive over adjacent spans).
-        if slot.singles[0].value() != 1 {
-            slot.singles[0].write(1, now, &mut self.residency[SINGLE_FIELDS[0]]);
-        }
-        for (single, field) in slot.singles.iter_mut().zip(SINGLE_FIELDS).skip(1) {
-            let want = values.values[field];
-            if single.value() != want {
-                single.write(want, now, &mut self.residency[field]);
-            }
-        }
-        // Grouped fields: merge the driven bits into each group word in one
-        // step. If the word changes, the *whole group* settles its elapsed
-        // span with a single carry-save zero-mask add — exact for unchanged
-        // members too, since closing their span and reopening it at `now`
-        // with the same value charges the same integers as leaving it open.
-        for (g, mask) in GROUP_MASKS.iter().enumerate() {
-            let old = slot.group_val[g];
-            let merged = (old & !values.group_driven[g]) | values.group_val[g];
-            if merged != old {
-                let since = slot.group_since[g];
-                if since != now {
-                    let d = now - since;
-                    self.group_charge[g].record_zeros(!old & mask, d);
-                    self.group_charge[g].credit_total_time(d);
-                }
-                slot.group_val[g] = merged;
-                slot.group_since[g] = now;
-            }
-        }
+        // Valid always drives to 1, whatever the entry holds.
+        let mut entry = *values;
+        entry.set(Field::Valid, 1);
+        self.write_driven(id, &entry, now);
         self.occupancy.acquire(now);
         self.data_occupancy.acquire_n(usage.count(), now);
     }
@@ -598,32 +593,54 @@ impl Scheduler {
     /// writes while free). Does not consume a port — pair with
     /// [`Scheduler::consume_port`] for opportunistic writes.
     pub fn write_field(&mut self, slot: SlotId, field: Field, value: u128, now: u64) {
-        let i = field.index();
-        let masked = value & FIELD_MASKS[i];
-        let s = &mut self.slots[slot];
-        // Same-value writes defer the residency charge (see allocate_at):
-        // balancing writes mostly re-assert the pattern already stored, so
-        // the hot path reduces to a comparison.
-        if let Some(k) = single_slot(i) {
-            if s.singles[k].value() != masked {
-                s.singles[k].write(masked, now, &mut self.residency[i]);
+        let mut write = EntryValues::default();
+        write.set(field, value);
+        self.write_driven(slot, &write, now);
+    }
+
+    /// Merges a write set into a slot: each driven bit takes the write
+    /// set's value, every other bit keeps its contents. Allocation and a
+    /// balancing rewrite of a released slot are one call each. Does not
+    /// consume a port.
+    ///
+    /// A word that changes settles its elapsed span with one lane charge
+    /// covering all its member fields — exact for the unchanged members
+    /// too, since closing their span and reopening it at `now` with the
+    /// same value charges the same integers as leaving it open. Rewriting
+    /// the value a word already holds charges nothing: the open span keeps
+    /// accruing from the original write and settles at the next real
+    /// change or [`Scheduler::sync`] (residency is additive over adjacent
+    /// spans). Balancing writes mostly re-assert the stored pattern, so
+    /// the hot path reduces to comparisons.
+    pub fn write_driven(&mut self, slot: SlotId, values: &EntryValues, now: u64) {
+        let Scheduler {
+            slots,
+            residency,
+            group_charge,
+            ..
+        } = self;
+        let s = &mut slots[slot];
+        for (k, (single, field)) in s.singles.iter_mut().zip(SINGLE_FIELDS).enumerate() {
+            let want = u128::from((values.single_val >> k) & 1);
+            if (values.single_driven >> k) & 1 == 1 && single.value() != want {
+                single.write(want, now, &mut residency[field]);
             }
-            return;
         }
-        let g = GROUP_OF[i] as usize;
-        let old = s.group_val[g];
-        let merged = (old & !(FIELD_MASKS[i] << FIELD_OFFSETS[i])) | (masked << FIELD_OFFSETS[i]);
-        if merged == old {
-            return;
+        for (g, mask) in GROUP_MASKS.iter().enumerate() {
+            let old = s.group_val[g];
+            let driven = values.group_driven[g];
+            let merged = (old & !driven) | (values.group_val[g] & driven);
+            if merged != old {
+                let since = s.group_since[g];
+                if since != now {
+                    let d = now - since;
+                    group_charge[g].record_zeros(!old & mask, d);
+                    group_charge[g].credit_total_time(d);
+                }
+                s.group_val[g] = merged;
+                s.group_since[g] = now;
+            }
         }
-        let since = s.group_since[g];
-        if since != now {
-            let d = now - since;
-            self.group_charge[g].record_zeros(!old & GROUP_MASKS[g], d);
-            self.group_charge[g].credit_total_time(d);
-        }
-        s.group_val[g] = merged;
-        s.group_since[g] = now;
     }
 
     /// Consumes one port in cycle `now` (for opportunistic balancing

@@ -1,36 +1,39 @@
-//! Differential property suite for the word-parallel residency kernel.
+//! Differential property suite for the lane residency kernel.
 //!
-//! `BitResidency` (bit-sliced carry-save SWAR) and `ScalarResidency` (the
-//! original per-bit loop, kept as a reference oracle) are driven with
-//! identical event streams — random `(value, duration)` records,
-//! interleaved merges and `TrackedWord` write/flush traffic, durations
-//! straddling the plane-flush boundary — and must agree on every exact
-//! integer count, at every width the simulator uses and at the word-size
-//! edges (1, 63, 64, 65, 127, 128).
+//! `BitResidency` (`u16` pending lanes charged a byte at a time, spilled
+//! into exact `u64` lanes) and `ScalarResidency` (the original per-bit
+//! loop, kept as a reference oracle) are driven with identical event
+//! streams — random `(value, duration)` records, interleaved merges and
+//! `TrackedWord` write/flush traffic, durations straddling the lane spill
+//! bound — and must agree on every exact integer count, at the word-size
+//! edges (1, 63, 64, 65, 127, 128) and at the widths the simulator charges
+//! (1, 6, 49, 64, 80, 92, 128).
 
 use proptest::prelude::*;
-use uarch::bitstats::{BitResidency, ScalarResidency, TrackedWord};
+use uarch::bitstats::{BitResidency, ScalarResidency, TrackedWord, LANE_CAPACITY};
 
 /// Boundary widths: 1 (degenerate), 63/64/65 (u64 edges), 127/128 (u128
 /// edges).
 const WIDTHS: [usize; 6] = [1, 63, 64, 65, 127, 128];
 
-/// Maximum duration the carry-save planes hold before flushing (2^32 − 1,
-/// mirrored from the kernel).
-const PLANE_CAPACITY: u64 = (1 << 32) - 1;
+/// Widths the simulator charges: 1-bit scheduler fields, 6-bit register
+/// tags and flags, the 49-bit control and 92-bit data group words of a
+/// scheduler slot, 64-bit words, 80-bit register values and 128-bit cache
+/// and gate blocks.
+const KERNEL_WIDTHS: [usize; 7] = [1, 6, 49, 64, 80, 92, 128];
 
 fn any_u128() -> impl Strategy<Value = u128> {
     (any::<u64>(), any::<u64>()).prop_map(|(hi, lo)| (u128::from(hi) << 64) | u128::from(lo))
 }
 
 /// Durations biased across the interesting magnitudes: zero, small dense
-/// values, sparse large values, and plane-capacity overflow.
+/// values, sparse large values, and the lane spill bound.
 fn any_duration() -> impl Strategy<Value = u64> {
     prop_oneof![
         Just(0u64),
         1u64..64,
         1u64..100_000,
-        (0u64..=3).prop_map(|d| PLANE_CAPACITY - 1 + d),
+        (0u64..=3).prop_map(|d| LANE_CAPACITY - 1 + d),
         (any::<u32>(), 0u64..=1).prop_map(|(lo, hi)| u64::from(lo) | (hi << 33)),
     ]
 }
@@ -94,7 +97,7 @@ proptest! {
                 swar.record(value, duration);
                 scalar.record(value, duration);
             }
-            // Merge while both sides still hold pending plane state.
+            // Merge while both sides still hold pending lanes.
             swar_total.merge(&swar);
             scalar_total.merge(&scalar);
         }
@@ -140,7 +143,7 @@ proptest! {
     ) {
         // The same stream charged in different event granularity (one
         // record per event vs duration split into two records) leaves
-        // different carry-save plane states but must compare equal.
+        // different pending lanes but must compare equal.
         let width = WIDTHS[width_index];
         let mut whole = BitResidency::new(width);
         let mut split = BitResidency::new(width);
@@ -155,16 +158,83 @@ proptest! {
     }
 }
 
+/// Replays `events` through both kernels and demands exact agreement.
+fn assert_stream_agrees(width: usize, events: &[(u128, u64)], what: &str) {
+    let mut lanes = BitResidency::new(width);
+    let mut scalar = ScalarResidency::new(width);
+    for &(value, duration) in events {
+        lanes.record(value, duration);
+        scalar.record(value, duration);
+    }
+    assert_eq!(lanes.total_time(), scalar.total_time(), "w{width} {what}");
+    for bit in 0..width {
+        assert_eq!(
+            lanes.zero_cycles(bit),
+            scalar.zero_cycles(bit),
+            "w{width} {what}: bit {bit}"
+        );
+    }
+}
+
+/// Events summing to `total` cycles in chunks of at most 9973; `value` is
+/// rotated between chunks so the lanes carry mixed counts, unless it is 0
+/// (then every lane reaches `total`).
+fn events_summing_to(total: u64, mut value: u128) -> Vec<(u128, u64)> {
+    let mut events = Vec::new();
+    let mut left = total;
+    while left > 0 {
+        let duration = left.min(9_973);
+        events.push((value, duration));
+        value = value.rotate_left(13);
+        left -= duration;
+    }
+    events
+}
+
+#[test]
+fn lane_spill_bound_is_exact_at_simulator_widths() {
+    const MIXED: u128 = 0x0F0F_3C3C_5555_A5A5_00FF_1234_8421_7E7E;
+    for width in KERNEL_WIDTHS {
+        // Pending sums one below, exactly at and one over the spill bound,
+        // then one more event on top.
+        for total in [LANE_CAPACITY - 1, LANE_CAPACITY, LANE_CAPACITY + 1] {
+            for value in [0, MIXED] {
+                let mut events = events_summing_to(total, value);
+                events.push((!value, 1));
+                events.push((value, 2));
+                assert_stream_agrees(width, &events, &format!("pending sum {total}"));
+            }
+        }
+        // Single events of exactly the capacity and one over it, alone and
+        // on top of pending lanes.
+        for duration in [LANE_CAPACITY, LANE_CAPACITY + 1] {
+            for value in [0, MIXED] {
+                assert_stream_agrees(width, &[(value, duration)], "single event");
+                assert_stream_agrees(
+                    width,
+                    &[
+                        (!value, 5),
+                        (value, duration),
+                        (!value, 2),
+                        (value, duration),
+                    ],
+                    &format!("event of {duration} over pending lanes"),
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn plane_capacity_boundary_is_exact_on_both_paths() {
-    // Deterministic sweep of the flush/overflow edge: accumulate to just
+    // Deterministic sweep of the spill/overflow edge: accumulate to just
     // below capacity, then cross it with single-cycle, exact-fit and
     // oversized events.
-    for &extra in &[1u64, 2, 17, PLANE_CAPACITY, PLANE_CAPACITY + 5] {
+    for &extra in &[1u64, 2, 17, LANE_CAPACITY, LANE_CAPACITY + 5] {
         let mut swar = BitResidency::new(65);
         let mut scalar = ScalarResidency::new(65);
         for (value, duration) in [
-            (0x5555_5555_5555_5555u128, PLANE_CAPACITY - 1),
+            (0x5555_5555_5555_5555u128, LANE_CAPACITY - 1),
             (!0x5555_5555_5555_5555u128, extra),
             (0u128, 3),
         ] {
@@ -190,8 +260,7 @@ fn swar_kernel_is_at_least_3x_faster_at_width_64() {
 
     // The acceptance microbench, runnable without Criterion: identical
     // pseudo-random event streams through both kernels at width 64.
-    // Durations are 1..=64 cycles — the regime pipeline events live in,
-    // where popcount(duration) stays small.
+    // Durations are 1..=64 cycles — the regime pipeline events live in.
     const EVENTS: usize = 200_000;
     const ROUNDS: usize = 5;
     let mut state = 0x243F_6A88_85A3_08D3u64;

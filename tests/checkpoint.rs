@@ -266,3 +266,37 @@ fn an_empty_journal_refuses_resume_with_a_typed_error() {
     let message = resume_error(&path, &header("fig6"));
     assert!(message.contains("resume refused"), "{message}");
 }
+
+#[test]
+fn a_policy_of_the_wrong_width_refuses_resume_with_a_typed_error() {
+    use penelope::sched_aware::SchedulerPolicy;
+    use uarch::scheduler::Field;
+
+    let _guard = checkpoint_lock();
+    let path = tmp_path("policy-width.jsonl");
+    let context = CheckpointContext::create(&path, &header("table4")).expect("journal opens");
+    // A sealed record whose policy gives the 5-bit latency field 129
+    // techniques: the hash holds, so only the payload decoder can refuse.
+    let mut policy = SchedulerPolicy::paper_default().to_json();
+    if let Json::Array(fields) = &mut policy {
+        fields[Field::Latency.index()] = Json::Array(vec![Json::Str("all1".into()); 129]);
+    }
+    context.append("policy-width", 0, policy, None);
+    assert!(context.take_fault().is_none(), "append must succeed");
+
+    let context =
+        CheckpointContext::resume(&path, &header("table4")).expect("the journal is sound");
+    par::set_jobs(1);
+    par::set_checkpoint(Some(context));
+    let result = par::try_cells_named("policy-width", 1, |_| Ok(SchedulerPolicy::paper_default()));
+    par::set_checkpoint(None);
+    par::set_jobs(0);
+    match result {
+        Err(Error::Journal { message }) => assert!(
+            message.contains("undecodable payload") && message.contains("Latency has 129"),
+            "{message}"
+        ),
+        Ok(_) => panic!("a policy of the wrong width must not be restored"),
+        Err(other) => panic!("expected a journal error, got {other:?}"),
+    }
+}
