@@ -1,21 +1,30 @@
 //! End-to-end CLI tests for `--checkpoint` / `--resume`: a checkpointed
-//! fig6 run that loses the tail of its journal resumes to a report
-//! byte-identical to the uninterrupted one, a damaged journal refuses
-//! resume with a clear message and a nonzero exit, and the supervisor /
-//! checkpoint environment knobs degrade into the report's `warnings`
-//! array instead of failing the run.
+//! fig6 run that loses the tail of its journal, and a fleet run SIGKILLed
+//! mid-sweep, resume to reports byte-identical to the uninterrupted ones,
+//! a damaged journal refuses resume with a clear message and a nonzero
+//! exit, and the supervisor / checkpoint environment knobs degrade into
+//! the report's `warnings` array instead of failing the run.
 //!
 //! These drive the real binaries through `CARGO_BIN_EXE_*`, so they cover
 //! the full durability path: flag parsing → journal create/resume →
 //! engine restore/skip → deterministic merge → report write.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 use penelope_telemetry::{validate_report, Json};
 
 fn fig6() -> Command {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_fig6"));
+    bench(env!("CARGO_BIN_EXE_fig6"))
+}
+
+fn fleet() -> Command {
+    bench(env!("CARGO_BIN_EXE_fleet"))
+}
+
+fn bench(binary: &str) -> Command {
+    let mut cmd = Command::new(binary);
     // Isolate from the ambient environment CI or a developer might have.
     cmd.env_remove("PENELOPE_SCALE")
         .env_remove("PENELOPE_JOBS")
@@ -148,6 +157,89 @@ fn interrupted_checkpointed_run_resumes_byte_identically() {
         canonical_report(&resumed_report),
         reference,
         "an interrupted-then-resumed run must be byte-identical to an uninterrupted one"
+    );
+}
+
+/// Data records (complete lines after the header) in a journal, or 0 if
+/// it does not exist yet.
+fn journal_records(path: &std::path::Path) -> usize {
+    std::fs::read(path)
+        .map(|bytes| {
+            bytes
+                .iter()
+                .filter(|&&b| b == b'\n')
+                .count()
+                .saturating_sub(1)
+        })
+        .unwrap_or(0)
+}
+
+#[test]
+fn a_fleet_run_killed_mid_sweep_resumes_byte_identically() {
+    let full_report = tmp_path("fleet-full.json");
+    let full_journal = tmp_path("fleet-full.jsonl");
+    let killed_report = tmp_path("fleet-killed.json");
+    let resumed_report = tmp_path("fleet-resumed.json");
+    let journal = tmp_path("fleet-killed.jsonl");
+    let args = ["--scale", "standard", "--jobs", "2"];
+
+    let output = fleet()
+        .args(args)
+        .arg("--checkpoint")
+        .arg(&full_journal)
+        .arg("--json")
+        .arg(&full_report)
+        .output()
+        .expect("fleet binary runs");
+    assert!(output.status.success(), "{}", stderr_of(&output));
+    let cells = journal_records(&full_journal);
+
+    let mut child = fleet()
+        .args(args)
+        .arg("--checkpoint")
+        .arg(&journal)
+        .arg("--json")
+        .arg(&killed_report)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("fleet binary starts");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while journal_records(&journal) < 3 {
+        assert!(
+            child.try_wait().expect("child status").is_none(),
+            "fleet exited before its journal held 3 records"
+        );
+        assert!(Instant::now() < deadline, "journal never reached 3 records");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    child.kill().expect("SIGKILL delivered");
+    child.wait().expect("child reaped");
+
+    let output = fleet()
+        .args(args)
+        .arg("--resume")
+        .arg("--checkpoint")
+        .arg(&journal)
+        .arg("--json")
+        .arg(&resumed_report)
+        .output()
+        .expect("fleet binary runs");
+    assert!(output.status.success(), "{}", stderr_of(&output));
+    let stderr = stderr_of(&output);
+    let restored: usize = stderr
+        .split_once("resuming from ")
+        .and_then(|(_, rest)| rest.split_once(" (")?.1.split_once(' '))
+        .and_then(|(count, _)| count.parse().ok())
+        .unwrap_or_else(|| panic!("no restored-cell count in stderr: {stderr}"));
+    assert!(
+        (3..cells).contains(&restored),
+        "restored {restored} of {cells} cells: the kill did not land mid-sweep"
+    );
+    assert_eq!(
+        canonical_report(&resumed_report),
+        canonical_report(&full_report),
+        "a SIGKILLed-then-resumed fleet run must be byte-identical to an uninterrupted one"
     );
 }
 

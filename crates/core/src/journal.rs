@@ -23,13 +23,35 @@
 //! {"body":{"sweep":"fig6","cell":0,"payload":…,"snapshot":…},"hash":"…"}
 //! ```
 //!
-//! Every append rewrites the whole journal to `<path>.tmp` and renames it
-//! into place, so the on-disk file is atomic-per-record: a crash leaves
-//! either the previous complete journal or the new one, never a torn tail
-//! that silently drops state. (Hand-truncated or edited files are caught
-//! by the per-record hash instead.) Record order in the file is completion
-//! order — nondeterministic under parallelism — but resume is keyed by
-//! `(sweep, cell)`, so ordering never leaks into merged reports.
+//! Record order in the file is completion order — nondeterministic under
+//! parallelism — but resume is keyed by `(sweep, cell)`, so ordering never
+//! leaks into merged reports.
+//!
+//! # Appending
+//!
+//! [`CheckpointContext::create`] writes the header to `<path>.tmp` and
+//! renames it into place, once per journal. After that each completed cell
+//! costs one append of its own record, whatever the journal's length:
+//!
+//! 1. **reserve** — `set_len` grows the file by the record plus one byte,
+//!    zero-filled;
+//! 2. **fill** — the record is written into that space;
+//! 3. **terminate** — the `\n` is written last, as its own one-byte write.
+//!
+//! Until the third step lands the file ends in a NUL, and no sealed record
+//! can contain one (the JSON encoder escapes control bytes). So a process
+//! killed at any instant leaves either complete records only, or complete
+//! records plus a NUL-terminated tail that resume recognises as an
+//! interrupted append: it drops everything after the last `\n`, truncates
+//! the file there, and the cell simply runs again. Any other damage — a
+//! torn or edited line that ends without a NUL — is caught by the strict
+//! loader below. A journal whose final record lacks its `\n` (as a hand
+//! edit can leave it) resumes, and gets its `\n` back before the next
+//! append so records never share a line.
+//!
+//! Durability covers process death (SIGKILL, OOM, panics), not power loss:
+//! nothing calls `fsync`, so a machine crash can lose or tear the records
+//! written just before it.
 //!
 //! # Trust policy
 //!
@@ -42,6 +64,7 @@
 
 use std::collections::HashMap;
 use std::fs;
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -231,12 +254,12 @@ pub struct RestoredCell {
     pub snapshot: Option<Snapshot>,
 }
 
-/// The writer half: the full journal (header + records) kept in memory and
-/// rewritten atomically on every append.
+/// The writer half: the journal's path and the length of the complete,
+/// `\n`-terminated records on disk. Each append writes only its own record.
 #[derive(Debug)]
 struct JournalWriter {
     path: PathBuf,
-    lines: Vec<String>,
+    len: u64,
     /// First I/O failure; once set, appends stop and the message surfaces
     /// as a report warning at the next merge.
     fault: Option<String>,
@@ -244,25 +267,53 @@ struct JournalWriter {
 }
 
 impl JournalWriter {
-    fn flush(&mut self) -> std::io::Result<()> {
-        let mut contents = self.lines.join("\n");
-        contents.push('\n');
-        let tmp = self.path.with_extension("jsonl.tmp");
-        fs::write(&tmp, contents)?;
-        fs::rename(&tmp, &self.path)
+    /// Reopens the journal (never creating it: a journal that vanished
+    /// mid-run is a write failure, not a fresh file).
+    fn open(&self) -> io::Result<fs::File> {
+        fs::OpenOptions::new().write(true).open(&self.path)
     }
 
-    fn append(&mut self, line: String) {
+    /// Reserves `record + 1` zero bytes past the complete records, fills
+    /// them with the record, and writes the terminating `\n` last, so the
+    /// file ends in a NUL until the record is sealed.
+    fn write_record(&self, record: &str) -> io::Result<u64> {
+        let mut file = self.open()?;
+        let end = self.len + record.len() as u64 + 1;
+        file.set_len(end)?;
+        file.seek(SeekFrom::Start(self.len))?;
+        file.write_all(record.as_bytes())?;
+        file.write_all(b"\n")?;
+        Ok(end)
+    }
+
+    /// Cuts the file back to its complete records and terminates a final
+    /// record that lacks its `\n`, so the next append starts on a fresh
+    /// line right after the last complete record.
+    fn repair(&mut self, terminate: bool) -> io::Result<()> {
+        let mut file = self.open()?;
+        file.set_len(self.len)?;
+        if terminate {
+            file.seek(SeekFrom::Start(self.len))?;
+            file.write_all(b"\n")?;
+            self.len += 1;
+        }
+        Ok(())
+    }
+
+    fn disable(&mut self, e: &io::Error) {
+        self.fault = Some(format!(
+            "checkpointing disabled: cannot write journal {}: {e}",
+            self.path.display()
+        ));
+    }
+
+    fn append(&mut self, record: &str) {
         if self.fault.is_some() {
             return;
         }
-        self.lines.push(line);
-        if let Err(e) = self.flush() {
-            self.lines.pop();
-            self.fault = Some(format!(
-                "checkpointing disabled: cannot write journal {}: {e}",
-                self.path.display()
-            ));
+        match self.write_record(record) {
+            Ok(len) => self.len = len,
+            Err(e) => self.disable(&e),
         }
     }
 }
@@ -285,18 +336,24 @@ impl CheckpointContext {
     /// permissions) — a run asked to checkpoint must fail loudly if it
     /// can't, rather than silently running undurable.
     pub fn create(path: impl Into<PathBuf>, header: &JournalHeader) -> Result<Self, Error> {
-        let mut writer = JournalWriter {
-            path: path.into(),
-            lines: vec![seal(header.to_json())],
+        let path = path.into();
+        let mut record = seal(header.to_json());
+        record.push('\n');
+        let tmp = path.with_extension("jsonl.tmp");
+        fs::write(&tmp, &record)
+            .and_then(|()| fs::rename(&tmp, &path))
+            .map_err(|e| {
+                Error::journal(format!(
+                    "cannot create checkpoint journal {}: {e}",
+                    path.display()
+                ))
+            })?;
+        let writer = JournalWriter {
+            path,
+            len: record.len() as u64,
             fault: None,
             reported: false,
         };
-        writer.flush().map_err(|e| {
-            Error::journal(format!(
-                "cannot create checkpoint journal {}: {e}",
-                writer.path.display()
-            ))
-        })?;
         Ok(CheckpointContext {
             writer: Arc::new(Mutex::new(writer)),
             restored: Arc::new(HashMap::new()),
@@ -313,13 +370,23 @@ impl CheckpointContext {
     /// corruption or identity mismatch — see the module docs.
     pub fn resume(path: impl AsRef<Path>, header: &JournalHeader) -> Result<Self, Error> {
         let path = path.as_ref();
-        let contents = fs::read_to_string(path).map_err(|e| {
+        let mut contents = fs::read_to_string(path).map_err(|e| {
             Error::journal(format!(
                 "resume refused: cannot read journal {}: {e}",
                 path.display()
             ))
         })?;
-        let mut lines = Vec::new();
+        // A trailing NUL is an append's reservation that never got its
+        // `\n`: the process died mid-append, so drop the unsealed tail.
+        if contents.ends_with('\0') {
+            contents.truncate(contents.rfind('\n').map_or(0, |i| i + 1));
+        }
+        if contents.trim().is_empty() {
+            return Err(Error::journal(format!(
+                "resume refused: journal {} is empty (no header record)",
+                path.display()
+            )));
+        }
         let mut restored = HashMap::new();
         for (i, line) in contents.lines().enumerate() {
             let number = i + 1;
@@ -361,21 +428,18 @@ impl CheckpointContext {
                 }
                 restored.insert(key, RestoredCell { payload, snapshot });
             }
-            lines.push(line.to_string());
         }
-        if lines.is_empty() {
-            return Err(Error::journal(format!(
-                "resume refused: journal {} is empty (no header record)",
-                path.display()
-            )));
+        let mut writer = JournalWriter {
+            path: path.to_path_buf(),
+            len: contents.len() as u64,
+            fault: None,
+            reported: false,
+        };
+        if let Err(e) = writer.repair(!contents.ends_with('\n')) {
+            writer.disable(&e);
         }
         Ok(CheckpointContext {
-            writer: Arc::new(Mutex::new(JournalWriter {
-                path: path.to_path_buf(),
-                lines,
-                fault: None,
-                reported: false,
-            })),
+            writer: Arc::new(Mutex::new(writer)),
             restored: Arc::new(restored),
         })
     }
@@ -404,9 +468,9 @@ impl CheckpointContext {
         self.writer
             .lock()
             .unwrap_or_else(|p| p.into_inner())
-            .append(line);
+            .append(&line);
         // Journal writes are the sweep's only hot-path I/O; stream their
-        // timeline (encode + rewrite + rename, lock wait included) so a
+        // timeline (encode + reserve + fill + terminate, lock wait included) so a
         // slow disk is observable live instead of showing up only as
         // missing throughput.
         if span::stream_active() {
@@ -768,6 +832,89 @@ mod tests {
         let fault = ctx.take_fault().expect("write failure surfaced");
         assert!(fault.contains("checkpointing disabled"), "{fault}");
         assert!(ctx.take_fault().is_none(), "reported exactly once");
+    }
+
+    /// A journal holding the header plus `cells` data records, and its bytes.
+    fn journal_with(name: &str, cells: usize) -> (PathBuf, Vec<u8>) {
+        let path = tmp_path(name);
+        let ctx = CheckpointContext::create(&path, &header()).expect("create");
+        for cell in 0..cells {
+            ctx.append("fig6", cell, Json::UInt(cell as u64), None);
+        }
+        let bytes = fs::read(&path).expect("journal readable");
+        (path, bytes)
+    }
+
+    /// Resumes journal `name` after a damaged tail and checks that `cells`
+    /// records come back, that the file is cut back to them, and that two
+    /// more appends leave it equal to a journal that was never damaged.
+    fn resume_repairs_tail(name: &str, cells: usize) {
+        let path = &tmp_path(name);
+        let reference = format!("{name}-reference");
+        let ctx = CheckpointContext::resume(path, &header()).expect("tail is recoverable");
+        assert_eq!(ctx.restored_cells(), cells);
+        let (_, expected) = journal_with(&reference, cells);
+        assert_eq!(fs::read(path).expect("journal readable"), expected);
+        ctx.append("fig6", cells, Json::UInt(cells as u64), None);
+        ctx.append("fig6", cells + 1, Json::UInt(cells as u64 + 1), None);
+        assert!(ctx.take_fault().is_none());
+        let (reference, expected) = journal_with(&reference, cells + 2);
+        assert_eq!(fs::read(path).expect("journal readable"), expected);
+        let resumed = CheckpointContext::resume(path, &header()).expect("resume again");
+        assert_eq!(resumed.restored_cells(), cells + 2);
+        let _ = fs::remove_file(path);
+        let _ = fs::remove_file(reference);
+    }
+
+    #[test]
+    fn an_interrupted_reservation_resumes_to_the_last_complete_record() {
+        let (path, mut bytes) = journal_with("reserved", 2);
+        bytes.resize(bytes.len() + 40, 0);
+        fs::write(&path, &bytes).expect("write");
+        resume_repairs_tail("reserved", 2);
+    }
+
+    #[test]
+    fn a_partly_filled_reservation_resumes_to_the_last_complete_record() {
+        let (path, mut bytes) = journal_with("partial", 3);
+        let (source, longer) = journal_with("partial-source", 4);
+        let record = &longer[bytes.len()..];
+        bytes.extend_from_slice(&record[..record.len() / 2]);
+        bytes.resize(bytes.len() + record.len() - record.len() / 2, 0);
+        fs::write(&path, &bytes).expect("write");
+        resume_repairs_tail("partial", 3);
+        let _ = fs::remove_file(source);
+    }
+
+    #[test]
+    fn a_final_record_without_its_newline_gets_one_before_the_next_append() {
+        let (path, mut bytes) = journal_with("unterminated", 2);
+        assert_eq!(bytes.pop(), Some(b'\n'));
+        fs::write(&path, &bytes).expect("write");
+        resume_repairs_tail("unterminated", 2);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn appends_never_rewrite_earlier_bytes() {
+        use std::os::unix::fs::MetadataExt;
+        let path = tmp_path("append-only");
+        let inode = |path: &Path| fs::metadata(path).expect("journal exists").ino();
+        let ctx = CheckpointContext::create(&path, &header()).expect("create");
+        let created = fs::read(&path).expect("journal readable");
+        let ino = inode(&path);
+        ctx.append("fig6", 0, Json::Float(1.0), None);
+        let appended = fs::read(&path).expect("journal readable");
+        assert!(appended.len() > created.len() && appended.starts_with(&created));
+        assert_eq!(inode(&path), ino, "append replaced the file");
+        drop(ctx);
+
+        let ctx = CheckpointContext::resume(&path, &header()).expect("resume");
+        ctx.append("fig6", 1, Json::Float(2.0), None);
+        let resumed = fs::read(&path).expect("journal readable");
+        assert!(resumed.len() > appended.len() && resumed.starts_with(&appended));
+        assert_eq!(inode(&path), ino, "append after resume replaced the file");
+        let _ = fs::remove_file(&path);
     }
 
     #[test]
