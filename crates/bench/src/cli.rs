@@ -30,13 +30,11 @@
 //!   finished run (implies the recorder, like `--json`);
 //! - `--progress` — live cells-done/total progress line on stderr;
 //!   auto-disabled when stderr is not a terminal so CI logs stay clean;
-//! - `--repeat <N>` — run the experiment N times and report the best
-//!   (minimum) wall time; timing reruns execute with telemetry suspended
-//!   so the report's simulated totals stay single-run, and only the
-//!   non-golden `wall_seconds` / `*_per_sec` fields are affected.
-//!   Incompatible with `--checkpoint` / `--resume` / `--stream` /
-//!   `--trace`, which assume a single recorded execution;
 //! - `-h` / `--help` — print usage and exit successfully.
+//!
+//! Every flag describes one recorded execution: the experiment runs once
+//! per process. Repeated, spread-aware timing is the benchmark's job
+//! (`perfbench/`), not the CLI's.
 //!
 //! When a report path is active the recorder is installed before the
 //! environment variables are resolved — so a malformed `PENELOPE_SCALE`,
@@ -295,7 +293,6 @@ struct Args {
     stream: Option<PathBuf>,
     trace: Option<PathBuf>,
     progress: bool,
-    repeat: Option<u32>,
     help: bool,
     /// Registered experiment-specific flags, as `(flag, value)` pairs in
     /// the order they appeared (a repeated flag keeps the last value).
@@ -348,7 +345,6 @@ fn parse_args_with<I: IntoIterator<Item = String>>(
                 }
                 parsed.progress = true;
             }
-            "--repeat" => parsed.repeat = Some(parse_repeat(&value("--repeat")?)?),
             "-h" | "--help" => parsed.help = true,
             other => {
                 if let Some(extra) = extra_flags.iter().find(|e| e.flag == other) {
@@ -370,7 +366,7 @@ fn usage_with(slug: &str, extra_flags: &[ExtraFlag]) {
     println!(
         "USAGE: {slug} [--scale <quick|standard|thorough>] [--jobs <N>] [--json <path>]\n\
          \x20               [--checkpoint <path>] [--resume] [--stream <path|->]\n\
-         \x20               [--trace <path>] [--progress] [--repeat <N>]\n\
+         \x20               [--trace <path>] [--progress]\n\
          \n\
          Options:\n\
          \x20 --scale <name>      experiment size (default: PENELOPE_SCALE or standard)\n\
@@ -390,10 +386,6 @@ fn usage_with(slug: &str, extra_flags: &[ExtraFlag]) {
          \x20 --trace <path>      write a chrome://tracing span timeline of the run\n\
          \x20 --progress          live cells-done/total line on stderr (auto-disabled\n\
          \x20                     when stderr is not a terminal)\n\
-         \x20 --repeat <N>        run the experiment N times and report the best wall\n\
-         \x20                     time (timing reruns record no telemetry; only the\n\
-         \x20                     non-golden wall_seconds/*_per_sec fields change);\n\
-         \x20                     incompatible with --checkpoint/--resume/--stream/--trace\n\
          \x20 -h, --help          print this help\n\
          \n\
          Environment:\n\
@@ -416,21 +408,6 @@ fn usage_with(slug: &str, extra_flags: &[ExtraFlag]) {
                 extra.help
             );
         }
-    }
-}
-
-/// Parses a best-of-N repeat count: a positive integer (1 means a single
-/// run, the default).
-///
-/// # Errors
-///
-/// Returns a human-readable description of the rejected value.
-pub fn parse_repeat(value: &str) -> Result<u32, String> {
-    match value.trim().parse::<u32>() {
-        Ok(0) | Err(_) => Err(format!(
-            "invalid repeat count {value:?} (expected a positive integer)"
-        )),
-        Ok(repeat) => Ok(repeat),
     }
 }
 
@@ -545,15 +522,11 @@ impl Outcome {
 /// `--jobs <N>` (or `PENELOPE_JOBS=<N>`) sets the worker count for the
 /// parallel sweep engine before the experiment starts; results and
 /// reports are byte-identical at any setting outside wall-clock fields.
-///
-/// `--repeat <N>` re-runs the (deterministic) experiment N − 1 extra
-/// times for timing and reports the best wall time; the closure is `Fn`
-/// so it can be invoked repeatedly.
 pub fn run_main(
     slug: &str,
     what: &str,
     paper_ref: &str,
-    experiment: impl Fn(Scale) -> Result<String, Error> + UnwindSafe,
+    experiment: impl FnOnce(Scale) -> Result<String, Error> + UnwindSafe,
 ) -> ExitCode {
     run_main_with(slug, what, paper_ref, &[], move |scale, _extras| {
         experiment(scale)
@@ -569,7 +542,7 @@ pub fn run_main_with(
     what: &str,
     paper_ref: &str,
     extra_flags: &[ExtraFlag],
-    experiment: impl Fn(Scale, &[(String, String)]) -> Result<String, Error> + UnwindSafe,
+    experiment: impl FnOnce(Scale, &[(String, String)]) -> Result<String, Error> + UnwindSafe,
 ) -> ExitCode {
     let args = match parse_args_with(std::env::args().skip(1), extra_flags) {
         Ok(args) => args,
@@ -641,17 +614,6 @@ pub fn run_main_with(
     // one (and vice versa).
     let plan = fault_plan_from_env();
     let checkpoint = checkpoint_path(args.checkpoint);
-    let repeat = args.repeat.unwrap_or(1);
-    if repeat > 1
-        && (checkpoint.is_some() || args.resume || args.stream.is_some() || args.trace.is_some())
-    {
-        eprintln!(
-            "{slug}: --repeat cannot be combined with --checkpoint, --resume, \
-             --stream or --trace (timing reruns assume a single recorded execution)"
-        );
-        let _ = recorder::finish();
-        return ExitCode::FAILURE;
-    }
     if args.resume && checkpoint.is_none() {
         eprintln!(
             "{slug}: --resume requires a checkpoint journal path \
@@ -736,33 +698,7 @@ pub fn run_main_with(
         recorder::manifest_entry("fault_seed", Json::from(plan.seed));
         run_faulted(what, scale, &plan)
     } else {
-        // The closures are stateless wrappers over free experiment
-        // functions, so re-entering one after a caught panic is safe; a
-        // panicking run fails the process anyway.
-        let started = std::time::Instant::now();
-        let first = catch_unwind(AssertUnwindSafe(|| experiment(scale, &args.extras)));
-        let mut best_wall = started.elapsed().as_secs_f64();
-        if repeat > 1 && matches!(first, Ok(Ok(_))) {
-            // Timing reruns: telemetry is suspended so the report's
-            // simulated totals stay single-run; the determinism contract
-            // makes every rerun identical, so only the wall clock (best
-            // of N, a non-golden field) is kept.
-            let suspended = recorder::suspend();
-            for _ in 1..repeat {
-                let rerun_started = std::time::Instant::now();
-                let rerun = catch_unwind(AssertUnwindSafe(|| experiment(scale, &args.extras)));
-                let wall = rerun_started.elapsed().as_secs_f64();
-                if matches!(rerun, Ok(Ok(_))) {
-                    best_wall = best_wall.min(wall);
-                }
-            }
-            if let Some(suspended) = suspended {
-                recorder::resume(suspended);
-            }
-            recorder::override_wall_seconds(best_wall);
-            eprintln!("{slug}: best of {repeat} runs: {best_wall:.3}s");
-        }
-        match first {
+        match catch_unwind(AssertUnwindSafe(|| experiment(scale, &args.extras))) {
             Ok(Ok(rendered)) => {
                 if stream_to_stdout {
                     eprint!("{rendered}");
@@ -1033,27 +969,6 @@ mod tests {
             let err = parse_cell_budget(bad).unwrap_err();
             assert!(err.contains("positive integer"), "{bad:?}: {err}");
         }
-    }
-
-    #[test]
-    fn repeat_counts_parse_strictly() {
-        assert_eq!(parse_repeat("1"), Ok(1));
-        assert_eq!(parse_repeat(" 5 "), Ok(5));
-        for bad in ["0", "-2", "many", "1.5", ""] {
-            let err = parse_repeat(bad).unwrap_err();
-            assert!(err.contains("positive integer"), "{bad:?}: {err}");
-        }
-        let parsed = parse_args(strings(&["--repeat", "3"])).unwrap();
-        assert_eq!(parsed.repeat, Some(3));
-        let parsed = parse_args(strings(&["--repeat=7"])).unwrap();
-        assert_eq!(parsed.repeat, Some(7));
-        assert!(parse_args(strings(&[])).unwrap().repeat.is_none());
-        assert!(parse_args(strings(&["--repeat"]))
-            .unwrap_err()
-            .contains("requires a value"));
-        assert!(parse_args(strings(&["--repeat", "0"]))
-            .unwrap_err()
-            .contains("positive integer"));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! strictly, the env var degrades gracefully into the report's `warnings`
 //! array, reports stay byte-identical across jobs settings, and a
 //! fault-injected parallel run still exits nonzero with the fault
-//! reported.
+//! reported. The `l2` binary's report credits every simulated run.
 //!
 //! These drive the real binaries through `CARGO_BIN_EXE_*`, so they cover
 //! the full path: argument parsing → recorder install → engine jobs
@@ -14,7 +14,14 @@ use std::process::{Command, Output};
 use penelope_telemetry::{validate_report, Json};
 
 fn fig6() -> Command {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_fig6"));
+    isolated(Command::new(env!("CARGO_BIN_EXE_fig6")))
+}
+
+fn l2() -> Command {
+    isolated(Command::new(env!("CARGO_BIN_EXE_l2")))
+}
+
+fn isolated(mut cmd: Command) -> Command {
     // Isolate from the ambient environment CI or a developer might have.
     cmd.env_remove("PENELOPE_SCALE")
         .env_remove("PENELOPE_JOBS")
@@ -186,26 +193,6 @@ fn jobs_env_zero_clamps_to_one_worker_with_a_report_warning() {
 }
 
 #[test]
-fn repeat_refuses_to_combine_with_trace() {
-    let trace_path = tmp_path("fig6-repeat-trace.json");
-    let output = fig6()
-        .args(["--scale", "quick", "--repeat", "2", "--trace"])
-        .arg(&trace_path)
-        .output()
-        .expect("fig6 binary runs");
-    assert!(
-        !output.status.success(),
-        "--repeat with --trace must refuse: a timing rerun would overwrite \
-         the recorded timeline"
-    );
-    let stderr = stderr_of(&output);
-    assert!(
-        stderr.contains("--repeat") && stderr.contains("--trace"),
-        "refusal must name both flags: {stderr}"
-    );
-}
-
-#[test]
 fn faulted_parallel_run_exits_nonzero_and_reports_the_faults() {
     let path = tmp_path("fig6-faulted-jobs4.json");
     let output = fig6()
@@ -236,4 +223,24 @@ fn faulted_parallel_run_exits_nonzero_and_reports_the_faults() {
         Some("error"),
         "faulted runs report status=error"
     );
+}
+
+#[test]
+fn l2_report_credits_every_simulated_run() {
+    let path = tmp_path("l2-quick.json");
+    let output = l2()
+        .args(["--scale", "quick", "--json"])
+        .arg(&path)
+        .output()
+        .expect("l2 binary runs");
+    assert!(output.status.success(), "{}", stderr_of(&output));
+    let report = read_report(&path);
+    let totals = report.get("totals").expect("totals object");
+    let cycles = totals.get("cycles").and_then(Json::as_u64);
+    assert!(
+        cycles.is_some_and(|c| c > 0),
+        "l2 must credit its runs: {cycles:?}"
+    );
+    // Three design runs over the quick workload: 10 suites x 8,000 uops.
+    assert_eq!(totals.get("uops").and_then(Json::as_u64), Some(240_000));
 }

@@ -4,8 +4,10 @@
 //! struct; the `report` module renders them as text and the
 //! `penelope-bench` binaries print them. The same drivers back the
 //! integration tests, at a smaller [`Scale`]. Degenerate inputs surface as
-//! typed [`Error`] values instead of panics, and the `_faulted` variants
-//! thread a [`FaultPlan`] through every layer for robustness testing.
+//! typed [`Error`] values instead of panics, and
+//! [`efficiency_summary_faulted`] threads a [`FaultPlan`] through every
+//! layer for robustness testing. Every driver runs its workload through
+//! [`feed`], the one trace loop, with an optional fault stage.
 //!
 //! Sweeps decompose into independent, seed-deterministic grid cells and
 //! run on the [`par`] engine: `--jobs N` executes cells on a worker pool,
@@ -33,7 +35,7 @@ use nbti_model::metric::{BlockCost, ProcessorAggregator};
 use nbti_model::rd::RdModel;
 use penelope_telemetry::{recorder, EventSource, Json};
 use tracegen::error::TraceError;
-use tracegen::fault::faulted;
+use tracegen::fault::{faulted, TraceFault};
 use tracegen::trace::Workload;
 use tracegen::uop::UopClass;
 use uarch::cache::CacheConfig;
@@ -43,7 +45,7 @@ use uarch::scheduler::Field;
 use crate::adder_aware::{real_adder_inputs, AdderProtection};
 use crate::cache_aware::SchemeKind;
 use crate::error::Error;
-use crate::fault::{FaultHooks, FaultInjector, FaultPlan, RinvAccess};
+use crate::fault::{FaultInjector, FaultPlan};
 use crate::invert_mode::{full_guardband_baseline, InvertMode};
 use crate::journal::CellPayload;
 use crate::obs::{self, with_recording};
@@ -98,12 +100,66 @@ impl Scale {
     }
 }
 
-/// Runs the whole workload through one pipeline, merging per-trace results.
+/// Feeds every trace of `workload` through `pipe` and returns each trace's
+/// result in workload order. This is the one loop every driver runs its
+/// workload through.
 ///
-/// When a telemetry recorder is installed (see
-/// [`penelope_telemetry::recorder::install`]), the hook chain is wrapped
-/// in sampling telemetry and the run's cycles/uops are credited to the
-/// collector; with no recorder the loop is exactly the uninstrumented one.
+/// The hook chain is wrapped in [`with_recording`] once: with a telemetry
+/// recorder installed (see [`penelope_telemetry::recorder::install`]) the
+/// run is sampled and each trace's cycles/uops are credited to the
+/// collector; with none the loop is exactly the uninstrumented one.
+///
+/// With an `injector`, each trace stream passes through the fault drawn
+/// from [`FaultInjector::trace_fault`], one draw per trace in workload
+/// order; without one the fault is the identity, so clean and faulted
+/// runs share this path. Workload- and hook-level faults stay with the
+/// caller: perturb the workload and wrap the hooks before feeding.
+///
+/// # Errors
+///
+/// Returns [`Error::Trace`] when the workload holds no traces.
+pub fn feed<H: Hooks + EventSource>(
+    pipe: &mut Pipeline,
+    workload: &Workload,
+    uops: usize,
+    hooks: &mut H,
+    mut injector: Option<&mut FaultInjector>,
+) -> Result<Vec<RunResult>, Error> {
+    let runs: Vec<RunResult> = with_recording(hooks, |mut h| {
+        workload
+            .specs()
+            .iter()
+            .map(|spec| {
+                let fault = injector
+                    .as_deref_mut()
+                    .map_or_else(TraceFault::none, |i| i.trace_fault(uops));
+                pipe.run(faulted(spec.generate(uops), fault), &mut h)
+            })
+            .collect()
+    });
+    if runs.is_empty() {
+        return Err(TraceError::EmptyWorkload.into());
+    }
+    // Credited once the telemetry wrapper has closed: its
+    // `obs.with_recording` span covers sampling, not simulated cycles, and
+    // the golden report hashes pin that split.
+    for run in &runs {
+        recorder::record_run(run.cycles, run.uops);
+    }
+    Ok(runs)
+}
+
+/// Sums per-trace results (from [`feed`]) into one workload total.
+pub fn sum_runs(runs: &[RunResult]) -> RunResult {
+    let mut total = RunResult::default();
+    for run in runs {
+        total.merge(run);
+    }
+    total
+}
+
+/// Runs the whole workload through a fresh pipeline ([`feed`] without
+/// faults) and returns the pipeline with the summed result.
 ///
 /// # Errors
 ///
@@ -115,50 +171,9 @@ pub fn run_workload<H: Hooks + EventSource>(
     hooks: &mut H,
 ) -> Result<(Pipeline, RunResult), Error> {
     let mut pipe = Pipeline::try_new(config)?;
-    let total = with_recording(hooks, |mut h| {
-        let mut total: Option<RunResult> = None;
-        for spec in scale.workload().specs() {
-            let chunks = spec.generate_chunks(scale.uops_per_trace, tracegen::soa::DEFAULT_CHUNK);
-            let r = pipe.run_chunked(chunks, &mut h);
-            match &mut total {
-                Some(t) => t.merge(&r),
-                None => total = Some(r),
-            }
-        }
-        total
-    });
-    let total = total.ok_or(TraceError::EmptyWorkload)?;
-    recorder::record_run(total.cycles, total.uops);
-    Ok((pipe, total))
-}
-
-/// Like [`run_workload`], but with a [`FaultInjector`] perturbing the
-/// workload, every trace stream and the live structures. Returns the fault
-/// wrapper alongside the results so callers can inspect what landed.
-pub fn run_workload_faulted<H: Hooks + RinvAccess + EventSource>(
-    config: PipelineConfig,
-    scale: Scale,
-    hooks: H,
-    injector: &mut FaultInjector,
-) -> Result<(Pipeline, RunResult, FaultHooks<H>), Error> {
-    let mut pipe = Pipeline::try_new(config)?;
-    let mut fault_hooks = injector.hooks(hooks);
-    let workload = injector.perturb_workload(scale.workload());
-    let total = with_recording(&mut fault_hooks, |mut h| {
-        let mut total: Option<RunResult> = None;
-        for spec in workload.specs() {
-            let fault = injector.trace_fault(scale.uops_per_trace);
-            let r = pipe.run(faulted(spec.generate(scale.uops_per_trace), fault), &mut h);
-            match &mut total {
-                Some(t) => t.merge(&r),
-                None => total = Some(r),
-            }
-        }
-        total
-    });
-    let total = total.ok_or(TraceError::EmptyWorkload)?;
-    recorder::record_run(total.cycles, total.uops);
-    Ok((pipe, total, fault_hooks))
+    let workload = scale.workload();
+    let runs = feed(&mut pipe, &workload, scale.uops_per_trace, hooks, None)?;
+    Ok((pipe, sum_runs(&runs)))
 }
 
 // ---------------------------------------------------------------- Figure 1
@@ -710,20 +725,9 @@ fn scheme_cpi(
     // Only the cache schemes matter for Table 3, but `build` assembles the
     // full `PenelopeHooks`: register-file and scheduler balancing still run
     // on every uop. Nothing here reads their residency.
-    let total = with_recording(&mut hooks, |mut h| {
-        let mut total: Option<RunResult> = None;
-        for spec in scale.workload().specs() {
-            let r = pipe.run(spec.generate(scale.uops_per_trace), &mut h);
-            match &mut total {
-                Some(t) => t.merge(&r),
-                None => total = Some(r),
-            }
-        }
-        total
-    });
-    let total = total.ok_or(TraceError::EmptyWorkload)?;
-    recorder::record_run(total.cycles, total.uops);
-    Ok(total.cpi())
+    let workload = scale.workload();
+    let runs = feed(&mut pipe, &workload, scale.uops_per_trace, &mut hooks, None)?;
+    Ok(sum_runs(&runs).cpi())
 }
 
 /// Runs the full Table 3 sweep. This is the most expensive experiment:
@@ -1057,22 +1061,16 @@ pub fn efficiency_summary_faulted(
 
     // Workload- and trace-level faults.
     let workload = injector.perturb_workload(scale.workload());
-    let total = recorder::phase("faulted run", || {
-        with_recording(&mut checked, |mut h| {
-            let mut total: Option<RunResult> = None;
-            for spec in workload.specs() {
-                let fault = injector.trace_fault(scale.uops_per_trace);
-                let r = pipe.run(faulted(spec.generate(scale.uops_per_trace), fault), &mut h);
-                match &mut total {
-                    Some(t) => t.merge(&r),
-                    None => total = Some(r),
-                }
-            }
-            total
-        })
-    });
-    let run = total.ok_or(TraceError::EmptyWorkload)?;
-    recorder::record_run(run.cycles, run.uops);
+    let runs = recorder::phase("faulted run", || {
+        feed(
+            &mut pipe,
+            &workload,
+            scale.uops_per_trace,
+            &mut checked,
+            Some(&mut injector),
+        )
+    })?;
+    let run = sum_runs(&runs);
     if run.uops == 0 {
         return Err(TraceError::EmptyTrace.into());
     }
@@ -1244,29 +1242,18 @@ pub fn table4(scale: Scale) -> Result<Table4, Error> {
     recorder::manifest_entry("config", obs::config_json(&config));
     let pen = par::try_cells_named("table4:penelope", 1, |_| {
         let (mut pipe, mut hooks) = build(&config)?;
-        let total = recorder::phase("table4: penelope", || {
-            with_recording(&mut hooks, |mut h| {
-                let mut total: Option<RunResult> = None;
-                for spec in scale.workload().specs() {
-                    let r = pipe.run(spec.generate(scale.uops_per_trace), &mut h);
-                    match &mut total {
-                        Some(t) => t.merge(&r),
-                        None => total = Some(r),
-                    }
-                }
-                total
-            })
-        });
-        let pen_run = total.ok_or(TraceError::EmptyWorkload)?;
-        recorder::record_run(pen_run.cycles, pen_run.uops);
+        let workload = scale.workload();
+        let runs = recorder::phase("table4: penelope", || {
+            feed(&mut pipe, &workload, scale.uops_per_trace, &mut hooks, None)
+        })?;
+        let pen_run = sum_runs(&runs);
         let now = pipe.now();
 
         // Adder guardband at the measured utilization.
         let adder = LadnerFischerAdder::new(32);
         let protection = AdderProtection::select(&adder);
         let util = pen_run.max_adder_utilization().clamp(0.0, 1.0);
-        let inputs: Vec<(u64, u64, bool)> = scale
-            .workload()
+        let inputs: Vec<(u64, u64, bool)> = workload
             .specs()
             .iter()
             .take(3)
@@ -1380,6 +1367,7 @@ pub fn table3_tail(scale: Scale) -> Result<Vec<TailRow>, Error> {
         ..PipelineConfig::default()
     };
     // Per-trace baseline CPIs.
+    let workload = scale.workload();
     let per_trace = |dl0_scheme: SchemeKind, seed: u64| -> Result<Vec<f64>, Error> {
         let config = PenelopeConfig {
             pipeline: base_config,
@@ -1391,18 +1379,8 @@ pub fn table3_tail(scale: Scale) -> Result<Vec<TailRow>, Error> {
             ..PenelopeConfig::default()
         };
         let (mut pipe, mut hooks) = build(&config)?;
-        Ok(with_recording(&mut hooks, |mut h| {
-            scale
-                .workload()
-                .specs()
-                .iter()
-                .map(|spec| {
-                    let r = pipe.run(spec.generate(scale.uops_per_trace), &mut h);
-                    recorder::record_run(r.cycles, r.uops);
-                    r.cpi()
-                })
-                .collect()
-        }))
+        let runs = feed(&mut pipe, &workload, scale.uops_per_trace, &mut hooks, None)?;
+        Ok(runs.iter().map(RunResult::cpi).collect())
     };
     let rotation = (10_000_000 / scale.time_scale).max(2_000);
     let schemes = [
@@ -1469,6 +1447,7 @@ pub fn btb_extension(scale: Scale) -> Result<Vec<BtbRow>, Error> {
     ];
     // One engine cell per scheme; cell 0 is the unprotected baseline the
     // losses are relative to.
+    let workload = scale.workload();
     let cells = par::try_cells_named("btb", schemes.len(), |cell| {
         let scheme = schemes[cell.index];
         let config = PenelopeConfig {
@@ -1479,21 +1458,10 @@ pub fn btb_extension(scale: Scale) -> Result<Vec<BtbRow>, Error> {
             ..PenelopeConfig::default()
         };
         let (mut pipe, mut hooks) = build(&config)?;
-        let total = recorder::phase(&format!("btb: {}", scheme.label()), || {
-            with_recording(&mut hooks, |mut h| {
-                let mut total: Option<RunResult> = None;
-                for spec in scale.workload().specs() {
-                    let r = pipe.run(spec.generate(scale.uops_per_trace), &mut h);
-                    match &mut total {
-                        Some(t) => t.merge(&r),
-                        None => total = Some(r),
-                    }
-                }
-                total
-            })
-        });
-        let total = total.ok_or(TraceError::EmptyWorkload)?;
-        recorder::record_run(total.cycles, total.uops);
+        let runs = recorder::phase(&format!("btb: {}", scheme.label()), || {
+            feed(&mut pipe, &workload, scale.uops_per_trace, &mut hooks, None)
+        })?;
+        let total = sum_runs(&runs);
         let now = pipe.now();
         Ok((
             total.cpi(),
@@ -1593,14 +1561,10 @@ pub fn vmin_extension(scale: Scale) -> Result<Vec<VminRow>, Error> {
                 ..PenelopeConfig::default()
             };
             let (mut pen, mut hooks) = build(&config)?;
+            let workload = scale.workload();
             recorder::phase("vmin: penelope", || {
-                with_recording(&mut hooks, |mut h| {
-                    for spec in scale.workload().specs() {
-                        let r = pen.run(spec.generate(scale.uops_per_trace), &mut h);
-                        recorder::record_run(r.cycles, r.uops);
-                    }
-                })
-            });
+                feed(&mut pen, &workload, scale.uops_per_trace, &mut hooks, None)
+            })?;
             let pen_now = pen.now();
             pen.parts.int_rf.sync(pen_now);
             pen.parts.fp_rf.sync(pen_now);
@@ -1794,13 +1758,18 @@ mod tests {
         use crate::fault::FaultKind;
         let plan = FaultPlan::new(5).with(FaultKind::StructureStrikes);
         let mut injector = FaultInjector::new(&plan);
-        let (_, run, hooks) = run_workload_faulted(
-            PipelineConfig::default(),
-            Scale::quick(),
-            NoHooks,
-            &mut injector,
+        let mut pipe = Pipeline::try_new(PipelineConfig::default()).expect("default config");
+        let mut hooks = injector.hooks(NoHooks);
+        let workload = injector.perturb_workload(Scale::quick().workload());
+        let runs = feed(
+            &mut pipe,
+            &workload,
+            Scale::quick().uops_per_trace,
+            &mut hooks,
+            Some(&mut injector),
         )
         .expect("strikes do not make runs fail");
+        let run = sum_runs(&runs);
         assert!(run.uops > 0);
         assert!(hooks.landed() > 0, "strikes should land at quick scale");
     }

@@ -40,9 +40,8 @@ use uarch::cache::CacheConfig;
 use uarch::pipeline::{NoHooks, Pipeline, PipelineConfig};
 
 use crate::error::Error;
-use crate::experiments::Scale;
+use crate::experiments::{feed, sum_runs, Scale};
 use crate::journal::{payload_f64, payload_field, CellPayload};
-use crate::obs::with_recording;
 use crate::par;
 use crate::sched_aware::worst_figure8_bias;
 
@@ -522,20 +521,13 @@ fn shared_l2_config() -> PipelineConfig {
 fn profile_suite(suite: Suite, scale: Scale) -> Result<SuiteAnchors, Error> {
     let workload = Workload::suite_sample(suite, scale.traces_per_suite.max(1));
     let mut pipe = Pipeline::try_new(shared_l2_config())?;
-    let total = with_recording(&mut NoHooks, |mut h| {
-        let mut total: Option<uarch::pipeline::RunResult> = None;
-        for spec in workload.specs() {
-            let chunks = spec.generate_chunks(scale.uops_per_trace, tracegen::soa::DEFAULT_CHUNK);
-            let r = pipe.run_chunked(chunks, &mut h);
-            match &mut total {
-                Some(t) => t.merge(&r),
-                None => total = Some(r),
-            }
-        }
-        total
-    })
-    .ok_or_else(|| Error::config("suite sample produced no traces"))?;
-    recorder::record_run(total.cycles, total.uops);
+    let total = sum_runs(&feed(
+        &mut pipe,
+        &workload,
+        scale.uops_per_trace,
+        &mut NoHooks,
+        None,
+    )?);
 
     let now = pipe.now();
     pipe.parts.int_rf.sync(now);

@@ -17,11 +17,14 @@
 use nbti_model::duty::Duty;
 use nbti_model::guardband::GuardbandModel;
 use nbti_model::metric::BlockCost;
+use penelope_telemetry::EventSource;
 use tracegen::trace::Workload;
 use uarch::cache::CacheConfig;
 use uarch::pipeline::{Hooks, NoHooks, Pipeline, PipelineConfig, RunResult};
 
 use crate::cache_aware::{effective_bias, SchemeKind, SchemeRuntime};
+use crate::error::Error;
+use crate::experiments::{feed, sum_runs};
 use crate::invert_mode::InvertMode;
 
 /// One design point of the study.
@@ -46,6 +49,8 @@ struct L2SchemeHooks {
     scheme: SchemeRuntime,
 }
 
+impl EventSource for L2SchemeHooks {}
+
 impl Hooks for L2SchemeHooks {
     fn l2_accessed(
         &mut self,
@@ -66,14 +71,13 @@ impl Hooks for L2SchemeHooks {
 /// Assumed bias of L2 bit cells for live data (the paper's ~90%).
 const L2_DATA_BIAS: f64 = 0.90;
 
-#[allow(clippy::expect_used)] // callers pass the nonempty paper workload
-fn run_l2<H: Hooks>(
+fn run_l2<H: Hooks + EventSource>(
     l2: CacheConfig,
     l2_extra_latency: u64,
     workload: &Workload,
     uops: usize,
     hooks: &mut H,
-) -> (Pipeline, RunResult) {
+) -> Result<(Pipeline, RunResult), Error> {
     let config = PipelineConfig {
         l2: Some(l2),
         // A smaller DL0 makes the L2 actually matter.
@@ -81,20 +85,18 @@ fn run_l2<H: Hooks>(
         dl0_miss_penalty: 12 + l2_extra_latency,
         ..PipelineConfig::default()
     };
-    let mut pipe = Pipeline::new(config);
-    let mut total: Option<RunResult> = None;
-    for spec in workload.specs() {
-        let r = pipe.run(spec.generate(uops), hooks);
-        match &mut total {
-            Some(t) => t.merge(&r),
-            None => total = Some(r),
-        }
-    }
-    (pipe, total.expect("non-empty workload"))
+    let mut pipe = Pipeline::try_new(config)?;
+    let runs = feed(&mut pipe, workload, uops, hooks, None)?;
+    Ok((pipe, sum_runs(&runs)))
 }
 
 /// Runs the three design points on a 256KB 8-way L2.
-pub fn l2_study(workload: &Workload, uops: usize) -> Vec<L2StudyRow> {
+///
+/// # Errors
+///
+/// Returns [`Error::Trace`] when the workload holds no traces.
+pub fn l2_study(workload: &Workload, uops: usize) -> Result<Vec<L2StudyRow>, Error> {
+    let _span = penelope_telemetry::span!("driver: l2_study");
     let model = GuardbandModel::paper_calibrated();
     let l2_config = CacheConfig {
         size_bytes: 256 * 1024,
@@ -103,7 +105,7 @@ pub fn l2_study(workload: &Workload, uops: usize) -> Vec<L2StudyRow> {
     };
 
     // Baseline: unprotected L2, full guardband on its cells.
-    let (_, base) = run_l2(l2_config, 0, workload, uops, &mut NoHooks);
+    let (_, base) = run_l2(l2_config, 0, workload, uops, &mut NoHooks)?;
     let base_duty = Duty::saturating(L2_DATA_BIAS).cell_worst();
     let mut rows = vec![L2StudyRow {
         name: "unprotected".into(),
@@ -117,7 +119,7 @@ pub fn l2_study(workload: &Workload, uops: usize) -> Vec<L2StudyRow> {
     // Invert mode on the L2: one extra cycle on the L2 access path; the
     // processor cycle time is untouched because the XNOR hides in a
     // multi-cycle access.
-    let (_, inv) = run_l2(l2_config, 1, workload, uops, &mut NoHooks);
+    let (_, inv) = run_l2(l2_config, 1, workload, uops, &mut NoHooks)?;
     let balanced = InvertMode::paper_default().balanced_bias(Duty::saturating(L2_DATA_BIAS));
     rows.push(L2StudyRow {
         name: "invert mode (L2 path)".into(),
@@ -136,7 +138,7 @@ pub fn l2_study(workload: &Workload, uops: usize) -> Vec<L2StudyRow> {
     let mut hooks = L2SchemeHooks {
         scheme: SchemeRuntime::new(SchemeKind::line_fixed_50(), 97),
     };
-    let (pipe, lf) = run_l2(l2_config, 0, workload, uops, &mut hooks);
+    let (pipe, lf) = run_l2(l2_config, 0, workload, uops, &mut hooks)?;
     let now = pipe.now();
     let frac = pipe
         .parts
@@ -167,7 +169,7 @@ pub fn l2_study(workload: &Workload, uops: usize) -> Vec<L2StudyRow> {
         efficiency: BlockCost::new(1.10, 1.0, model.best_case().fraction()).nbti_efficiency(),
     });
 
-    rows
+    Ok(rows)
 }
 
 /// Renders the study.
@@ -201,7 +203,7 @@ mod tests {
     #[test]
     fn l2_study_supports_the_papers_table_4_claim() {
         let workload = Workload::sample(1);
-        let rows = l2_study(&workload, 8_000);
+        let rows = l2_study(&workload, 8_000).expect("the paper workload is nonempty");
         assert_eq!(rows.len(), 4);
         let by_name = |needle: &str| {
             rows.iter()
@@ -257,7 +259,8 @@ mod tests {
             &workload,
             8_000,
             &mut NoHooks,
-        );
+        )
+        .expect("the paper workload is nonempty");
         assert!(
             with_l2.cpi() <= no_l2 + 1e-9,
             "L2 must help: {} vs {no_l2}",

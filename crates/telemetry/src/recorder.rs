@@ -142,10 +142,6 @@ struct ActiveCollector {
     phase_base: Option<(String, Instant, u64, u64)>,
     /// Currently open spans, outermost first.
     open_spans: Vec<OpenSpan>,
-    /// When set, [`finish`] stamps this wall time into the totals instead
-    /// of the elapsed time since [`install`] — the bench CLI's `--repeat`
-    /// reports the best-of-N run wall, not the whole-process wall.
-    wall_override: Option<f64>,
 }
 
 thread_local! {
@@ -170,7 +166,6 @@ fn fresh(settings: Settings, epoch: Instant) -> ActiveCollector {
         epoch,
         phase_base: None,
         open_spans: Vec::new(),
-        wall_override: None,
     }
 }
 
@@ -210,42 +205,10 @@ pub fn finish() -> Option<Collector> {
             close_spans_down_to(&mut active, 0);
             close_open_phase(&mut active);
             let mut collector = active.collector;
-            collector.wall_seconds = active
-                .wall_override
-                .unwrap_or_else(|| active.started.elapsed().as_secs_f64());
+            collector.wall_seconds = active.started.elapsed().as_secs_f64();
             collector
         })
     })
-}
-
-/// A collector detached by [`suspend`], awaiting [`resume`]. Opaque so
-/// nothing can observe or edit telemetry while it is off the thread.
-pub struct Suspended(ActiveCollector);
-
-/// Detaches the collector *without* finishing it, so code can run with
-/// telemetry off and [`resume`] afterwards — the bench CLI's `--repeat`
-/// timing reruns use this to keep the totals single-run. Returns `None`
-/// when nothing is installed.
-pub fn suspend() -> Option<Suspended> {
-    ACTIVE.with(|slot| slot.borrow_mut().take().map(Suspended))
-}
-
-/// Reinstates a collector detached by [`suspend`], replacing (and
-/// discarding) anything installed in between.
-pub fn resume(suspended: Suspended) {
-    ACTIVE.with(|slot| *slot.borrow_mut() = Some(suspended.0));
-}
-
-/// Overrides the total wall time [`finish`] will stamp: `--repeat` runs
-/// report the best (minimum) single-run wall instead of the elapsed time
-/// since [`install`]. Wall fields are outside the determinism contract,
-/// so this never perturbs report hashes. No-op when disabled.
-pub fn override_wall_seconds(seconds: f64) {
-    ACTIVE.with(|slot| {
-        if let Some(active) = slot.borrow_mut().as_mut() {
-            active.wall_override = Some(seconds);
-        }
-    });
 }
 
 /// Adds (or replaces) a manifest entry. No-op when disabled.

@@ -57,6 +57,8 @@ pub struct FaultedTrace<I> {
     inner: I,
     fault: TraceFault,
     remaining: Option<usize>,
+    /// `fault.is_noop()`, cached: the identity fault forwards the stream.
+    identity: bool,
 }
 
 impl<I> FaultedTrace<I> {
@@ -65,6 +67,7 @@ impl<I> FaultedTrace<I> {
         FaultedTrace {
             inner,
             remaining: fault.truncate_to,
+            identity: fault.is_noop(),
             fault,
         }
     }
@@ -82,6 +85,9 @@ impl<I: Iterator<Item = Uop>> Iterator for FaultedTrace<I> {
     type Item = Uop;
 
     fn next(&mut self) -> Option<Uop> {
+        if self.identity {
+            return self.inner.next();
+        }
         if let Some(rem) = &mut self.remaining {
             if *rem == 0 {
                 return None;

@@ -313,7 +313,7 @@ struct InFlight {
 }
 
 /// Aggregate results of a pipeline run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunResult {
     /// Cycles simulated.
     pub cycles: u64,
