@@ -631,7 +631,7 @@ pub fn run_main_with(
         let policy = par::supervisor();
         let journal_header = JournalHeader {
             binary: slug.to_string(),
-            scale: scale_json(&scale),
+            scale: run_identity(&scale, &args.extras),
             fault_seed: plan.as_ref().map_or(0, |p| p.seed),
             retries: policy.retries,
             cell_budget: policy.cycle_budget,
@@ -759,6 +759,30 @@ pub fn run_main_with(
     } else {
         exit
     }
+}
+
+/// The journal's `scale` identity: the scale encoding plus, only when the
+/// binary was given extra flags, an `args` object of their values keyed
+/// by flag name (dashes dropped, sorted). Extras such as `--vectors` or
+/// `--variation-sigma` change what every cell computes, so a journal
+/// written under one set must refuse to resume under another. Runs
+/// without extras keep the plain scale encoding, and so the journal bytes
+/// they always had.
+fn run_identity(scale: &Scale, extras: &[(String, String)]) -> Json {
+    let mut identity = scale_json(scale);
+    if !extras.is_empty() {
+        let mut sorted: Vec<(&str, &str)> = extras
+            .iter()
+            .map(|(flag, value)| (flag.trim_start_matches('-'), value.trim()))
+            .collect();
+        sorted.sort_unstable();
+        let mut args = Json::object();
+        for (flag, value) in sorted {
+            args.set(flag, Json::from(value));
+        }
+        identity.set("args", args);
+    }
+    identity
 }
 
 /// Detaches the recorder, stamps the run status ("ok", "incomplete" or
@@ -1007,6 +1031,27 @@ mod tests {
         assert!(parse_args(strings(&["--fleet-size", "512"]))
             .unwrap_err()
             .contains("unknown argument"));
+    }
+
+    #[test]
+    fn extra_flags_join_the_run_identity_only_when_passed() {
+        let scale = Scale::quick();
+        assert_eq!(run_identity(&scale, &[]), scale_json(&scale));
+        let extras = |pairs: &[(&str, &str)]| -> Vec<(String, String)> {
+            pairs
+                .iter()
+                .map(|(f, v)| (f.to_string(), v.to_string()))
+                .collect()
+        };
+        let a = run_identity(&scale, &extras(&[("--vectors", "512"), ("--seed", "7")]));
+        let b = run_identity(&scale, &extras(&[("--seed", " 7"), ("--vectors", "512")]));
+        assert_eq!(a, b, "flag order and padding do not change the identity");
+        assert_eq!(
+            a.get("args").and_then(|args| args.get("vectors")),
+            Some(&Json::from("512"))
+        );
+        let c = run_identity(&scale, &extras(&[("--vectors", "4096"), ("--seed", "7")]));
+        assert_ne!(a, c, "a different value is a different run");
     }
 
     #[test]

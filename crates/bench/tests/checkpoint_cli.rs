@@ -23,6 +23,10 @@ fn fleet() -> Command {
     bench(env!("CARGO_BIN_EXE_fleet"))
 }
 
+fn netlist() -> Command {
+    bench(env!("CARGO_BIN_EXE_netlist"))
+}
+
 fn bench(binary: &str) -> Command {
     let mut cmd = Command::new(binary);
     // Isolate from the ambient environment CI or a developer might have.
@@ -312,6 +316,70 @@ fn resuming_under_a_different_fault_seed_is_refused() {
     assert!(
         stderr.contains("resume refused") && stderr.contains("fault seed"),
         "stderr: {stderr}"
+    );
+}
+
+/// Extra flags change what every cell computes, so they are part of the
+/// journal's run identity: resuming under different values must refuse
+/// instead of reporting the new flags over the old cells, while resuming
+/// under the same values still restores them.
+#[test]
+fn resuming_under_different_extra_flags_is_refused() {
+    refuses_changed_extras(
+        netlist,
+        "netlist-extras.jsonl",
+        ["--vectors", "512"],
+        ["--vectors", "4096"],
+    );
+    refuses_changed_extras(
+        fleet,
+        "fleet-extras.jsonl",
+        ["--variation-sigma", "0.05"],
+        ["--variation-sigma", "0.15"],
+    );
+}
+
+fn refuses_changed_extras(
+    binary: fn() -> Command,
+    name: &str,
+    written: [&str; 2],
+    changed: [&str; 2],
+) {
+    let journal = tmp_path(name);
+    let output = binary()
+        .args(["--scale", "quick", "--jobs", "1"])
+        .args(written)
+        .arg("--checkpoint")
+        .arg(&journal)
+        .output()
+        .expect("binary runs");
+    assert!(output.status.success(), "{}", stderr_of(&output));
+
+    let output = binary()
+        .args(["--scale", "quick", "--jobs", "1", "--resume"])
+        .args(changed)
+        .arg("--checkpoint")
+        .arg(&journal)
+        .output()
+        .expect("binary runs");
+    assert!(
+        !output.status.success(),
+        "{name}: a journal written under {written:?} must not resume under {changed:?}"
+    );
+    let stderr = stderr_of(&output);
+    assert!(stderr.contains("resume refused"), "stderr: {stderr}");
+
+    let output = binary()
+        .args(["--scale", "quick", "--jobs", "1", "--resume"])
+        .args(written)
+        .arg("--checkpoint")
+        .arg(&journal)
+        .output()
+        .expect("binary runs");
+    assert!(output.status.success(), "{}", stderr_of(&output));
+    assert!(
+        stderr_of(&output).contains("resuming from"),
+        "{name}: the same flags resume"
     );
 }
 

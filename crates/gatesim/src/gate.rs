@@ -108,6 +108,21 @@ impl GateKind {
         }
     }
 
+    /// Evaluates the gate on 64 input assignments at once, one per bit
+    /// lane: bit `l` of the result is [`eval`](Self::eval) of bit `l` of
+    /// each operand. Operands past the gate's arity are ignored.
+    pub fn eval_word(self, a: u64, b: u64, c: u64) -> u64 {
+        match self {
+            GateKind::Inv => !a,
+            GateKind::Nand2 => !(a & b),
+            GateKind::Nand3 => !(a & b & c),
+            GateKind::Nor2 => !(a | b),
+            GateKind::Nor3 => !(a | b | c),
+            GateKind::Aoi21 => !((a & b) | c),
+            GateKind::Oai21 => !((a | b) & c),
+        }
+    }
+
     /// Short cell-library-style name.
     pub fn name(self) -> &'static str {
         match self {
@@ -215,6 +230,30 @@ mod tests {
         ] {
             let inputs = vec![false; kind.arity()];
             let _ = kind.eval(&inputs); // must not panic
+        }
+    }
+
+    #[test]
+    fn word_eval_matches_scalar_eval_in_every_lane() {
+        // Lane l carries assignment l mod 8, so every truth-table row
+        // appears in several lanes of the same word.
+        let word = |bit: usize| (0..64).fold(0u64, |w, l| w | ((((l % 8) >> bit) & 1) << l));
+        let (a, b, c) = (word(0), word(1), word(2));
+        for kind in [
+            GateKind::Inv,
+            GateKind::Nand2,
+            GateKind::Nand3,
+            GateKind::Nor2,
+            GateKind::Nor3,
+            GateKind::Aoi21,
+            GateKind::Oai21,
+        ] {
+            let out = kind.eval_word(a, b, c);
+            for lane in 0..64 {
+                let bits = [a, b, c].map(|w| (w >> lane) & 1 == 1);
+                let expected = kind.eval(&bits[..kind.arity()]);
+                assert_eq!((out >> lane) & 1 == 1, expected, "{kind} lane {lane}");
+            }
         }
     }
 

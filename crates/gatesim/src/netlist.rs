@@ -4,6 +4,8 @@
 //! topological construction (a gate may only read nets that already exist),
 //! so evaluation is a single forward pass over the gate list.
 
+use std::sync::OnceLock;
+
 use crate::error::Error;
 use crate::gate::{Gate, GateId, GateKind, NetId};
 
@@ -18,6 +20,20 @@ pub struct Netlist {
     fanout: Vec<u32>,
     /// Gates explicitly sized up (critical-path annotation), by index.
     wide_gates: Vec<bool>,
+    /// The gate list flattened for [`Netlist::evaluate_words`], built on
+    /// first use.
+    word_ops: OnceLock<Vec<WordOp>>,
+}
+
+/// One gate of the word-parallel evaluation program: net indices inline,
+/// so a forward pass reads no per-gate heap allocation. Inputs past the
+/// gate's arity repeat its first input and are ignored by
+/// [`GateKind::eval_word`].
+#[derive(Debug, Clone, Copy)]
+struct WordOp {
+    kind: GateKind,
+    inputs: [u32; 3],
+    output: u32,
 }
 
 impl Netlist {
@@ -96,6 +112,51 @@ impl Netlist {
             });
         }
         Ok(self.evaluate_unchecked(assignment))
+    }
+
+    /// Evaluates the netlist on 64 assignments at once, one per bit lane:
+    /// `inputs[i]` holds primary input `i` across the lanes, and on return
+    /// `values[n]` holds net `n` across the same lanes. `values` is a
+    /// reusable buffer, resized to [`net_count`](Self::net_count).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs.len()` differs from the number of primary inputs.
+    pub fn evaluate_words(&self, inputs: &[u64], values: &mut Vec<u64>) {
+        assert_eq!(
+            inputs.len(),
+            self.inputs.len(),
+            "expected {} primary input words, got {}",
+            self.inputs.len(),
+            inputs.len()
+        );
+        // Every net is a primary input or a gate output, so the pass
+        // below overwrites the whole buffer.
+        values.resize(self.net_count as usize, 0);
+        for (net, &word) in self.inputs.iter().zip(inputs) {
+            values[net.index()] = word;
+        }
+        for op in self.word_ops() {
+            let [a, b, c] = op.inputs.map(|n| values[n as usize]);
+            values[op.output as usize] = op.kind.eval_word(a, b, c);
+        }
+    }
+
+    fn word_ops(&self) -> &[WordOp] {
+        self.word_ops.get_or_init(|| {
+            self.gates
+                .iter()
+                .map(|gate| {
+                    let ins = gate.inputs();
+                    let net = |i: usize| ins.get(i).unwrap_or(&ins[0]).0;
+                    WordOp {
+                        kind: gate.kind(),
+                        inputs: [net(0), net(1), net(2)],
+                        output: gate.output().0,
+                    }
+                })
+                .collect()
+        })
     }
 
     fn evaluate_unchecked(&self, assignment: &[bool]) -> NetValues {
@@ -345,6 +406,7 @@ impl NetlistBuilder {
             net_count: self.net_count,
             fanout,
             wide_gates: self.wide_gates,
+            word_ops: OnceLock::new(),
         }
     }
 }
@@ -462,6 +524,41 @@ mod tests {
         let n = b.finish();
         let v = n.evaluate(&[true, false, true, false]);
         assert_eq!(v.bus_u64(&bus), 0b0101);
+    }
+
+    #[test]
+    fn word_evaluation_matches_scalar_evaluation_lane_by_lane() {
+        let mut b = NetlistBuilder::new();
+        let x = b.input_bus(3);
+        let s = b.xor2(x[0], x[1]);
+        let m = b.mux2(s, x[2], x[0]);
+        let o = b.oai21(m, x[1], s);
+        let n3 = b.nor3(o, x[2], m);
+        b.mark_output(n3);
+        let n = b.finish();
+        // Lane l carries assignment l mod 8.
+        let words: Vec<u64> = (0..3)
+            .map(|i| (0..64).fold(0u64, |w, l| w | ((((l % 8) >> i) & 1) << l)))
+            .collect();
+        let mut values = Vec::new();
+        n.evaluate_words(&words, &mut values);
+        assert_eq!(values.len(), n.net_count());
+        for lane in 0..64 {
+            let bits: Vec<bool> = words.iter().map(|w| (w >> lane) & 1 == 1).collect();
+            let scalar = n.evaluate(&bits);
+            for (net, &word) in values.iter().enumerate() {
+                assert_eq!((word >> lane) & 1 == 1, scalar.as_slice()[net], "net {net}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "primary input words")]
+    fn evaluate_words_checks_input_len() {
+        let mut b = NetlistBuilder::new();
+        let _ = b.input();
+        let n = b.finish();
+        n.evaluate_words(&[], &mut Vec::new());
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! [`compile`] runs the pipeline described by a [`PassConfig`] and yields
 //! a [`Compiled`] artifact: the (possibly pruned) netlist, its
 //! [`PmosTable`], and a gate [`Partition`]. Partitions are *hermetic*: a
-//! per-partition stress accumulation ([`accumulate_partition`]) touches
-//! only that partition's transistors, and [`merge_partitions`] reassembles
+//! per-partition stress accumulation ([`accumulate_packed`]) touches
+//! only that partition's transistors, and [`MergedStress::merge`] reassembles
 //! the exact per-transistor integer counters a single global
 //! [`StressTracker`](crate::stress::StressTracker) would have produced —
 //! so partitioned aging is byte-identical to unpartitioned aging at any
@@ -15,6 +15,7 @@ use crate::error::Error;
 use crate::gate::GateId;
 use crate::netlist::{Netlist, NetlistBuilder};
 use crate::pmos::PmosTable;
+use crate::stress::{self, PackedCampaign};
 use nbti_model::duty::Duty;
 
 /// Default seed of the partitioner's placement scramble.
@@ -286,10 +287,9 @@ pub struct PartitionStress {
 }
 
 /// Accumulates NBTI stress for the transistors of one partition across a
-/// vector campaign (`vectors` = `(assignment, duration)` pairs). Hermetic:
-/// reads the shared netlist/table/partition, writes only its own
-/// counters. Assignment arity is validated, surfacing a typed error
-/// instead of misapplied stimulus.
+/// vector campaign (`vectors` = `(assignment, duration)` pairs): packs the
+/// campaign and runs [`accumulate_packed`]. Assignment arity is
+/// validated, surfacing a typed error instead of misapplied stimulus.
 pub fn accumulate_partition(
     netlist: &Netlist,
     table: &PmosTable,
@@ -297,28 +297,36 @@ pub fn accumulate_partition(
     part: usize,
     vectors: &[(Vec<bool>, u64)],
 ) -> Result<PartitionStress, Error> {
-    let owned: Vec<usize> = table
+    let campaign = PackedCampaign::pack(netlist.inputs().len(), vectors)?;
+    accumulate_packed(netlist, table, partition, part, &campaign)
+}
+
+/// Accumulates NBTI stress for the transistors of one partition across a
+/// packed campaign, 64 vectors per netlist evaluation. Hermetic: reads
+/// the shared netlist/table/partition/campaign, writes only its own
+/// counters, so every partition cell can share one immutable campaign.
+pub fn accumulate_packed(
+    netlist: &Netlist,
+    table: &PmosTable,
+    partition: &Partition,
+    part: usize,
+    campaign: &PackedCampaign,
+) -> Result<PartitionStress, Error> {
+    let owned = table
         .transistors()
         .iter()
-        .enumerate()
-        .filter(|(_, t)| partition.part_of(t.gate) == part)
-        .map(|(i, _)| i)
-        .collect();
-    let mut zero_time = vec![0u64; owned.len()];
-    let mut total_time = 0u64;
-    for (assignment, duration) in vectors {
-        let values = netlist.try_evaluate(assignment)?;
-        for (slot, &flat) in owned.iter().enumerate() {
-            if !values.get(table.transistors()[flat].driven_by) {
-                zero_time[slot] += duration;
-            }
-        }
-        total_time += duration;
-    }
+        .filter(|t| partition.part_of(t.gate) == part);
+    let mut zero_time = vec![0u64; owned.clone().count()];
+    stress::charge(
+        netlist,
+        campaign,
+        owned.map(|t| t.driven_by),
+        &mut zero_time,
+    )?;
     Ok(PartitionStress {
         part,
         zero_time,
-        total_time,
+        total_time: campaign.total_time(),
     })
 }
 
@@ -332,7 +340,8 @@ pub struct MergedStress {
 
 impl MergedStress {
     /// Merges per-partition counters back into the global flat order.
-    /// `cells` must hold every partition exactly once.
+    /// `cells` must hold every partition exactly once, all observed over
+    /// the same total time.
     pub fn merge(
         table: &PmosTable,
         partition: &Partition,
@@ -340,7 +349,7 @@ impl MergedStress {
     ) -> Result<Self, Error> {
         let mut seen = vec![false; partition.count()];
         let mut zero_time = vec![0u64; table.len()];
-        let mut total_time = 0u64;
+        let total_time = cells.first().map_or(0, |c| c.total_time);
         for cell in cells {
             if cell.part >= partition.count() || seen[cell.part] {
                 return Err(Error::pass(format!(
@@ -364,10 +373,15 @@ impl MergedStress {
                     owned.len()
                 )));
             }
+            if cell.total_time != total_time {
+                return Err(Error::pass(format!(
+                    "partition {} cell observed {} cycles, partition {} observed {total_time}",
+                    cell.part, cell.total_time, cells[0].part
+                )));
+            }
             for (slot, &flat) in owned.iter().enumerate() {
                 zero_time[flat] = cell.zero_time[slot];
             }
-            total_time = total_time.max(cell.total_time);
         }
         if seen.iter().any(|&s| !s) {
             return Err(Error::pass("merge is missing a partition cell"));
@@ -387,10 +401,7 @@ impl MergedStress {
     /// `StressTracker::duty_of`, so merged partitioned campaigns land on
     /// bit-identical duties.
     pub fn duty_of(&self, flat: usize) -> Duty {
-        if self.total_time == 0 {
-            return Duty::ZERO;
-        }
-        Duty::saturating(self.zero_time[flat] as f64 / self.total_time as f64)
+        stress::duty(self.zero_time[flat], self.total_time)
     }
 
     /// Duties of all transistors, flat order.
@@ -562,6 +573,24 @@ mod tests {
         let cell0 = accumulate_partition(n, &table, &partition, 0, &[]).expect("ok");
         assert!(MergedStress::merge(&table, &partition, std::slice::from_ref(&cell0)).is_err());
         assert!(MergedStress::merge(&table, &partition, &[cell0.clone(), cell0]).is_err());
+    }
+
+    #[test]
+    fn merge_rejects_cells_observed_over_different_times() {
+        let adder = LadnerFischerAdder::new(4);
+        let n = adder.netlist();
+        let table = PmosTable::with_default_threshold(n);
+        let partition = Partition::build(n, 2, 0).expect("builds");
+        let short = vec![(vec![false; 9], 3u64)];
+        let long = vec![(vec![false; 9], 3u64), (vec![true; 9], 2)];
+        let cell0 = accumulate_partition(n, &table, &partition, 0, &short).expect("ok");
+        let cell1 = accumulate_partition(n, &table, &partition, 1, &long).expect("ok");
+        let err = MergedStress::merge(&table, &partition, &[cell0.clone(), cell1])
+            .expect_err("mixed campaigns are rejected");
+        assert!(err.to_string().contains("observed"), "{err}");
+        let cell1 = accumulate_partition(n, &table, &partition, 1, &short).expect("ok");
+        let merged = MergedStress::merge(&table, &partition, &[cell0, cell1]).expect("consistent");
+        assert_eq!(merged.observed_time(), 3);
     }
 
     #[test]

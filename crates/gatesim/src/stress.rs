@@ -1,25 +1,225 @@
-//! Per-PMOS duty-cycle accumulation over input streams.
+//! Per-PMOS duty-cycle accumulation over input streams, 64 vectors at a
+//! time.
 //!
-//! A [`StressTracker`] packs the transistors of a netlist 128 to a
-//! [`BitResidency`] block: applying an input vector evaluates the netlist
-//! once, gathers each block's net values into a `u128` mask, and charges
-//! the whole block with one word-parallel `record` instead of one
-//! [`DutyAccumulator`](nbti_model::duty::DutyAccumulator) update per
-//! transistor. The integer zero-time counts (and hence every duty, float
-//! for float) are identical to the per-transistor loop's. Feeding the
-//! tracker input vectors (each held for some number of cycles) yields the
-//! zero-signal probability of every transistor, from which the worst-case
-//! guardband of the block follows.
+//! A [`PackedCampaign`] stores a stimulus campaign as blocks of up to 64
+//! vectors, one per bit lane: one word per primary input, plus the lane
+//! durations split into bit planes (bit `l` of plane `k` is bit `k` of
+//! lane `l`'s duration). One [`Netlist::evaluate_words`] pass gives every
+//! net's value in all lanes, and a transistor driven by net `n` is
+//! charged `Σ_k popcount(!n & plane_k) << k` cycles of stress — the sum of
+//! the durations of the lanes where its gate terminal sat at "0". That is
+//! exact integer arithmetic, so every counter, and hence every duty, is
+//! identical to one [`DutyAccumulator`](nbti_model::duty::DutyAccumulator)
+//! update per transistor per vector.
+//!
+//! [`StressTracker`] (whole netlist) and
+//! [`accumulate_packed`](crate::passes::accumulate_packed) (one
+//! partition) both charge through this module's one kernel.
 
 use nbti_model::duty::Duty;
 use nbti_model::guardband::{Guardband, GuardbandModel};
-use uarch::bitstats::BitResidency;
 
+use crate::error::Error;
+use crate::gate::NetId;
 use crate::netlist::Netlist;
 use crate::pmos::{PmosTable, WidthClass};
 
-/// Transistors per residency block (one `u128` mask each).
-const BLOCK_BITS: usize = 128;
+/// Stimulus vectors per packed block (one bit lane each).
+pub const LANES: usize = 64;
+
+/// A stimulus campaign packed 64 vectors to a block.
+///
+/// # Example
+///
+/// ```
+/// use gatesim::stress::PackedCampaign;
+///
+/// let campaign = PackedCampaign::pack(2, &[(vec![true, false], 3), (vec![false, false], 1)])
+///     .expect("arity matches");
+/// assert_eq!(campaign.len(), 2);
+/// assert_eq!(campaign.total_time(), 4);
+/// let block = &campaign.blocks()[0];
+/// assert_eq!(block.words(), &[0b01, 0b00]);
+/// // Durations 3 and 1: plane 0 = lanes {0, 1}, plane 1 = lane {0}.
+/// assert_eq!(block.planes(), &[0b11, 0b01]);
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PackedCampaign {
+    inputs: usize,
+    vectors: usize,
+    total_time: u64,
+    blocks: Vec<PackedBlock>,
+}
+
+/// Up to [`LANES`] vectors of a [`PackedCampaign`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PackedBlock {
+    words: Vec<u64>,
+    planes: Vec<u64>,
+}
+
+impl PackedBlock {
+    /// One word per primary input; bit `l` is the input's value in lane
+    /// `l`.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// Duration bit planes, least significant first: bit `l` of plane `k`
+    /// is bit `k` of lane `l`'s duration. There are as many planes as the
+    /// block's longest duration has bits, and unused lanes are 0 in every
+    /// plane, so they charge nothing.
+    pub fn planes(&self) -> &[u64] {
+        &self.planes
+    }
+}
+
+impl PackedCampaign {
+    /// An empty campaign for a netlist with `inputs` primary inputs.
+    pub fn new(inputs: usize) -> Self {
+        PackedCampaign {
+            inputs,
+            vectors: 0,
+            total_time: 0,
+            blocks: Vec::new(),
+        }
+    }
+
+    /// Packs `(assignment, duration)` pairs, rejecting an assignment whose
+    /// arity is not `inputs`.
+    pub fn pack(inputs: usize, vectors: &[(Vec<bool>, u64)]) -> Result<Self, Error> {
+        let mut campaign = PackedCampaign::new(inputs);
+        for (assignment, duration) in vectors {
+            campaign.push(assignment, *duration)?;
+        }
+        Ok(campaign)
+    }
+
+    /// Appends one vector held for `duration` cycles.
+    pub fn push(&mut self, assignment: &[bool], duration: u64) -> Result<(), Error> {
+        if assignment.len() != self.inputs {
+            return Err(Error::InputArity {
+                expected: self.inputs,
+                got: assignment.len(),
+            });
+        }
+        self.push_with(duration, |i| assignment[i]);
+        Ok(())
+    }
+
+    /// Appends one vector held for `duration` cycles whose primary input
+    /// `i` is `bit(i)`, without materializing the assignment.
+    pub fn push_with(&mut self, duration: u64, mut bit: impl FnMut(usize) -> bool) {
+        let lane = self.vectors % LANES;
+        if lane == 0 {
+            self.blocks.push(PackedBlock {
+                words: vec![0; self.inputs],
+                planes: Vec::new(),
+            });
+        }
+        let last = self.blocks.len() - 1;
+        let block = &mut self.blocks[last];
+        for (i, word) in block.words.iter_mut().enumerate() {
+            *word |= u64::from(bit(i)) << lane;
+        }
+        let bits = (u64::BITS - duration.leading_zeros()) as usize;
+        if block.planes.len() < bits {
+            block.planes.resize(bits, 0);
+        }
+        for (k, plane) in block.planes.iter_mut().enumerate() {
+            *plane |= ((duration >> k) & 1) << lane;
+        }
+        self.vectors += 1;
+        self.total_time += duration;
+    }
+
+    /// Primary inputs per vector.
+    pub fn inputs(&self) -> usize {
+        self.inputs
+    }
+
+    /// Number of vectors.
+    pub fn len(&self) -> usize {
+        self.vectors
+    }
+
+    /// Whether the campaign holds no vector.
+    pub fn is_empty(&self) -> bool {
+        self.vectors == 0
+    }
+
+    /// Sum of every vector's duration.
+    pub fn total_time(&self) -> u64 {
+        self.total_time
+    }
+
+    /// The blocks, in vector order; all but the last hold exactly
+    /// [`LANES`] vectors.
+    pub fn blocks(&self) -> &[PackedBlock] {
+        &self.blocks
+    }
+}
+
+/// Adds to `zero_time[t]` the cycles transistor `t`, whose gate is driven
+/// by the `t`-th net of `nets`, spends at "0" over `campaign`: one
+/// word-parallel evaluation per block, then a popcount per duration plane
+/// per distinct driving net. The one charge kernel of the crate.
+pub(crate) fn charge(
+    netlist: &Netlist,
+    campaign: &PackedCampaign,
+    nets: impl IntoIterator<Item = NetId>,
+    zero_time: &mut [u64],
+) -> Result<(), Error> {
+    if campaign.inputs() != netlist.inputs().len() {
+        return Err(Error::InputArity {
+            expected: netlist.inputs().len(),
+            got: campaign.inputs(),
+        });
+    }
+    // Transistors sharing a driving net share its charge: count each
+    // distinct net once per block.
+    let mut slot_of = vec![u32::MAX; netlist.net_count()];
+    let mut distinct: Vec<usize> = Vec::new();
+    let slots: Vec<u32> = nets
+        .into_iter()
+        .map(|net| {
+            let slot = &mut slot_of[net.index()];
+            if *slot == u32::MAX {
+                *slot = distinct.len() as u32;
+                distinct.push(net.index());
+            }
+            *slot
+        })
+        .collect();
+    debug_assert_eq!(slots.len(), zero_time.len(), "one net per counter");
+    let mut net_zero = vec![0u64; distinct.len()];
+    let mut values = Vec::new();
+    for block in campaign.blocks() {
+        netlist.evaluate_words(&block.words, &mut values);
+        for (zero, &net) in net_zero.iter_mut().zip(&distinct) {
+            let low = !values[net];
+            *zero += block
+                .planes
+                .iter()
+                .enumerate()
+                .map(|(k, &plane)| u64::from((low & plane).count_ones()) << k)
+                .sum::<u64>();
+        }
+    }
+    for (zero, &slot) in zero_time.iter_mut().zip(&slots) {
+        *zero += net_zero[slot as usize];
+    }
+    Ok(())
+}
+
+/// Fraction of `total_time` spent at "0": the one duty arithmetic shared
+/// by [`StressTracker`] and merged partition counters.
+pub(crate) fn duty(zero_time: u64, total_time: u64) -> Duty {
+    if total_time == 0 {
+        return Duty::ZERO;
+    }
+    Duty::saturating(zero_time as f64 / total_time as f64)
+}
 
 /// Accumulates NBTI stress per PMOS across an input stream.
 ///
@@ -43,16 +243,10 @@ const BLOCK_BITS: usize = 128;
 #[derive(Debug, Clone)]
 pub struct StressTracker {
     table: PmosTable,
-    /// One residency accumulator per 128 transistors; the last block is
-    /// narrower when the table size is not a multiple of 128.
-    blocks: Vec<BitResidency>,
-}
-
-/// Residency blocks covering `count` bit positions, 128 per block.
-fn blocks_for(count: usize) -> Vec<BitResidency> {
-    (0..count.div_ceil(BLOCK_BITS))
-        .map(|b| BitResidency::new((count - b * BLOCK_BITS).min(BLOCK_BITS)))
-        .collect()
+    /// Cycles at "0" per transistor, flat table order.
+    zero_time: Vec<u64>,
+    /// Cycles observed (the same for every transistor).
+    total_time: u64,
 }
 
 impl StressTracker {
@@ -64,8 +258,11 @@ impl StressTracker {
 
     /// Creates a tracker over a custom transistor table.
     pub fn with_table(table: PmosTable) -> Self {
-        let blocks = blocks_for(table.len());
-        StressTracker { table, blocks }
+        StressTracker {
+            zero_time: vec![0; table.len()],
+            table,
+            total_time: 0,
+        }
     }
 
     /// The transistor table the tracker accounts for.
@@ -74,43 +271,53 @@ impl StressTracker {
     }
 
     /// Applies one primary-input assignment for `duration` cycles,
-    /// evaluating the netlist and charging stress to every PMOS whose
-    /// driving net is at "0" — one word-parallel record per 128
-    /// transistors.
+    /// charging stress to every PMOS whose driving net is at "0".
     ///
     /// # Panics
     ///
     /// Panics if `assignment` length mismatches the netlist inputs, or if
     /// the tracker was built for a different netlist.
     pub fn apply(&mut self, netlist: &Netlist, assignment: &[bool], duration: u64) {
-        let values = netlist.evaluate(assignment);
-        self.charge(&values, duration);
+        if let Err(e) = self.try_apply(netlist, assignment, duration) {
+            panic!("{e}");
+        }
     }
 
     /// Fallible twin of [`apply`](Self::apply): a wrong-arity assignment
-    /// surfaces as a typed [`Error`](crate::error::Error) instead of a
-    /// panic, so externally supplied stimulus cannot silently misapply.
+    /// surfaces as a typed [`Error`] instead of a panic, so externally
+    /// supplied stimulus cannot silently misapply.
     pub fn try_apply(
         &mut self,
         netlist: &Netlist,
         assignment: &[bool],
         duration: u64,
-    ) -> Result<(), crate::error::Error> {
-        let values = netlist.try_evaluate(assignment)?;
-        self.charge(&values, duration);
+    ) -> Result<(), Error> {
+        let mut campaign = PackedCampaign::new(assignment.len());
+        campaign.push_with(duration, |i| assignment[i]);
+        self.apply_packed(netlist, &campaign)
+    }
+
+    /// Applies a whole packed campaign, 64 vectors per netlist
+    /// evaluation.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InputArity`] when the campaign's vectors do not
+    /// match the netlist's primary inputs.
+    pub fn apply_packed(
+        &mut self,
+        netlist: &Netlist,
+        campaign: &PackedCampaign,
+    ) -> Result<(), Error> {
+        let nets = self.table.transistors().iter().map(|p| p.driven_by);
+        charge(netlist, campaign, nets, &mut self.zero_time)?;
+        self.total_time += campaign.total_time();
         Ok(())
     }
 
-    fn charge(&mut self, values: &crate::netlist::NetValues, duration: u64) {
-        let transistors = self.table.transistors();
-        for (b, block) in self.blocks.iter_mut().enumerate() {
-            let base = b * BLOCK_BITS;
-            let mut mask = 0u128;
-            for (bit, pmos) in transistors[base..base + block.width()].iter().enumerate() {
-                mask |= u128::from(values.get(pmos.driven_by)) << bit;
-            }
-            block.record(mask, duration);
-        }
+    /// Cycles each PMOS spent at "0", flat table order.
+    pub fn zero_times(&self) -> &[u64] {
+        &self.zero_time
     }
 
     /// Duty cycle of the PMOS with the given flat index.
@@ -120,7 +327,7 @@ impl StressTracker {
     /// Panics if `index` is out of range.
     pub fn duty_of(&self, index: usize) -> Duty {
         assert!(index < self.table.len(), "transistor index out of range");
-        self.blocks[index / BLOCK_BITS].bias(index % BLOCK_BITS)
+        duty(self.zero_time[index], self.total_time)
     }
 
     /// Iterator over `(transistor, duty)` pairs.
@@ -173,12 +380,13 @@ impl StressTracker {
 
     /// Resets all accumulated stress (a fresh part).
     pub fn reset(&mut self) {
-        self.blocks = blocks_for(self.table.len());
+        self.zero_time.fill(0);
+        self.total_time = 0;
     }
 
     /// Total observed time in cycles (same for every transistor).
     pub fn observed_time(&self) -> u64 {
-        self.blocks.first().map_or(0, BitResidency::total_time)
+        self.total_time
     }
 }
 

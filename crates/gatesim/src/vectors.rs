@@ -12,7 +12,7 @@ use nbti_model::duty::Duty;
 use nbti_model::guardband::{Guardband, GuardbandModel};
 
 use crate::adder::AdderNetlist;
-use crate::stress::StressTracker;
+use crate::stress::{PackedCampaign, StressTracker};
 
 /// One of the eight synthetic idle vectors `<InputA, InputB, CarryIn>`.
 ///
@@ -185,14 +185,28 @@ pub struct PairStress {
     pub worst_narrow_duty: Duty,
 }
 
+/// A fresh tracker charged with `vectors` held one cycle each, all in one
+/// packed evaluation.
+#[allow(clippy::expect_used)] // adder assignments always fit the adder
+fn rotate(adder: &AdderNetlist, vectors: &[SyntheticVector]) -> StressTracker {
+    let mut campaign = PackedCampaign::new(adder.netlist().inputs().len());
+    for v in vectors {
+        let (a, b, cin) = v.operands(adder.width());
+        campaign
+            .push(&adder.input_assignment(a, b, cin), 1)
+            .expect("an adder assignment matches the adder's inputs");
+    }
+    let mut tracker = StressTracker::new(adder.netlist());
+    tracker
+        .apply_packed(adder.netlist(), &campaign)
+        .expect("the campaign was packed for this adder");
+    tracker
+}
+
 /// Applies `pair` round-robin (50/50) to a fresh tracker and reports the
 /// Figure 4 statistics.
 pub fn evaluate_pair(adder: &AdderNetlist, pair: VectorPair) -> PairStress {
-    let mut tracker = StressTracker::new(adder.netlist());
-    for v in [pair.first, pair.second] {
-        let (a, b, cin) = v.operands(adder.width());
-        tracker.apply(adder.netlist(), &adder.input_assignment(a, b, cin), 1);
-    }
+    let tracker = rotate(adder, &[pair.first, pair.second]);
     PairStress {
         pair,
         narrow_fully_stressed: tracker.narrow_fraction_at_or_above(1.0),
@@ -238,11 +252,7 @@ pub struct SetStress {
 }
 
 fn evaluate_set(adder: &AdderNetlist, vectors: &[SyntheticVector]) -> SetStress {
-    let mut tracker = StressTracker::new(adder.netlist());
-    for v in vectors {
-        let (a, b, cin) = v.operands(adder.width());
-        tracker.apply(adder.netlist(), &adder.input_assignment(a, b, cin), 1);
-    }
+    let tracker = rotate(adder, vectors);
     SetStress {
         vectors: vectors.to_vec(),
         worst_narrow_duty: tracker.worst_narrow_duty(adder.netlist()),
@@ -373,38 +383,32 @@ impl MixedCampaign {
             .into_iter()
             .map(|(a, b, cin)| adder.try_input_assignment(a, b, cin))
             .collect::<Result<_, _>>()?;
-        let mut tracker = StressTracker::new(adder.netlist());
+        let mut campaign = PackedCampaign::new(adder.netlist().inputs().len());
         // Integer time units: give each real sample `busy_units` cycles and
         // each synthetic vector half of the idle budget.
         const SCALE: u64 = 10_000;
         let busy_total = (self.utilization * SCALE as f64).round() as u64;
         let idle_total = SCALE - busy_total;
-        if !reals.is_empty() && busy_total > 0 {
+        let idle_each = if !reals.is_empty() && busy_total > 0 {
             let per = busy_total.max(reals.len() as u64);
             // Weight each real sample equally; use per-sample duration that
             // preserves the busy:idle ratio by scaling idle accordingly.
             let busy_each = per / reals.len() as u64;
             let busy_spent = busy_each * reals.len() as u64;
-            let idle_each =
-                ((idle_total as f64) * (busy_spent as f64) / (busy_total.max(1) as f64) / 2.0)
-                    .round() as u64;
             for assignment in &reals {
-                tracker.try_apply(adder.netlist(), assignment, busy_each)?;
+                campaign.push(assignment, busy_each)?;
             }
-            for v in [self.pair.first, self.pair.second] {
-                let (a, b, cin) = v.operands(adder.width());
-                tracker.try_apply(
-                    adder.netlist(),
-                    &adder.try_input_assignment(a, b, cin)?,
-                    idle_each,
-                )?;
-            }
+            ((idle_total as f64) * (busy_spent as f64) / (busy_total.max(1) as f64) / 2.0).round()
+                as u64
         } else {
-            for v in [self.pair.first, self.pair.second] {
-                let (a, b, cin) = v.operands(adder.width());
-                tracker.try_apply(adder.netlist(), &adder.try_input_assignment(a, b, cin)?, 1)?;
-            }
+            1
+        };
+        for v in [self.pair.first, self.pair.second] {
+            let (a, b, cin) = v.operands(adder.width());
+            campaign.push(&adder.try_input_assignment(a, b, cin)?, idle_each)?;
         }
+        let mut tracker = StressTracker::new(adder.netlist());
+        tracker.apply_packed(adder.netlist(), &campaign)?;
         Ok(tracker)
     }
 
