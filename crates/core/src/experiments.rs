@@ -47,7 +47,7 @@ use crate::cache_aware::SchemeKind;
 use crate::error::Error;
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::invert_mode::{full_guardband_baseline, InvertMode};
-use crate::journal::CellPayload;
+use crate::journal::{cell_payload, CellPayload};
 use crate::obs::{self, with_recording};
 use crate::par;
 use crate::processor::{build, PenelopeConfig};
@@ -223,31 +223,12 @@ pub fn motivation(scale: Scale) -> Result<Motivation, Error> {
 
     // The uniform and prioritized runs are independent: one engine cell
     // each, merged back in grid order.
-    struct MotCell {
-        int_bias_min: f64,
-        int_bias_max: f64,
-        sched_worst_bias: f64,
-        util: (f64, f64),
-    }
-    impl CellPayload for MotCell {
-        fn to_payload(&self) -> Json {
-            Json::Array(vec![
-                self.int_bias_min.to_payload(),
-                self.int_bias_max.to_payload(),
-                self.sched_worst_bias.to_payload(),
-                self.util.to_payload(),
-            ])
-        }
-        fn from_payload(json: &Json) -> Result<Self, String> {
-            match json.as_array() {
-                Some([min, max, worst, util]) => Ok(MotCell {
-                    int_bias_min: f64::from_payload(min)?,
-                    int_bias_max: f64::from_payload(max)?,
-                    sched_worst_bias: f64::from_payload(worst)?,
-                    util: <(f64, f64)>::from_payload(util)?,
-                }),
-                _ => Err("motivation cell must be a 4-element array".into()),
-            }
+    cell_payload! {
+        struct MotCell {
+            int_bias_min: f64,
+            int_bias_max: f64,
+            sched_worst_bias: f64,
+            util: (f64, f64),
         }
     }
     let mut cells = par::try_cells_named("motivation", 2, |cell| {
@@ -316,22 +297,14 @@ pub fn fig4() -> Result<Vec<PairStress>, Error> {
 
 // ---------------------------------------------------------------- Figure 5
 
-/// One bar of Figure 5.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig5Row {
-    /// Scenario label, e.g. `"21% real + 000 + 111"`.
-    pub label: String,
-    /// Guardband required.
-    pub guardband: f64,
-}
-
-impl CellPayload for Fig5Row {
-    fn to_payload(&self) -> Json {
-        (self.label.clone(), self.guardband).to_payload()
-    }
-    fn from_payload(json: &Json) -> Result<Self, String> {
-        let (label, guardband) = <(String, f64)>::from_payload(json)?;
-        Ok(Fig5Row { label, guardband })
+cell_payload! {
+    /// One bar of Figure 5.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Fig5Row {
+        /// Scenario label, e.g. `"21% real + 000 + 111"`.
+        pub label: String,
+        /// Guardband required.
+        pub guardband: f64,
     }
 }
 
@@ -420,37 +393,14 @@ impl Fig6 {
 /// two configurations are independent engine cells.
 pub fn fig6(scale: Scale) -> Result<Fig6, Error> {
     let _span = penelope_telemetry::span!("driver: fig6");
-    struct Fig6Cell {
-        int_bias: Vec<f64>,
-        fp_bias: Vec<f64>,
-        int_free: f64,
-        fp_free: f64,
-        int_port_rate: f64,
-        fp_port_rate: f64,
-    }
-    impl CellPayload for Fig6Cell {
-        fn to_payload(&self) -> Json {
-            Json::Array(vec![
-                self.int_bias.to_payload(),
-                self.fp_bias.to_payload(),
-                self.int_free.to_payload(),
-                self.fp_free.to_payload(),
-                self.int_port_rate.to_payload(),
-                self.fp_port_rate.to_payload(),
-            ])
-        }
-        fn from_payload(json: &Json) -> Result<Self, String> {
-            match json.as_array() {
-                Some([ib, fb, ifree, ffree, ip, fp]) => Ok(Fig6Cell {
-                    int_bias: Vec::from_payload(ib)?,
-                    fp_bias: Vec::from_payload(fb)?,
-                    int_free: f64::from_payload(ifree)?,
-                    fp_free: f64::from_payload(ffree)?,
-                    int_port_rate: f64::from_payload(ip)?,
-                    fp_port_rate: f64::from_payload(fp)?,
-                }),
-                _ => Err("fig6 cell must be a 6-element array".into()),
-            }
+    cell_payload! {
+        struct Fig6Cell {
+            int_bias: Vec<f64>,
+            fp_bias: Vec<f64>,
+            int_free: f64,
+            fp_free: f64,
+            int_port_rate: f64,
+            fp_port_rate: f64,
         }
     }
     let to_fracs =
@@ -549,34 +499,13 @@ pub struct Fig8 {
 /// same snapshot path as the wide sweeps.
 pub fn fig8(scale: Scale) -> Result<Fig8, Error> {
     let _span = penelope_telemetry::span!("driver: fig8");
-    struct Fig8Stage {
-        bits: Vec<(Field, Vec<f64>)>,
-        worst: f64,
-        occupancy: f64,
-        data_occupancy: f64,
-        policy: Option<SchedulerPolicy>,
-    }
-    impl CellPayload for Fig8Stage {
-        fn to_payload(&self) -> Json {
-            Json::Array(vec![
-                self.bits.to_payload(),
-                self.worst.to_payload(),
-                self.occupancy.to_payload(),
-                self.data_occupancy.to_payload(),
-                self.policy.to_payload(),
-            ])
-        }
-        fn from_payload(json: &Json) -> Result<Self, String> {
-            match json.as_array() {
-                Some([bits, worst, occ, data, policy]) => Ok(Fig8Stage {
-                    bits: Vec::from_payload(bits)?,
-                    worst: f64::from_payload(worst)?,
-                    occupancy: f64::from_payload(occ)?,
-                    data_occupancy: f64::from_payload(data)?,
-                    policy: Option::from_payload(policy)?,
-                }),
-                _ => Err("fig8 stage must be a 5-element array".into()),
-            }
+    cell_payload! {
+        struct Fig8Stage {
+            bits: Vec<(Field, Vec<f64>)>,
+            worst: f64,
+            occupancy: f64,
+            data_occupancy: f64,
+            policy: Option<SchedulerPolicy>,
         }
     }
     fn field_bits(sched: &uarch::scheduler::Scheduler) -> Vec<(Field, Vec<f64>)> {
@@ -661,38 +590,18 @@ pub fn fig8(scale: Scale) -> Result<Fig8, Error> {
 
 // ----------------------------------------------------------------- Table 3
 
-/// One row of Table 3.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Table3Row {
-    /// Structure and geometry, e.g. `"DL0 8-way 32KB"`.
-    pub label: String,
-    /// Performance loss of `SetFixed50%`.
-    pub set_fixed: f64,
-    /// Performance loss of `LineFixed50%`.
-    pub line_fixed: f64,
-    /// Performance loss of `LineDynamic60%`.
-    pub line_dynamic: f64,
-}
-
-impl CellPayload for Table3Row {
-    fn to_payload(&self) -> Json {
-        Json::Array(vec![
-            self.label.to_payload(),
-            self.set_fixed.to_payload(),
-            self.line_fixed.to_payload(),
-            self.line_dynamic.to_payload(),
-        ])
-    }
-    fn from_payload(json: &Json) -> Result<Self, String> {
-        match json.as_array() {
-            Some([label, sf, lf, ld]) => Ok(Table3Row {
-                label: String::from_payload(label)?,
-                set_fixed: f64::from_payload(sf)?,
-                line_fixed: f64::from_payload(lf)?,
-                line_dynamic: f64::from_payload(ld)?,
-            }),
-            _ => Err("table3 row must be a 4-element array".into()),
-        }
+cell_payload! {
+    /// One row of Table 3.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Table3Row {
+        /// Structure and geometry, e.g. `"DL0 8-way 32KB"`.
+        pub label: String,
+        /// Performance loss of `SetFixed50%`.
+        pub set_fixed: f64,
+        /// Performance loss of `LineFixed50%`.
+        pub line_fixed: f64,
+        /// Performance loss of `LineDynamic60%`.
+        pub line_dynamic: f64,
     }
 }
 
@@ -1163,50 +1072,20 @@ pub fn table4(scale: Scale) -> Result<Table4, Error> {
     let _span = penelope_telemetry::span!("driver: table4");
     let model = GuardbandModel::paper_calibrated();
 
-    struct BaseStage {
-        cpi: f64,
-        policy: Option<SchedulerPolicy>,
-    }
-    struct PenStage {
-        cpi: f64,
-        adder_gb: f64,
-        rf_worst: f64,
-        sched_worst: Duty,
-        dl0_frac: f64,
-        dtlb_frac: f64,
-    }
-    impl CellPayload for BaseStage {
-        fn to_payload(&self) -> Json {
-            (self.cpi, self.policy.clone()).to_payload()
-        }
-        fn from_payload(json: &Json) -> Result<Self, String> {
-            let (cpi, policy) = <(f64, Option<SchedulerPolicy>)>::from_payload(json)?;
-            Ok(BaseStage { cpi, policy })
+    cell_payload! {
+        struct BaseStage {
+            cpi: f64,
+            policy: Option<SchedulerPolicy>,
         }
     }
-    impl CellPayload for PenStage {
-        fn to_payload(&self) -> Json {
-            Json::Array(vec![
-                self.cpi.to_payload(),
-                self.adder_gb.to_payload(),
-                self.rf_worst.to_payload(),
-                self.sched_worst.to_payload(),
-                self.dl0_frac.to_payload(),
-                self.dtlb_frac.to_payload(),
-            ])
-        }
-        fn from_payload(json: &Json) -> Result<Self, String> {
-            match json.as_array() {
-                Some([cpi, gb, rf, sched, dl0, dtlb]) => Ok(PenStage {
-                    cpi: f64::from_payload(cpi)?,
-                    adder_gb: f64::from_payload(gb)?,
-                    rf_worst: f64::from_payload(rf)?,
-                    sched_worst: Duty::from_payload(sched)?,
-                    dl0_frac: f64::from_payload(dl0)?,
-                    dtlb_frac: f64::from_payload(dtlb)?,
-                }),
-                _ => Err("table4 penelope stage must be a 6-element array".into()),
-            }
+    cell_payload! {
+        struct PenStage {
+            cpi: f64,
+            adder_gb: f64,
+            rf_worst: f64,
+            sched_worst: Duty,
+            dl0_frac: f64,
+            dtlb_frac: f64,
         }
     }
 
@@ -1513,31 +1392,12 @@ pub fn vmin_extension(scale: Scale) -> Result<Vec<VminRow>, Error> {
 
     // The baseline and Penelope runs are independent engine cells; each
     // returns the worst duties the Vmin model needs.
-    struct VminCell {
-        int: Duty,
-        fp: Duty,
-        sched: Duty,
-        dl0_frac: f64,
-    }
-    impl CellPayload for VminCell {
-        fn to_payload(&self) -> Json {
-            Json::Array(vec![
-                self.int.to_payload(),
-                self.fp.to_payload(),
-                self.sched.to_payload(),
-                self.dl0_frac.to_payload(),
-            ])
-        }
-        fn from_payload(json: &Json) -> Result<Self, String> {
-            match json.as_array() {
-                Some([int, fp, sched, dl0]) => Ok(VminCell {
-                    int: Duty::from_payload(int)?,
-                    fp: Duty::from_payload(fp)?,
-                    sched: Duty::from_payload(sched)?,
-                    dl0_frac: f64::from_payload(dl0)?,
-                }),
-                _ => Err("vmin cell must be a 4-element array".into()),
-            }
+    cell_payload! {
+        struct VminCell {
+            int: Duty,
+            fp: Duty,
+            sched: Duty,
+            dl0_frac: f64,
         }
     }
     let mut cells = par::try_cells_named("vmin", 2, |cell| {

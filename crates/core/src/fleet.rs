@@ -41,7 +41,7 @@ use uarch::pipeline::{NoHooks, Pipeline, PipelineConfig};
 
 use crate::error::Error;
 use crate::experiments::{feed, sum_runs, Scale};
-use crate::journal::{payload_f64, payload_field, CellPayload};
+use crate::journal::{cell_payload, payload_f64, payload_field, CellPayload};
 use crate::par;
 use crate::sched_aware::worst_figure8_bias;
 
@@ -471,35 +471,17 @@ impl FleetConfig {
 
 // -------------------------------------------------------------- phase 1
 
-/// What one profile cell measures about its suite.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct SuiteAnchors {
-    /// Nominal worst duty anchor (max of int-RF worst cell and scheduler
-    /// figure-8 bias).
-    duty: f64,
-    /// Cycles per uop under the shared L2.
-    cpi: f64,
-    /// Memory operations per cycle: the suite's demand on the shared L2.
-    pressure: f64,
-}
-
-impl CellPayload for SuiteAnchors {
-    fn to_payload(&self) -> Json {
-        Json::Array(vec![
-            Json::Float(self.duty),
-            Json::Float(self.cpi),
-            Json::Float(self.pressure),
-        ])
-    }
-    fn from_payload(json: &Json) -> Result<Self, String> {
-        match json.as_array() {
-            Some([duty, cpi, pressure]) => Ok(SuiteAnchors {
-                duty: f64::from_payload(duty)?,
-                cpi: f64::from_payload(cpi)?,
-                pressure: f64::from_payload(pressure)?,
-            }),
-            _ => Err("suite profile must be a 3-element array".into()),
-        }
+cell_payload! {
+    /// What one profile cell measures about its suite.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct SuiteAnchors {
+        /// Nominal worst duty anchor (max of int-RF worst cell and scheduler
+        /// figure-8 bias).
+        duty: f64,
+        /// Cycles per uop under the shared L2.
+        cpi: f64,
+        /// Memory operations per cycle: the suite's demand on the shared L2.
+        pressure: f64,
     }
 }
 

@@ -61,6 +61,12 @@
 //! with `resume refused:`. Write failures *during* a run degrade instead:
 //! the writer goes quiet, the sweep continues uncheckpointed, and one
 //! warning lands in the report.
+//!
+//! # Payloads
+//!
+//! A cell's result crosses the journal through [`CellPayload`]. A row
+//! struct gets its codec from `cell_payload!` (one positional array); only
+//! a tagged enum or a keyed object implements the trait by hand.
 
 use std::collections::HashMap;
 use std::fs;
@@ -514,8 +520,46 @@ pub trait CellPayload: Sized {
     fn from_payload(json: &Json) -> Result<Self, String>;
 }
 
-/// Fetches a required field from an object payload — shared by the driver
-/// codecs in [`crate::experiments`].
+/// Declares a struct and its [`CellPayload`] codec. The payload is an
+/// array of the fields' payloads in declaration order, the same bytes as
+/// the tuple of those fields. Decode binds the fields from that one list,
+/// so encode and decode cannot disagree on the order, and refuses any
+/// other shape with `"<Type> must be a N-element array"`. Attributes, docs
+/// and visibility pass through to the struct.
+macro_rules! cell_payload {
+    ($(#[$meta:meta])* $vis:vis struct $name:ident {
+        $($(#[$field_meta:meta])* $field_vis:vis $field:ident: $ty:ty),+ $(,)?
+    }) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $($(#[$field_meta])* $field_vis $field: $ty),+
+        }
+
+        impl $crate::journal::CellPayload for $name {
+            fn to_payload(&self) -> ::penelope_telemetry::Json {
+                ::penelope_telemetry::Json::Array(vec![
+                    $($crate::journal::CellPayload::to_payload(&self.$field)),+
+                ])
+            }
+            fn from_payload(json: &::penelope_telemetry::Json) -> Result<Self, String> {
+                match json.as_array() {
+                    Some([$($field),+]) => Ok($name {
+                        $($field: $crate::journal::CellPayload::from_payload($field)?),+
+                    }),
+                    _ => Err(format!(
+                        "{} must be a {}-element array",
+                        stringify!($name),
+                        [$(stringify!($field)),+].len()
+                    )),
+                }
+            }
+        }
+    };
+}
+pub(crate) use cell_payload;
+
+/// Fetches a required field from an object payload — shared by the
+/// keyed-object codecs in [`crate::fleet`] and [`crate::netlist_study`].
 pub fn payload_field<'a>(json: &'a Json, key: &str) -> Result<&'a Json, String> {
     json.get(key).ok_or_else(|| format!("missing key: {key}"))
 }
@@ -641,22 +685,12 @@ impl CellPayload for Duty {
 
 impl CellPayload for BlockCost {
     fn to_payload(&self) -> Json {
-        Json::Array(vec![
-            Json::Float(self.delay()),
-            Json::Float(self.tdp()),
-            Json::Float(self.guardband()),
-        ])
+        (self.delay(), self.tdp(), self.guardband()).to_payload()
     }
     fn from_payload(json: &Json) -> Result<Self, String> {
-        match json.as_array() {
-            Some([d, t, g]) => BlockCost::try_new(
-                f64::from_payload(d)?,
-                f64::from_payload(t)?,
-                f64::from_payload(g)?,
-            )
-            .map_err(|e| format!("block cost: {e}")),
-            _ => Err("block cost must be a [delay, tdp, guardband] array".to_string()),
-        }
+        let (delay, tdp, guardband) = <(f64, f64, f64)>::from_payload(json)
+            .map_err(|e| format!("block cost [delay, tdp, guardband]: {e}"))?;
+        BlockCost::try_new(delay, tdp, guardband).map_err(|e| format!("block cost: {e}"))
     }
 }
 
@@ -947,5 +981,29 @@ mod tests {
         let field = Field::Flags;
         assert_eq!(Field::from_payload(&field.to_payload()), Ok(field));
         assert!(Field::from_payload(&Json::UInt(99)).is_err());
+
+        // Negative zero keeps its sign through the journal's text form.
+        let text = (-0.0f64).to_payload().encode();
+        let zero = f64::from_payload(&penelope_telemetry::json::parse(&text).expect("json"));
+        assert_eq!(zero.map(f64::to_bits), Ok((-0.0f64).to_bits()), "{text}");
+
+        cell_payload! {
+            #[derive(Debug, Clone, PartialEq)]
+            struct Row {
+                label: String,
+                loss: f64,
+                bits: Vec<(Field, Vec<f64>)>,
+            }
+        }
+        let row = Row {
+            label: "dl0".into(),
+            loss: 0.125,
+            bits: vec![(Field::Latency, vec![0.5])],
+        };
+        let tuple = (row.label.clone(), row.loss, row.bits.clone());
+        assert_eq!(row.to_payload().encode(), tuple.to_payload().encode());
+        assert_eq!(Row::from_payload(&row.to_payload()), Ok(row));
+        let short = Row::from_payload(&(1.0f64, 2.0f64).to_payload());
+        assert_eq!(short, Err("Row must be a 3-element array".into()));
     }
 }

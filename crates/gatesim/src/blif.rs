@@ -2,7 +2,7 @@
 //!
 //! Parses the combinational subset of the Berkeley Logic Interchange
 //! Format — one `.model`, `.inputs`/`.outputs`, single-output `.names`
-//! covers — and lowers it into the [`Netlist`](crate::netlist::Netlist)
+//! covers — and lowers it into the [`Netlist`]
 //! IR, so any synthesized circuit can be aged exactly like the hand-built
 //! adder. Sequential and hierarchical constructs (`.latch`, `.subckt`,
 //! `.gate`, ...) are rejected with a typed [`Error`] carrying the source

@@ -488,6 +488,11 @@ impl Parser<'_> {
                 return Ok(Json::UInt(u));
             }
             if let Ok(i) = text.parse::<i64>() {
+                // The encoder writes `-0.0` as "-0"; an integer would
+                // drop its sign.
+                if i == 0 {
+                    return Ok(Json::Float(-0.0));
+                }
                 return Ok(Json::Int(i));
             }
         }
@@ -536,7 +541,10 @@ mod tests {
         for v in [0.1, 1.0 / 3.0, 1e-12, 123456.789, -0.0] {
             let encoded = Json::Float(v).encode();
             let reparsed = parse(&encoded).expect("valid");
-            assert_eq!(reparsed.as_f64().expect("number"), v, "{encoded}");
+            let back = reparsed.as_f64().expect("number");
+            // Bit-exact, so `-0.0` must keep its sign.
+            assert_eq!(back.to_bits(), v.to_bits(), "{encoded}");
+            assert_eq!(reparsed.encode(), encoded);
         }
     }
 

@@ -27,7 +27,7 @@
 //!   engine's crash-safe checkpoint journal — unlike the report encoder
 //!   it round-trips physical state (ring layout, mean accumulators,
 //!   registration order) so a resumed run merges byte-identically;
-//! - [`span`]: hierarchical tracing spans ([`span!`] RAII guards) with
+//! - [`mod@span`]: hierarchical tracing spans ([`span!`] RAII guards) with
 //!   deterministic cycle-domain durations and segregated wall-clock
 //!   durations, plus the profiling sinks — a Chrome-trace exporter
 //!   ([`chrome_trace`]) and the live JSONL event stream

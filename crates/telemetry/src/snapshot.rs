@@ -8,7 +8,7 @@
 //! the full physical state: registration-ordered metrics (with histogram
 //! mean accumulators), ring capacities and lifetime push counts, and
 //! series in first-touch order. The round-trip invariant is pinned by
-//! [`tests::roundtrip_is_exact_for_a_real_run`]: `decode(encode(s)) == s`
+//! the unit test `roundtrip_is_exact_for_a_real_run`: `decode(encode(s)) == s`
 //! under the derived `PartialEq`, which compares physical ring layout.
 //!
 //! Non-finite floats encode as `null` (the [`crate::json`] rule); decode

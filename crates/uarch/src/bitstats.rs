@@ -14,7 +14,7 @@
 //! funnels through [`BitResidency::record`], so charging an event must cost
 //! the same few word operations whatever its zero-mask and duration.
 //! [`BitResidency`] keeps one `u16` *pending lane* per bit position and
-//! charges the zero-mask a byte at a time: [`EXPAND`] maps each byte to
+//! charges the zero-mask a byte at a time: `EXPAND` maps each byte to
 //! eight lane masks (all-ones where the byte has a bit set), and
 //! `lanes[8j..8j + 8] += EXPAND[byte j] & duration` adds the duration to
 //! exactly the zero bits — no branch on any bit, one 8-lane add per byte.

@@ -170,6 +170,86 @@ fn interrupted_fig6_resumes_byte_identically_at_any_jobs() {
     }
 }
 
+/// Runs `driver` checkpointed, then resumes it from the complete journal,
+/// so every cell comes back through its payload decoder, at jobs 1 and 2.
+/// Both runs must return the uninterrupted run's value and report.
+fn resumes_from_a_complete_journal<T: PartialEq + std::fmt::Debug>(
+    binary: &str,
+    driver: impl Fn(Scale) -> Result<T, Error>,
+) {
+    let _guard = checkpoint_lock();
+    let quick = || driver(Scale::quick());
+    let (baseline_report, baseline) = run_driver(1, None, quick);
+
+    for jobs in [1, 2] {
+        let path = tmp_path(&format!("{binary}-complete-jobs{jobs}.jsonl"));
+        let context = CheckpointContext::create(&path, &header(binary)).expect("journal opens");
+        let (full_report, full) = run_driver(jobs, Some(context), quick);
+        assert_eq!(full, baseline, "{binary} jobs={jobs}");
+        assert_eq!(full_report, baseline_report, "{binary} jobs={jobs}");
+
+        let records = fs::read_to_string(&path)
+            .expect("journal exists")
+            .lines()
+            .count()
+            - 1;
+        assert!(records > 0, "{binary} journaled no cells");
+        let context = CheckpointContext::resume(&path, &header(binary)).expect("resume succeeds");
+        assert_eq!(context.restored_cells(), records, "{binary} jobs={jobs}");
+        let (resumed_report, resumed) = run_driver(jobs, Some(context), quick);
+        assert_eq!(resumed, baseline, "{binary} jobs={jobs}");
+        assert_eq!(
+            resumed_report, baseline_report,
+            "{binary} resumed from a complete journal must match an uninterrupted run (jobs={jobs})"
+        );
+    }
+}
+
+#[test]
+fn motivation_resumes_from_a_complete_journal() {
+    resumes_from_a_complete_journal("motivation", experiments::motivation);
+}
+
+#[test]
+fn fig5_resumes_from_a_complete_journal() {
+    resumes_from_a_complete_journal("fig5", experiments::fig5);
+}
+
+#[test]
+fn fig8_resumes_from_a_complete_journal() {
+    resumes_from_a_complete_journal("fig8", experiments::fig8);
+}
+
+#[test]
+fn efficiency_summary_resumes_from_a_complete_journal() {
+    resumes_from_a_complete_journal("efficiency", experiments::efficiency_summary);
+}
+
+#[test]
+fn table4_resumes_from_a_complete_journal() {
+    resumes_from_a_complete_journal("table4", experiments::table4);
+}
+
+#[test]
+fn vmin_extension_resumes_from_a_complete_journal() {
+    resumes_from_a_complete_journal("vmin", experiments::vmin_extension);
+}
+
+#[test]
+fn btb_extension_resumes_from_a_complete_journal() {
+    resumes_from_a_complete_journal("btb", experiments::btb_extension);
+}
+
+#[test]
+fn ablation_resumes_from_a_complete_journal() {
+    resumes_from_a_complete_journal("ablation", experiments::ablation);
+}
+
+#[test]
+fn table3_tail_resumes_from_a_complete_journal() {
+    resumes_from_a_complete_journal("table3_tail", experiments::table3_tail);
+}
+
 /// Writes a small but fully valid journal (header + two sealed records)
 /// to corrupt in the refusal tests below.
 fn valid_journal(name: &str) -> PathBuf {
