@@ -18,7 +18,7 @@
 //! than trusting it. The first record is the header:
 //!
 //! ```text
-//! {"body":{"journal_schema":1,"report_schema":1,"binary":"fig6",
+//! {"body":{"journal_schema":2,"report_schema":1,"binary":"fig6",
 //!          "scale":{...},"fault_seed":0,"jobs_independent":true},"hash":"…"}
 //! {"body":{"sweep":"fig6","cell":0,"payload":…,"snapshot":…},"hash":"…"}
 //! ```
@@ -84,7 +84,9 @@ use nbti_model::metric::BlockCost;
 use uarch::scheduler::Field;
 
 /// Version of the journal layout itself (distinct from the report schema).
-pub const JOURNAL_SCHEMA: u64 = 1;
+/// Version 2 carries phases as marked spans inside each cell snapshot,
+/// where version 1 kept them in a separate `phases` array.
+pub const JOURNAL_SCHEMA: u64 = 2;
 
 /// FNV-1a 64-bit over the canonical record body bytes. Not cryptographic —
 /// it detects torn writes and bit rot, not adversaries.
@@ -807,6 +809,50 @@ mod tests {
         };
         let err = CheckpointContext::resume(&path, &other).expect_err("wrong seed");
         assert!(err.to_string().contains("fault seed"), "{err}");
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn resume_refuses_another_journal_schema() {
+        let path = tmp_path("schema");
+        for schema in [JOURNAL_SCHEMA - 1, JOURNAL_SCHEMA + 1] {
+            let mut body = header().to_json();
+            body.set("journal_schema", Json::UInt(schema));
+            fs::write(&path, seal(body) + "\n").expect("write");
+            match CheckpointContext::resume(&path, &header()) {
+                Err(Error::Journal { message }) => {
+                    assert!(message.starts_with("resume refused:"), "{message}");
+                    assert!(
+                        message.contains(&format!("journal schema Some({schema})")),
+                        "{message}"
+                    );
+                }
+                other => panic!("schema {schema} must be refused, got {other:?}"),
+            }
+        }
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn resume_refuses_a_snapshot_span_with_a_forward_parent() {
+        let path = tmp_path("forward-parent");
+        let ctx = CheckpointContext::create(&path, &header()).expect("create");
+        ctx.append("fig6", 0, Json::Null, Some(&sample_snapshot()));
+        let journal = fs::read_to_string(&path).expect("journal readable");
+        let (head, record) = journal.split_once('\n').expect("header line");
+        // Point the cell's first span at a later index and reseal the
+        // record, so only the snapshot decoder can catch it.
+        let body = unseal(record.trim_end(), 2).expect("record verifies");
+        let forged = body
+            .encode()
+            .replacen(r#""parent":null"#, r#""parent":7"#, 1);
+        assert_ne!(forged, body.encode(), "the sample snapshot has a root span");
+        let forged = penelope_telemetry::json::parse(&forged).expect("forged body parses");
+        fs::write(&path, format!("{head}\n{}\n", seal(forged))).expect("write");
+        let err = CheckpointContext::resume(&path, &header()).expect_err("forward parent");
+        let message = err.to_string();
+        assert!(message.contains("resume refused:"), "{message}");
+        assert!(message.contains("must precede"), "{message}");
         let _ = fs::remove_file(&path);
     }
 

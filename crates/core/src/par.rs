@@ -757,12 +757,12 @@ mod tests {
         };
         let serial = run(1);
         let parallel = run(4);
-        let names = |c: &penelope_telemetry::Collector| -> Vec<String> {
-            c.phases.iter().map(|p| p.name.clone()).collect()
+        let names = |c: &penelope_telemetry::Collector| -> Vec<&'static str> {
+            c.phases().map(|p| p.name).collect()
         };
         assert_eq!(names(&serial), names(&parallel));
         assert_eq!(serial.total_cycles, parallel.total_cycles);
-        let cycles: Vec<u64> = serial.phases.iter().map(|p| p.cycles).collect();
+        let cycles: Vec<u64> = serial.phases().map(|p| p.cycles).collect();
         assert_eq!(cycles, vec![100, 200, 300, 400, 500, 600]);
     }
 
@@ -808,7 +808,7 @@ mod tests {
         assert!(recorder::active(), "parent recorder still installed");
         let collector = recorder::finish().expect("parent recorder intact");
         assert!(
-            collector.phases.is_empty(),
+            collector.phases().next().is_none(),
             "no partial phases leaked from the panicked cells"
         );
         assert_eq!(

@@ -53,7 +53,7 @@ pub mod span;
 pub use hooks::{EventSource, TelemetryHooks, TelemetryOutput};
 pub use json::Json;
 pub use metrics::{CounterId, GaugeId, Histogram, HistogramId, Registry};
-pub use recorder::{Collector, Phase, Settings, Snapshot, WorkerHandle};
+pub use recorder::{Collector, Settings, Snapshot, WorkerHandle};
 pub use report::{build_report, series_jsonl, validate_report, SCHEMA_VERSION};
 pub use series::RingSeries;
 pub use snapshot::{decode_snapshot, encode_snapshot};

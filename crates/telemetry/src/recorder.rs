@@ -5,10 +5,11 @@
 //! A driver (or the bench CLI) calls [`install`] once; library code then
 //! asks [`settings`] whether telemetry is on, wraps its hooks in
 //! [`crate::TelemetryHooks`] when it is, and feeds the results back with
-//! [`absorb`] / [`record_run`] / [`phase`]. At the end [`finish`] detaches
-//! the collector for report building. When nothing is installed every call
-//! is a cheap thread-local check followed by a branch — the zero-cost-
-//! when-disabled contract.
+//! [`absorb`] / [`record_run`] / [`phase`]. A phase is a tracing span
+//! marked `phase`; the report lists the marked spans as its `phases`. At
+//! the end [`finish`] detaches the collector for report building. When
+//! nothing is installed every call is a cheap thread-local check followed
+//! by a branch — the zero-cost-when-disabled contract.
 //!
 //! # Recording off the installing thread
 //!
@@ -31,7 +32,6 @@ use std::time::Instant;
 
 use crate::hooks::TelemetryOutput;
 use crate::json::Json;
-use crate::metrics::intern;
 use crate::span::SpanRecord;
 
 /// How a run should be sampled.
@@ -52,19 +52,6 @@ impl Default for Settings {
     }
 }
 
-/// One completed phase of an experiment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Phase {
-    /// Phase name (e.g. the driver or scheme being run).
-    pub name: String,
-    /// Wall-clock seconds spent in the phase.
-    pub wall_seconds: f64,
-    /// Simulated cycles attributed to the phase.
-    pub cycles: u64,
-    /// Uops retired during the phase.
-    pub uops: u64,
-}
-
 /// Accumulated telemetry for one process run.
 #[derive(Debug, Clone)]
 pub struct Collector {
@@ -72,8 +59,6 @@ pub struct Collector {
     pub settings: Settings,
     /// Free-form manifest entries (config, seed, scale, binary name).
     pub manifest: Vec<(String, Json)>,
-    /// Completed phases, in execution order.
-    pub phases: Vec<Phase>,
     /// Degradation warnings (fallbacks taken, misconfigured environment).
     pub warnings: Vec<String>,
     /// Total simulated cycles.
@@ -97,7 +82,7 @@ pub struct Collector {
 /// The wall-clock-free, mergeable record of one unit of work, produced by
 /// [`WorkerHandle::record_cell`] and consumed by [`absorb_snapshot`].
 ///
-/// Phase wall times are retained (they are informational), but the
+/// Span wall times are retained (they are informational), but the
 /// snapshot carries no run-level wall clock: the parent recorder keeps its
 /// own, so merging snapshots in a deterministic order yields the same
 /// simulated-quantity stream regardless of worker scheduling.
@@ -105,8 +90,6 @@ pub struct Collector {
 pub struct Snapshot {
     /// Manifest entries recorded inside the cell (replace-by-key on merge).
     pub manifest: Vec<(String, Json)>,
-    /// Phases completed inside the cell, in execution order.
-    pub phases: Vec<Phase>,
     /// Warnings recorded inside the cell.
     pub warnings: Vec<String>,
     /// Simulated cycles credited inside the cell.
@@ -138,8 +121,6 @@ struct ActiveCollector {
     /// Equal to `started` on the installing thread; inherited from the
     /// parent recorder inside worker cells so all spans share a timeline.
     epoch: Instant,
-    /// Cycle/uop totals at the start of the currently open phase.
-    phase_base: Option<(String, Instant, u64, u64)>,
     /// Currently open spans, outermost first.
     open_spans: Vec<OpenSpan>,
 }
@@ -153,7 +134,6 @@ fn fresh(settings: Settings, epoch: Instant) -> ActiveCollector {
         collector: Collector {
             settings,
             manifest: Vec::new(),
-            phases: Vec::new(),
             warnings: Vec::new(),
             total_cycles: 0,
             total_uops: 0,
@@ -164,7 +144,6 @@ fn fresh(settings: Settings, epoch: Instant) -> ActiveCollector {
         },
         started: Instant::now(),
         epoch,
-        phase_base: None,
         open_spans: Vec::new(),
     }
 }
@@ -195,15 +174,14 @@ pub fn active() -> bool {
     ACTIVE.with(|slot| slot.borrow().is_some())
 }
 
-/// Detaches the collector, stamping the total wall time. A phase or span
-/// still open (e.g. because its body unwound past the facade) is closed
-/// rather than dropped. Returns `None` when telemetry was never
+/// Detaches the collector, stamping the total wall time. A span (phase
+/// or not) still open (e.g. because its guard leaked) is closed rather
+/// than dropped. Returns `None` when telemetry was never
 /// installed.
 pub fn finish() -> Option<Collector> {
     ACTIVE.with(|slot| {
         slot.borrow_mut().take().map(|mut active| {
             close_spans_down_to(&mut active, 0);
-            close_open_phase(&mut active);
             let mut collector = active.collector;
             collector.wall_seconds = active.started.elapsed().as_secs_f64();
             collector
@@ -211,15 +189,20 @@ pub fn finish() -> Option<Collector> {
     })
 }
 
+/// Replaces the value stored under `key`, or appends the pair when the
+/// key is new, keeping first-insertion order.
+fn replace_by_key(entries: &mut Vec<(String, Json)>, key: String, value: Json) {
+    match entries.iter_mut().find(|(k, _)| *k == key) {
+        Some((_, v)) => *v = value,
+        None => entries.push((key, value)),
+    }
+}
+
 /// Adds (or replaces) a manifest entry. No-op when disabled.
 pub fn manifest_entry(key: &str, value: Json) {
     ACTIVE.with(|slot| {
         if let Some(active) = slot.borrow_mut().as_mut() {
-            let manifest = &mut active.collector.manifest;
-            match manifest.iter_mut().find(|(k, _)| k == key) {
-                Some((_, v)) => *v = value,
-                None => manifest.push((key.to_string(), value)),
-            }
+            replace_by_key(&mut active.collector.manifest, key.to_string(), value);
         }
     });
 }
@@ -232,11 +215,7 @@ pub fn manifest_entry(key: &str, value: Json) {
 pub fn section(name: &str, value: Json) {
     ACTIVE.with(|slot| {
         if let Some(active) = slot.borrow_mut().as_mut() {
-            let sections = &mut active.collector.sections;
-            match sections.iter_mut().find(|(k, _)| k == name) {
-                Some((_, v)) => *v = value,
-                None => sections.push((name.to_string(), value)),
-            }
+            replace_by_key(&mut active.collector.sections, name.to_string(), value);
         }
     });
 }
@@ -252,8 +231,8 @@ pub fn warning(message: impl Into<String>) {
     });
 }
 
-/// Credits a completed pipeline run's cycles and uops to the totals (and
-/// to the open phase, if any). No-op when disabled.
+/// Credits a completed pipeline run's cycles and uops to the totals, and
+/// so to every open span (phases included). No-op when disabled.
 pub fn record_run(cycles: u64, uops: u64) {
     ACTIVE.with(|slot| {
         if let Some(active) = slot.borrow_mut().as_mut() {
@@ -273,9 +252,9 @@ pub fn absorb(output: &TelemetryOutput) {
 }
 
 /// Merges a worker-produced [`Snapshot`] into this thread's recorder:
-/// manifest entries replace by key, phases and warnings append in the
-/// snapshot's order, totals add and structure telemetry merges. The
-/// cell's span tree appends with parent indices rebased, its roots
+/// manifest entries replace by key, warnings append in the snapshot's
+/// order, totals add and structure telemetry merges. The cell's span tree
+/// (phases included) appends with parent indices rebased, its roots
 /// adopted by whatever span this thread has open (the sweep span) — so
 /// absorbing snapshots in cell-index order rebuilds the same tree a
 /// serial run would have produced. No-op when disabled (the snapshot is
@@ -284,13 +263,8 @@ pub fn absorb_snapshot(snapshot: Snapshot) {
     ACTIVE.with(|slot| {
         if let Some(active) = slot.borrow_mut().as_mut() {
             for (key, value) in snapshot.manifest {
-                let manifest = &mut active.collector.manifest;
-                match manifest.iter_mut().find(|(k, _)| *k == key) {
-                    Some((_, v)) => *v = value,
-                    None => manifest.push((key, value)),
-                }
+                replace_by_key(&mut active.collector.manifest, key, value);
             }
-            active.collector.phases.extend(snapshot.phases);
             active.collector.warnings.extend(snapshot.warnings);
             active.collector.total_cycles += snapshot.total_cycles;
             active.collector.total_uops += snapshot.total_uops;
@@ -306,10 +280,11 @@ pub fn absorb_snapshot(snapshot: Snapshot) {
 }
 
 /// Opens a span on this thread's recorder, parented under the innermost
-/// open span. Returns the span's record index (the close token), or
-/// `None` when telemetry is disabled. Called via [`crate::span::enter`];
-/// not part of the public API.
-pub(crate) fn open_span(name: &'static str) -> Option<usize> {
+/// open span and marked as a phase when `phase` is set. Returns the
+/// span's record index (the close token), or `None` when telemetry is
+/// disabled. Called via [`crate::span::enter`]; not part of the public
+/// API.
+pub(crate) fn open_span(name: &'static str, phase: bool) -> Option<usize> {
     ACTIVE.with(|slot| {
         slot.borrow_mut().as_mut().map(|active| {
             let index = active.collector.spans.len();
@@ -320,6 +295,7 @@ pub(crate) fn open_span(name: &'static str) -> Option<usize> {
                 uops: 0,
                 wall_start_seconds: active.epoch.elapsed().as_secs_f64(),
                 wall_seconds: 0.0,
+                phase,
             });
             active.open_spans.push(OpenSpan {
                 index,
@@ -358,69 +334,15 @@ fn close_spans_down_to(active: &mut ActiveCollector, keep: usize) {
     }
 }
 
-/// Runs `body` as a named phase, recording its wall time and the cycles /
-/// uops credited while it ran. Phases do not nest: opening a phase inside
-/// a phase closes the outer one at the inner one's start. Each phase also
-/// opens a same-named tracing span for its duration, and spans *do* nest
-/// — so the flat phase stream stays as-is while the span tree records the
-/// true call structure. When telemetry is disabled the closure runs with
+/// Runs `body` as a named phase: a span marked `phase`, which the run
+/// report also lists under `phases`. Like any span it records its wall
+/// time and the cycles / uops credited while it ran, and a phase opened
+/// inside a phase nests. When telemetry is disabled the closure runs with
 /// no bookkeeping at all. Panic-safe: a body that unwinds still closes
-/// its phase (and span) on the way out.
+/// its phase on the way out.
 pub fn phase<R>(name: &str, body: impl FnOnce() -> R) -> R {
-    // Open outside the closure so a body that touches the recorder again
-    // never re-enters a held RefCell borrow.
-    let opened = ACTIVE.with(|slot| {
-        let mut slot = slot.borrow_mut();
-        let Some(active) = slot.as_mut() else {
-            return false;
-        };
-        close_open_phase(active);
-        active.phase_base = Some((
-            name.to_string(),
-            Instant::now(),
-            active.collector.total_cycles,
-            active.collector.total_uops,
-        ));
-        true
-    });
-    let span_token = if opened {
-        open_span(intern(name))
-    } else {
-        None
-    };
-    // Close in a drop guard so the phase is flushed even if `body` unwinds
-    // (the panic supervisor upstream may still write a report).
-    struct CloseGuard {
-        opened: bool,
-        span_token: Option<usize>,
-    }
-    impl Drop for CloseGuard {
-        fn drop(&mut self) {
-            if let Some(token) = self.span_token.take() {
-                close_span(token);
-            }
-            if self.opened {
-                ACTIVE.with(|slot| {
-                    if let Some(active) = slot.borrow_mut().as_mut() {
-                        close_open_phase(active);
-                    }
-                });
-            }
-        }
-    }
-    let _guard = CloseGuard { opened, span_token };
+    let _span = crate::span::enter_named(name, true);
     body()
-}
-
-fn close_open_phase(active: &mut ActiveCollector) {
-    if let Some((name, started, base_cycles, base_uops)) = active.phase_base.take() {
-        active.collector.phases.push(Phase {
-            name,
-            wall_seconds: started.elapsed().as_secs_f64(),
-            cycles: active.collector.total_cycles - base_cycles,
-            uops: active.collector.total_uops - base_uops,
-        });
-    }
 }
 
 /// A cloneable, `Send` capture of this thread's recording decision, taken
@@ -496,12 +418,16 @@ impl WorkerHandle {
 }
 
 impl Collector {
+    /// The completed phases: the spans marked `phase`, in open order.
+    pub fn phases(&self) -> impl Iterator<Item = &SpanRecord> {
+        self.spans.iter().filter(|span| span.phase)
+    }
+
     /// Converts a detached per-cell collector into its mergeable,
     /// wall-clock-free snapshot.
     pub fn into_snapshot(self) -> Snapshot {
         Snapshot {
             manifest: self.manifest,
-            phases: self.phases,
             warnings: self.warnings,
             total_cycles: self.total_cycles,
             total_uops: self.total_uops,
@@ -548,10 +474,8 @@ mod tests {
 
         assert_eq!(collector.total_cycles, 3_010);
         assert_eq!(collector.total_uops, 1_305);
-        assert_eq!(collector.phases.len(), 2);
-        assert_eq!(collector.phases[0].name, "warmup");
-        assert_eq!(collector.phases[0].cycles, 1_000);
-        assert_eq!(collector.phases[1].cycles, 2_000);
+        let phases: Vec<(&str, u64)> = collector.phases().map(|p| (p.name, p.cycles)).collect();
+        assert_eq!(phases, vec![("warmup", 1_000), ("main", 2_000)]);
         assert_eq!(collector.manifest.len(), 1);
         assert_eq!(collector.warnings, vec!["fallback taken".to_string()]);
         assert_eq!(
@@ -565,13 +489,18 @@ mod tests {
     fn phase_body_may_touch_the_recorder() {
         install(Settings::default());
         // A body that opens its own phase must not deadlock or panic on a
-        // held borrow; it closes the outer phase instead.
+        // held borrow; the inner phase nests like any span.
         phase("outer", || {
+            record_run(3, 1);
             phase("inner", || record_run(5, 5));
         });
         let collector = finish().expect("installed");
-        let names: Vec<&str> = collector.phases.iter().map(|p| p.name.as_str()).collect();
-        assert_eq!(names, vec!["outer", "inner"]);
+        let phases: Vec<(&str, u64)> = collector.phases().map(|p| (p.name, p.cycles)).collect();
+        assert_eq!(
+            phases,
+            vec![("outer", 8), ("inner", 5)],
+            "open order, and the outer phase includes the inner's cycles"
+        );
     }
 
     #[test]
@@ -592,16 +521,16 @@ mod tests {
         install(Settings::default());
         // Open a phase without going through the closure facade: simulate
         // an unwind that escaped the guard by opening and never closing.
-        ACTIVE.with(|slot| {
-            if let Some(active) = slot.borrow_mut().as_mut() {
-                active.phase_base = Some(("interrupted".to_string(), Instant::now(), 0, 0));
-            }
-        });
+        let leaked = crate::span::enter_named("interrupted", true);
         record_run(500, 100);
         let collector = finish().expect("installed");
-        assert_eq!(collector.phases.len(), 1, "open phase flushed by finish");
-        assert_eq!(collector.phases[0].name, "interrupted");
-        assert_eq!(collector.phases[0].cycles, 500);
+        drop(leaked); // stale guard against a gone recorder: no-op
+        let phases: Vec<(&str, u64)> = collector.phases().map(|p| (p.name, p.cycles)).collect();
+        assert_eq!(
+            phases,
+            vec![("interrupted", 500)],
+            "open phase flushed by finish"
+        );
     }
 
     #[test]
@@ -615,9 +544,8 @@ mod tests {
         });
         assert!(unwound.is_err());
         let collector = finish().expect("installed");
-        assert_eq!(collector.phases.len(), 1, "phase closed by the guard");
-        assert_eq!(collector.phases[0].name, "doomed");
-        assert_eq!(collector.phases[0].cycles, 100);
+        let phases: Vec<(&str, u64)> = collector.phases().map(|p| (p.name, p.cycles)).collect();
+        assert_eq!(phases, vec![("doomed", 100)], "phase closed by the guard");
     }
 
     #[test]
@@ -655,15 +583,15 @@ mod tests {
         assert_eq!(out, "cell done");
         let snapshot = snapshot.expect("recording was on");
         assert_eq!(snapshot.total_cycles, 1_000);
-        assert_eq!(snapshot.phases.len(), 1);
+        assert_eq!(snapshot.spans.iter().filter(|s| s.phase).count(), 1);
 
         // The parent recorder is back in place, untouched by the cell.
         assert_eq!(settings().map(|s| s.sample_period), Some(99));
         absorb_snapshot(snapshot);
         let collector = finish().expect("parent still installed");
         assert_eq!(collector.total_cycles, 1_010, "cell totals merged");
-        assert_eq!(collector.phases.len(), 1);
-        assert_eq!(collector.phases[0].name, "cell work");
+        let names: Vec<&str> = collector.phases().map(|p| p.name).collect();
+        assert_eq!(names, vec!["cell work"]);
     }
 
     #[test]
@@ -695,7 +623,7 @@ mod tests {
         absorb_snapshot(first.expect("recording on"));
         absorb_snapshot(second.expect("recording on"));
         let collector = finish().expect("installed");
-        let names: Vec<&str> = collector.phases.iter().map(|p| p.name.as_str()).collect();
+        let names: Vec<&str> = collector.phases().map(|p| p.name).collect();
         assert_eq!(names, vec!["a", "b"]);
         assert_eq!(collector.total_cycles, 3);
     }

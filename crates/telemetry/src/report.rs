@@ -26,6 +26,10 @@
 //! knobs) so a run that limped through on defaults is distinguishable from
 //! a clean one even though both exit zero.
 //!
+//! `phases` is derived from `spans`: it lists the spans that
+//! [`crate::recorder::phase`] marked, in span order. The mark itself is
+//! not written into the `spans` entries.
+//!
 //! Wall-clock numbers live only in `wall_seconds` / `*_per_sec` keys
 //! (under `phases`, `spans` and `totals`); the [`series_jsonl`] export
 //! used by the determinism test contains purely simulated quantities, so
@@ -72,9 +76,9 @@ pub fn build_report(collector: &Collector) -> Json {
     );
 
     let mut phases = Vec::new();
-    for phase in &collector.phases {
+    for phase in collector.phases() {
         let mut p = Json::object();
-        p.set("name", Json::from(phase.name.as_str()));
+        p.set("name", Json::from(phase.name));
         p.set("wall_seconds", Json::Float(phase.wall_seconds));
         p.set("cycles", Json::UInt(phase.cycles));
         p.set("uops", Json::UInt(phase.uops));
@@ -272,6 +276,14 @@ pub fn validate_report(report: &Json) -> Result<(), String> {
             }
             if phase.get("name").and_then(Json::as_str).is_none() {
                 return Err(format!("phases[{i}].name must be a string"));
+            }
+            if phase.get("wall_seconds").and_then(Json::as_f64).is_none() {
+                return Err(format!("phases[{i}].wall_seconds must be a number"));
+            }
+            for key in ["cycles", "uops"] {
+                if phase.get(key).and_then(Json::as_u64).is_none() {
+                    return Err(format!("phases[{i}].{key} must be an unsigned integer"));
+                }
             }
         }
     }
@@ -510,18 +522,12 @@ fn expect_type(report: &Json, key: &str, type_name: &str) -> Result<(), String> 
 mod tests {
     use super::*;
     use crate::json::parse;
-    use crate::recorder::{Phase, Settings};
+    use crate::recorder::Settings;
 
     fn sample_collector() -> Collector {
         let mut collector = Collector {
             settings: Settings::default(),
             manifest: vec![("binary".to_string(), Json::from("fig6"))],
-            phases: vec![Phase {
-                name: "main".to_string(),
-                wall_seconds: 0.5,
-                cycles: 1_000,
-                uops: 400,
-            }],
             warnings: vec!["PENELOPE_SCALE fell back to standard".to_string()],
             total_cycles: 1_000,
             total_uops: 400,
@@ -534,6 +540,7 @@ mod tests {
                     uops: 400,
                     wall_start_seconds: 0.0,
                     wall_seconds: 0.5,
+                    phase: false,
                 },
                 crate::span::SpanRecord {
                     name: "main",
@@ -542,6 +549,7 @@ mod tests {
                     uops: 400,
                     wall_start_seconds: 0.1,
                     wall_seconds: 0.4,
+                    phase: true,
                 },
             ],
             sections: Vec::new(),
@@ -585,6 +593,24 @@ mod tests {
         report.set("metrics", Json::Array(vec![]));
         let err = validate_report(&report).expect_err("mistyped");
         assert!(err.contains("metrics"), "{err}");
+
+        for (key, value) in [
+            ("cycles", Json::from("x")),
+            ("uops", Json::Float(-1.5)),
+            ("wall_seconds", Json::from("slow")),
+        ] {
+            let mut report = build_report(&sample_collector());
+            let mut phase = report
+                .get("phases")
+                .and_then(Json::as_array)
+                .and_then(|phases| phases.first())
+                .cloned()
+                .expect("the sample has a phase");
+            phase.set(key, value);
+            report.set("phases", Json::Array(vec![phase]));
+            let err = validate_report(&report).expect_err("mistyped phase entry");
+            assert!(err.contains(&format!("phases[0].{key}")), "{err}");
+        }
     }
 
     #[test]
@@ -672,6 +698,36 @@ mod tests {
         report.set("spans", Json::Array(vec![forward]));
         let err = validate_report(&report).expect_err("forward parent");
         assert!(err.contains("must precede"), "{err}");
+    }
+
+    #[test]
+    fn phases_are_the_marked_spans() {
+        let report = build_report(&sample_collector());
+        let phases = report
+            .get("phases")
+            .and_then(Json::as_array)
+            .expect("phases array present");
+        assert_eq!(phases.len(), 1, "only the marked span is a phase");
+        let keys: Vec<&str> = phases[0]
+            .as_object()
+            .expect("phase entry is an object")
+            .iter()
+            .map(|(key, _)| key.as_str())
+            .collect();
+        assert_eq!(
+            keys,
+            ["name", "wall_seconds", "cycles", "uops", "cycles_per_sec"]
+        );
+        assert_eq!(phases[0].get("name").and_then(Json::as_str), Some("main"));
+        assert_eq!(phases[0].get("cycles").and_then(Json::as_u64), Some(1_000));
+        let spans = report
+            .get("spans")
+            .and_then(Json::as_array)
+            .expect("spans array present");
+        assert!(
+            spans.iter().all(|span| span.get("phase").is_none()),
+            "the phase mark stays out of the report's spans"
+        );
     }
 
     fn sample_fleet_section() -> Json {

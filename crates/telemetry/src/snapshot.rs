@@ -17,16 +17,16 @@
 //! re-parses to the exact same value.
 //!
 //! Spans round-trip in full — including `wall_start_seconds`, which the
-//! report encoder deliberately drops — because a restored cell must merge
+//! report encoder deliberately drops, and the `phase` mark the report's
+//! `phases` list is derived from — because a restored cell must merge
 //! byte-identically into both the golden report *and* the Chrome-trace
-//! export. Journal lines sealed before the tracing layer simply omit the
-//! `spans` key; decode treats that as an empty tree, so old checkpoint
-//! journals keep restoring.
+//! export. Decode refuses a span whose `parent` does not precede it, so a
+//! restored tree is always well formed.
 
 use crate::hooks::TelemetryOutput;
 use crate::json::Json;
 use crate::metrics::{intern, Registry};
-use crate::recorder::{Phase, Snapshot};
+use crate::recorder::Snapshot;
 use crate::series::RingSeries;
 use crate::span::SpanRecord;
 
@@ -36,18 +36,6 @@ pub fn encode_snapshot(snapshot: &Snapshot) -> Json {
         .manifest
         .iter()
         .map(|(k, v)| Json::Array(vec![Json::Str(k.clone()), v.clone()]))
-        .collect();
-    let phases = snapshot
-        .phases
-        .iter()
-        .map(|p| {
-            let mut obj = Json::object();
-            obj.set("name", Json::Str(p.name.clone()));
-            obj.set("wall_seconds", Json::Float(p.wall_seconds));
-            obj.set("cycles", Json::UInt(p.cycles));
-            obj.set("uops", Json::UInt(p.uops));
-            obj
-        })
         .collect();
     let warnings = snapshot
         .warnings
@@ -68,6 +56,7 @@ pub fn encode_snapshot(snapshot: &Snapshot) -> Json {
             obj.set("uops", Json::UInt(s.uops));
             obj.set("wall_start_seconds", Json::Float(s.wall_start_seconds));
             obj.set("wall_seconds", Json::Float(s.wall_seconds));
+            obj.set("phase", Json::Bool(s.phase));
             obj
         })
         .collect();
@@ -95,7 +84,6 @@ pub fn encode_snapshot(snapshot: &Snapshot) -> Json {
     output.set("series", Json::Array(series));
     let mut obj = Json::object();
     obj.set("manifest", Json::Array(manifest));
-    obj.set("phases", Json::Array(phases));
     obj.set("warnings", Json::Array(warnings));
     obj.set("total_cycles", Json::UInt(snapshot.total_cycles));
     obj.set("total_uops", Json::UInt(snapshot.total_uops));
@@ -129,13 +117,6 @@ pub fn decode_snapshot(json: &Json) -> Result<Snapshot, String> {
             Ok((key, pair[1].clone()))
         })
         .collect::<Result<Vec<_>, String>>()?;
-    let phases = json
-        .get("phases")
-        .and_then(Json::as_array)
-        .ok_or("snapshot missing phases array")?
-        .iter()
-        .map(decode_phase)
-        .collect::<Result<Vec<_>, String>>()?;
     let warnings = json
         .get("warnings")
         .and_then(Json::as_array)
@@ -152,18 +133,14 @@ pub fn decode_snapshot(json: &Json) -> Result<Snapshot, String> {
             .and_then(Json::as_u64)
             .ok_or_else(|| format!("snapshot missing unsigned field {key:?}"))
     };
-    // Snapshots sealed before the tracing layer carry no spans; treat a
-    // missing key as an empty tree so old journals keep restoring.
-    let spans = match json.get("spans") {
-        None => Vec::new(),
-        Some(spans) => spans
-            .as_array()
-            .ok_or("snapshot spans must be an array")?
-            .iter()
-            .enumerate()
-            .map(|(i, s)| decode_span(i, s))
-            .collect::<Result<Vec<_>, String>>()?,
-    };
+    let spans = json
+        .get("spans")
+        .and_then(Json::as_array)
+        .ok_or("snapshot missing spans array")?
+        .iter()
+        .enumerate()
+        .map(|(i, s)| decode_span(i, s))
+        .collect::<Result<Vec<_>, String>>()?;
     let output = json.get("output").ok_or("snapshot missing output object")?;
     let registry = Registry::from_checkpoint_json(
         output
@@ -179,7 +156,6 @@ pub fn decode_snapshot(json: &Json) -> Result<Snapshot, String> {
         .collect::<Result<Vec<_>, String>>()?;
     Ok(Snapshot {
         manifest,
-        phases,
         warnings,
         total_cycles: total("total_cycles")?,
         total_uops: total("total_uops")?,
@@ -195,13 +171,22 @@ fn decode_span(index: usize, json: &Json) -> Result<SpanRecord, String> {
         .ok_or_else(|| format!("spans[{index}] missing string field \"name\""))?;
     let parent = match json.get("parent") {
         Some(Json::Null) => None,
-        Some(parent) => Some(
-            parent
+        Some(parent) => {
+            let parent = parent
                 .as_u64()
-                .ok_or_else(|| format!("spans[{index}].parent must be null or unsigned"))?
-                as usize,
-        ),
+                .ok_or_else(|| format!("spans[{index}].parent must be null or unsigned"))?;
+            if parent >= index as u64 {
+                return Err(format!(
+                    "spans[{index}].parent {parent} must precede the span"
+                ));
+            }
+            Some(parent as usize)
+        }
         None => return Err(format!("spans[{index}] missing field \"parent\"")),
+    };
+    let phase = match json.get("phase") {
+        Some(Json::Bool(phase)) => *phase,
+        _ => return Err(format!("spans[{index}] missing bool field \"phase\"")),
     };
     let uint = |key: &str| -> Result<u64, String> {
         json.get(key)
@@ -220,29 +205,7 @@ fn decode_span(index: usize, json: &Json) -> Result<SpanRecord, String> {
         uops: uint("uops")?,
         wall_start_seconds: float("wall_start_seconds")?,
         wall_seconds: float("wall_seconds")?,
-    })
-}
-
-fn decode_phase(json: &Json) -> Result<Phase, String> {
-    let name = json
-        .get("name")
-        .and_then(Json::as_str)
-        .ok_or("phase missing string field \"name\"")?
-        .to_string();
-    let wall_seconds = json
-        .get("wall_seconds")
-        .and_then(Json::as_f64)
-        .ok_or("phase missing numeric field \"wall_seconds\"")?;
-    let uint = |key: &str| -> Result<u64, String> {
-        json.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("phase missing unsigned field {key:?}"))
-    };
-    Ok(Phase {
-        name,
-        wall_seconds,
-        cycles: uint("cycles")?,
-        uops: uint("uops")?,
+        phase,
     })
 }
 
@@ -346,15 +309,6 @@ mod tests {
     }
 
     #[test]
-    fn pre_tracing_snapshots_without_spans_still_decode() {
-        // A journal line sealed by an older build: no "spans" key at all.
-        let legacy = r#"{"manifest":[],"phases":[],"warnings":[],"total_cycles":5,"total_uops":2,"output":{"metrics":{"counters":[],"gauges":[],"histograms":[]},"series":[]}}"#;
-        let parsed = crate::json::parse(legacy).expect("parses");
-        let restored = decode_snapshot(&parsed).expect("legacy snapshot decodes");
-        assert!(restored.spans.is_empty(), "missing spans decode as empty");
-    }
-
-    #[test]
     fn nan_series_samples_survive_the_roundtrip() {
         let mut snapshot = sample_snapshot();
         let mut ring = RingSeries::new(2);
@@ -376,34 +330,58 @@ mod tests {
 
     #[test]
     fn decode_rejects_malformed_snapshots() {
-        for (broken, why) in [
-            ("{}", "missing everything"),
+        const OUTPUT: &str =
+            r#""output":{"metrics":{"counters":[],"gauges":[],"histograms":[]},"series":[]}"#;
+        let snapshot = |spans: &str| {
+            format!(
+                r#"{{"manifest":[],"warnings":[],"total_cycles":0,"total_uops":0,"spans":[{spans}],{OUTPUT}}}"#
+            )
+        };
+        let span = |parent: &str, phase: &str| {
+            format!(
+                r#"{{"name":"x","parent":{parent},"cycles":0,"uops":0,"wall_start_seconds":0,"wall_seconds":0{phase}}}"#
+            )
+        };
+        let root = span("null", r#","phase":false"#);
+        let parsed = crate::json::parse(&snapshot(&root)).expect("test input parses");
+        decode_snapshot(&parsed).expect("the well-formed base decodes");
+
+        for (broken, expected) in [
+            ("{}".to_string(), "manifest"),
             (
-                r#"{"manifest":[],"phases":[],"warnings":[],"total_cycles":1,"total_uops":1}"#,
-                "missing output",
+                r#"{"manifest":[],"warnings":[],"total_cycles":1,"total_uops":1,"spans":[]}"#
+                    .to_string(),
+                "output",
             ),
             (
-                r#"{"manifest":[["k"]],"phases":[],"warnings":[],"total_cycles":0,"total_uops":0,"output":{"metrics":{"counters":[],"gauges":[],"histograms":[]},"series":[]}}"#,
-                "manifest entry not a pair",
+                snapshot("").replace(r#""manifest":[]"#, r#""manifest":[["k"]]"#),
+                "manifest entry",
             ),
             (
-                r#"{"manifest":[],"phases":[{"name":"p"}],"warnings":[],"total_cycles":0,"total_uops":0,"output":{"metrics":{"counters":[],"gauges":[],"histograms":[]},"series":[]}}"#,
-                "phase missing fields",
+                snapshot("").replace(
+                    r#""series":[]"#,
+                    r#""series":[["s",{"capacity":2,"points":[]}]]"#,
+                ),
+                "pushed",
             ),
             (
-                r#"{"manifest":[],"phases":[],"warnings":[],"total_cycles":0,"total_uops":0,"output":{"metrics":{"counters":[],"gauges":[],"histograms":[]},"series":[["s",{"capacity":2,"points":[]}]]}}"#,
-                "series missing pushed",
+                format!(
+                    r#"{{"manifest":[],"warnings":[],"total_cycles":0,"total_uops":0,{OUTPUT}}}"#
+                ),
+                "spans",
             ),
+            (snapshot(r#"{"name":"x"}"#), "parent"),
+            (snapshot(&span("7", r#","phase":false"#)), "must precede"),
             (
-                r#"{"manifest":[],"phases":[],"warnings":[],"total_cycles":0,"total_uops":0,"spans":[{"name":"x"}],"output":{"metrics":{"counters":[],"gauges":[],"histograms":[]},"series":[]}}"#,
-                "span missing fields",
+                snapshot(&format!("{root},{}", span("1", r#","phase":false"#))),
+                "must precede",
             ),
+            (snapshot(&span("null", "")), "phase"),
+            (snapshot(&span("null", r#","phase":1"#)), "phase"),
         ] {
-            let parsed = crate::json::parse(broken).expect("test input parses");
-            assert!(
-                decode_snapshot(&parsed).is_err(),
-                "expected a decode error for: {why}"
-            );
+            let parsed = crate::json::parse(&broken).expect("test input parses");
+            let err = decode_snapshot(&parsed).expect_err(&broken);
+            assert!(err.contains(expected), "{broken}: {err}");
         }
     }
 }

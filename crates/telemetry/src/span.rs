@@ -34,8 +34,8 @@
 //!
 //! - [`chrome_trace`]: converts a finished collector's span tree into the
 //!   `chrome://tracing` JSON array format (complete `"ph": "X"` events,
-//!   microsecond timestamps, one lane per top-level subtree) for
-//!   interactive profiling;
+//!   microsecond timestamps, a fresh lane for every span at depth ≤ 2)
+//!   for interactive profiling;
 //! - the **live event stream** ([`set_stream`] / [`stream_event`]): a
 //!   process-wide JSONL sink the sweep engine and bench CLI write
 //!   heartbeat, cell lifecycle, retry, quarantine and journal-append
@@ -75,6 +75,9 @@ pub struct SpanRecord {
     pub wall_start_seconds: f64,
     /// Wall-clock duration of the span (non-golden).
     pub wall_seconds: f64,
+    /// Whether [`recorder::phase`] opened the span; the run report lists
+    /// these spans again under `phases`.
+    pub phase: bool,
 }
 
 /// RAII guard closing a span when dropped. Inert when the span was opened
@@ -107,7 +110,7 @@ impl Drop for SpanGuard {
 /// other work).
 pub fn enter(name: &'static str) -> SpanGuard {
     SpanGuard {
-        token: recorder::open_span(name),
+        token: recorder::open_span(name, false),
     }
 }
 
@@ -116,11 +119,17 @@ pub fn enter(name: &'static str) -> SpanGuard {
 /// configuration, as grid-cell and phase names are). Checks the recorder
 /// *before* interning so a disabled run never grows the intern table.
 pub fn enter_dynamic(name: &str) -> SpanGuard {
+    enter_named(name, false)
+}
+
+/// [`enter_dynamic`] with the span's `phase` mark; [`recorder::phase`]
+/// opens its span through this with `phase` set.
+pub(crate) fn enter_named(name: &str, phase: bool) -> SpanGuard {
     if !recorder::active() {
         return SpanGuard::inert();
     }
     SpanGuard {
-        token: recorder::open_span(intern(name)),
+        token: recorder::open_span(intern(name), phase),
     }
 }
 
@@ -440,6 +449,7 @@ mod tests {
             uops: 0,
             wall_start_seconds: 0.0,
             wall_seconds: 0.0,
+            phase: false,
         };
         recorder::install(Settings::default());
         let mut collector = recorder::finish().expect("installed");
