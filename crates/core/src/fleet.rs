@@ -580,13 +580,15 @@ fn monte_carlo_cell(
     let end = (start + INSTANCES_PER_CELL).min(config.fleet_size);
     let mut sketch = FleetSketch::empty();
     for index in start..end {
+        // One draw per instance, applied to all three varied quantities.
+        let draw = variation.draw(index);
         let nominal = Duty::saturating(adjusted_duty[suite_of(config.seed, index)]);
-        let duty = variation.vary_duty(nominal, index).cell_worst();
-        let guardband = variation
-            .vary_guardband(&base_guardband, index)
+        let duty = draw.duty(nominal).cell_worst();
+        let guardband = draw
+            .guardband(&base_guardband)
             .cell_guardband(duty)
             .fraction();
-        let vmin = variation.vary_vmin(&base_vmin, index).vmin_increase(duty);
+        let vmin = draw.vmin(&base_vmin).vmin_increase(duty);
         sketch.observe(index, guardband, duty.fraction(), vmin);
     }
     sketch
@@ -695,6 +697,7 @@ pub fn fleet(scale: Scale, config: FleetConfig) -> Result<FleetSummary, Error> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nbti_model::variation::MAX_SIGMA;
 
     fn stream(seed: u64, n: usize) -> Vec<f64> {
         (0..n)
@@ -833,6 +836,62 @@ mod tests {
             pressure: 0.0,
         }];
         assert_eq!(l2_adjusted_duties(&idle), vec![0.7]);
+    }
+
+    /// The Monte Carlo loop as it read when each varied quantity took its
+    /// own draw (three draws per instance).
+    fn three_draw_cell(
+        cell: usize,
+        config: &FleetConfig,
+        variation: &ProcessVariation,
+        adjusted_duty: &[f64],
+    ) -> FleetSketch {
+        let base_guardband = GuardbandModel::paper_calibrated();
+        let base_vmin = VminModel::paper_calibrated();
+        let start = cell as u64 * INSTANCES_PER_CELL;
+        let end = (start + INSTANCES_PER_CELL).min(config.fleet_size);
+        let mut sketch = FleetSketch::empty();
+        for index in start..end {
+            let nominal = Duty::saturating(adjusted_duty[suite_of(config.seed, index)]);
+            let duty = variation.vary_duty(nominal, index).cell_worst();
+            let guardband = variation
+                .vary_guardband(&base_guardband, index)
+                .cell_guardband(duty)
+                .fraction();
+            let vmin = variation.vary_vmin(&base_vmin, index).vmin_increase(duty);
+            sketch.observe(index, guardband, duty.fraction(), vmin);
+        }
+        sketch
+    }
+
+    #[test]
+    fn one_draw_cells_match_the_three_draw_loop() {
+        let adjusted: Vec<f64> = (0..Suite::ALL.len())
+            .map(|i| 0.55 + 0.4 * i as f64 / Suite::ALL.len() as f64)
+            .collect();
+        for (seed, sigma) in [
+            (0x00F1_EE70, 0.08),
+            (1, 0.0),
+            (42, 0.3),
+            (u64::MAX, MAX_SIGMA),
+        ] {
+            // 3.5 cells: the last one is partial.
+            let config = FleetConfig {
+                fleet_size: 3 * INSTANCES_PER_CELL + INSTANCES_PER_CELL / 2,
+                variation_sigma: sigma,
+                seed,
+            };
+            let variation = ProcessVariation::new(sigma, seed).expect("valid sigma");
+            for cell in 0..4 {
+                let once = monte_carlo_cell(cell, &config, &variation, &adjusted);
+                let thrice = three_draw_cell(cell, &config, &variation, &adjusted);
+                assert_eq!(
+                    once.to_payload().encode(),
+                    thrice.to_payload().encode(),
+                    "seed {seed:#x}, sigma {sigma}, cell {cell}"
+                );
+            }
+        }
     }
 
     #[test]

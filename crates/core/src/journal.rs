@@ -99,13 +99,17 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Wraps a record body into a hashed journal line.
-fn seal(body: Json) -> String {
-    let hash = format!("{:016x}", fnv1a64(body.encode().as_bytes()));
-    let mut record = Json::object();
-    record.set("body", body);
-    record.set("hash", Json::Str(hash));
-    record.encode()
+/// Wraps a record body into a hashed journal line. The body is encoded
+/// once, straight into the line, and hashed in place: the result is
+/// byte-for-byte the `{"body":…,"hash":…}` object's encoding.
+fn seal(body: &Json) -> String {
+    use std::fmt::Write as _;
+    const OPEN: &str = "{\"body\":";
+    let mut line = String::from(OPEN);
+    body.write(&mut line);
+    let hash = fnv1a64(&line.as_bytes()[OPEN.len()..]);
+    let _ = write!(line, ",\"hash\":\"{hash:016x}\"}}");
+    line
 }
 
 /// Parses and verifies one journal line, returning its body.
@@ -345,7 +349,7 @@ impl CheckpointContext {
     /// can't, rather than silently running undurable.
     pub fn create(path: impl Into<PathBuf>, header: &JournalHeader) -> Result<Self, Error> {
         let path = path.into();
-        let mut record = seal(header.to_json());
+        let mut record = seal(&header.to_json());
         record.push('\n');
         let tmp = path.with_extension("jsonl.tmp");
         fs::write(&tmp, &record)
@@ -471,7 +475,7 @@ impl CheckpointContext {
         body.set("cell", Json::UInt(cell as u64));
         body.set("payload", payload);
         body.set("snapshot", snapshot.map_or(Json::Null, encode_snapshot));
-        let line = seal(body);
+        let line = seal(&body);
         let bytes = line.len();
         self.writer
             .lock()
@@ -757,6 +761,42 @@ mod tests {
         snapshot.expect("recorder was installed")
     }
 
+    /// The sealing `seal` replaced: encode the body to hash it, then
+    /// encode it again inside a `{"body","hash"}` object.
+    fn two_encode_seal(body: Json) -> String {
+        let hash = format!("{:016x}", fnv1a64(body.encode().as_bytes()));
+        let mut record = Json::object();
+        record.set("body", body);
+        record.set("hash", Json::Str(hash));
+        record.encode()
+    }
+
+    #[test]
+    fn seal_matches_the_two_encode_record_byte_for_byte() {
+        let mut header_body = header().to_json();
+        header_body.set(
+            "binary",
+            Json::from("fleet \"q\" \\ tab\t nl\n bell\u{7} — ünïcode ✓ 🦀"),
+        );
+        let mut sketch = crate::fleet::FleetSketch::empty();
+        for index in 0..40u64 {
+            let x = index as f64 / 40.0;
+            sketch.observe(index, 0.2 * x, 0.5 + 0.5 * x, 0.1 * x);
+        }
+        let mut cell_body = Json::object();
+        cell_body.set("sweep", Json::from("fleet:mc"));
+        cell_body.set("cell", Json::UInt(3));
+        cell_body.set("payload", sketch.to_payload());
+        cell_body.set("snapshot", Json::Null);
+        for body in [header_body, cell_body] {
+            let line = seal(&body);
+            assert_eq!(line, two_encode_seal(body.clone()));
+            let unsealed = unseal(&line, 1).expect("a sealed line verifies");
+            assert_eq!(unsealed.encode(), body.encode());
+            assert_eq!(seal(&unsealed), line, "resealing is a fixed point");
+        }
+    }
+
     #[test]
     fn a_journal_round_trips_cells_exactly() {
         let path = tmp_path("roundtrip");
@@ -818,7 +858,7 @@ mod tests {
         for schema in [JOURNAL_SCHEMA - 1, JOURNAL_SCHEMA + 1] {
             let mut body = header().to_json();
             body.set("journal_schema", Json::UInt(schema));
-            fs::write(&path, seal(body) + "\n").expect("write");
+            fs::write(&path, seal(&body) + "\n").expect("write");
             match CheckpointContext::resume(&path, &header()) {
                 Err(Error::Journal { message }) => {
                     assert!(message.starts_with("resume refused:"), "{message}");
@@ -848,7 +888,7 @@ mod tests {
             .replacen(r#""parent":null"#, r#""parent":7"#, 1);
         assert_ne!(forged, body.encode(), "the sample snapshot has a root span");
         let forged = penelope_telemetry::json::parse(&forged).expect("forged body parses");
-        fs::write(&path, format!("{head}\n{}\n", seal(forged))).expect("write");
+        fs::write(&path, format!("{head}\n{}\n", seal(&forged))).expect("write");
         let err = CheckpointContext::resume(&path, &header()).expect_err("forward parent");
         let message = err.to_string();
         assert!(message.contains("resume refused:"), "{message}");

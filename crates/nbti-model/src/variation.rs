@@ -17,6 +17,12 @@
 //! median instance is exactly the nominal model. The gaussian `z`s come
 //! from a splitmix64 stream fed through Box–Muller — no external RNG, no
 //! global state, reproducible across platforms.
+//!
+//! A draw costs four gaussians, and it applies itself
+//! ([`InstanceDraw::duty`], [`InstanceDraw::guardband`],
+//! [`InstanceDraw::vmin`]), so a caller that needs all three varied
+//! quantities of one instance draws once. The `ProcessVariation::vary_*`
+//! shorthands draw per call.
 
 use crate::duty::Duty;
 use crate::guardband::{GuardbandModel, VminModel};
@@ -79,6 +85,33 @@ impl InstanceDraw {
             activity_shift: 0.0,
         }
     }
+
+    /// The workload duty this instance actually exhibits, given the
+    /// nominal duty its workload mix would produce on a nominal core:
+    /// shifted by the activity draw and saturated into `[0, 1]`.
+    pub fn duty(&self, nominal: Duty) -> Duty {
+        Duty::saturating(nominal.fraction() + self.activity_shift)
+    }
+
+    /// This instance's guardband model: nominal anchors scaled by the
+    /// draw. The floor is a process margin balancing cannot remove, so it
+    /// stays fixed; the cap is kept at or above the floor so the varied
+    /// model is always well-formed.
+    pub fn guardband(&self, base: &GuardbandModel) -> GuardbandModel {
+        let floor = base.best_case().fraction();
+        let slope = base.slope() * self.slope_scale;
+        let cap = (base.worst_case().fraction() * self.cap_scale).max(floor);
+        GuardbandModel::with_parameters(floor, slope, cap).unwrap_or(*base)
+    }
+
+    /// This instance's Vmin model: Vth-shift slope and cap scaled by the
+    /// draw, floor fixed.
+    pub fn vmin(&self, base: &VminModel) -> VminModel {
+        let floor = base.shift_floor();
+        let slope = base.shift_slope() * self.vth_scale;
+        let cap = (base.shift_cap() * self.vth_scale).max(floor);
+        VminModel::with_parameters(floor, slope, cap).unwrap_or(*base)
+    }
 }
 
 /// A seeded process-variation model: sigma controls the spread, the seed
@@ -136,34 +169,23 @@ impl ProcessVariation {
         }
     }
 
-    /// The guardband model of instance `index`: nominal anchors scaled by
-    /// its draw. The floor is a process margin balancing cannot remove, so
-    /// it stays fixed; the cap is kept at or above the floor so the varied
-    /// model is always well-formed.
+    /// The guardband model of instance `index`:
+    /// [`InstanceDraw::guardband`] of its draw.
     pub fn vary_guardband(&self, base: &GuardbandModel, index: u64) -> GuardbandModel {
-        let draw = self.draw(index);
-        let floor = base.best_case().fraction();
-        let slope = base.slope() * draw.slope_scale;
-        let cap = (base.worst_case().fraction() * draw.cap_scale).max(floor);
-        GuardbandModel::with_parameters(floor, slope, cap).unwrap_or(*base)
+        self.draw(index).guardband(base)
     }
 
-    /// The Vmin model of instance `index`: Vth-shift slope and cap scaled
-    /// by its draw, floor fixed.
+    /// The Vmin model of instance `index`: [`InstanceDraw::vmin`] of its
+    /// draw.
     pub fn vary_vmin(&self, base: &VminModel, index: u64) -> VminModel {
-        let draw = self.draw(index);
-        let floor = base.shift_floor();
-        let slope = base.shift_slope() * draw.vth_scale;
-        let cap = (base.shift_cap() * draw.vth_scale).max(floor);
-        VminModel::with_parameters(floor, slope, cap).unwrap_or(*base)
+        self.draw(index).vmin(base)
     }
 
-    /// The workload duty instance `index` actually exhibits, given the
-    /// nominal duty its workload mix would produce on a nominal core:
-    /// shifted by the activity draw and saturated into `[0, 1]`.
+    /// The workload duty instance `index` exhibits: [`InstanceDraw::duty`]
+    /// of its draw. A caller applying more than one model to the same
+    /// instance should take [`Self::draw`] once and apply that instead.
     pub fn vary_duty(&self, nominal: Duty, index: u64) -> Duty {
-        let draw = self.draw(index);
-        Duty::saturating(nominal.fraction() + draw.activity_shift)
+        self.draw(index).duty(nominal)
     }
 }
 
@@ -180,6 +202,64 @@ mod tests {
         assert_ne!(v.draw(0), v.draw(1), "distinct instances vary");
         let other_seed = ProcessVariation::new(0.1, 43).unwrap();
         assert_ne!(v.draw(0), other_seed.draw(0), "the seed matters");
+    }
+
+    /// The guardband arithmetic as `vary_guardband` held it inline,
+    /// before the appliers: `[floor, slope, cap]` bits.
+    fn inline_guardband_bits(draw: &InstanceDraw, base: &GuardbandModel) -> [u64; 3] {
+        let floor = base.best_case().fraction();
+        let slope = base.slope() * draw.slope_scale;
+        let cap = (base.worst_case().fraction() * draw.cap_scale).max(floor);
+        guardband_bits(&GuardbandModel::with_parameters(floor, slope, cap).unwrap_or(*base))
+    }
+
+    /// The Vmin arithmetic as `vary_vmin` held it inline.
+    fn inline_vmin_bits(draw: &InstanceDraw, base: &VminModel) -> [u64; 3] {
+        let floor = base.shift_floor();
+        let slope = base.shift_slope() * draw.vth_scale;
+        let cap = (base.shift_cap() * draw.vth_scale).max(floor);
+        vmin_bits(&VminModel::with_parameters(floor, slope, cap).unwrap_or(*base))
+    }
+
+    fn guardband_bits(g: &GuardbandModel) -> [u64; 3] {
+        [
+            g.best_case().fraction().to_bits(),
+            g.slope().to_bits(),
+            g.worst_case().fraction().to_bits(),
+        ]
+    }
+
+    fn vmin_bits(m: &VminModel) -> [u64; 3] {
+        [
+            m.shift_floor().to_bits(),
+            m.shift_slope().to_bits(),
+            m.shift_cap().to_bits(),
+        ]
+    }
+
+    #[test]
+    fn vary_methods_equal_one_draw_applied() {
+        let base = GuardbandModel::paper_calibrated();
+        let vmin = VminModel::paper_calibrated();
+        for sigma in [0.0, 0.08, MAX_SIGMA] {
+            let v = ProcessVariation::new(sigma, 0x5eed).unwrap();
+            for index in [0u64, 1, 7, 1 << 40, u64::MAX] {
+                let at = format!("sigma {sigma}, index {index}");
+                let draw = v.draw(index);
+                let g = guardband_bits(&draw.guardband(&base));
+                assert_eq!(guardband_bits(&v.vary_guardband(&base, index)), g, "{at}");
+                assert_eq!(inline_guardband_bits(&draw, &base), g, "{at}");
+                let m = vmin_bits(&draw.vmin(&vmin));
+                assert_eq!(vmin_bits(&v.vary_vmin(&vmin, index)), m, "{at}");
+                assert_eq!(inline_vmin_bits(&draw, &vmin), m, "{at}");
+                for nominal in [0.0, 0.5, 0.93, 1.0].map(Duty::saturating) {
+                    let d = draw.duty(nominal).fraction().to_bits();
+                    assert_eq!(v.vary_duty(nominal, index).fraction().to_bits(), d, "{at}");
+                    let inline = Duty::saturating(nominal.fraction() + draw.activity_shift);
+                    assert_eq!(inline.fraction().to_bits(), d, "{at}");
+                }
+            }
+        }
     }
 
     #[test]

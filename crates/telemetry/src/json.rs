@@ -122,14 +122,15 @@ impl Json {
 
     /// Serializes into `out`. Deterministic: same value, same bytes.
     pub fn write(&self, out: &mut String) {
+        use std::fmt::Write as _;
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Int(i) => {
-                out.push_str(itoa(*i).as_str());
+                let _ = write!(out, "{i}");
             }
             Json::UInt(u) => {
-                out.push_str(utoa(*u).as_str());
+                let _ = write!(out, "{u}");
             }
             Json::Float(f) => write_f64(*f, out),
             Json::Str(s) => write_escaped(s, out),
@@ -206,20 +207,6 @@ impl From<String> for Json {
     fn from(v: String) -> Json {
         Json::Str(v)
     }
-}
-
-fn itoa(v: i64) -> String {
-    let mut s = String::new();
-    use std::fmt::Write as _;
-    let _ = write!(s, "{v}");
-    s
-}
-
-fn utoa(v: u64) -> String {
-    let mut s = String::new();
-    use std::fmt::Write as _;
-    let _ = write!(s, "{v}");
-    s
 }
 
 /// Non-finite floats have no JSON representation: encode them as `null`
@@ -534,6 +521,19 @@ mod tests {
         assert_eq!(Json::Float(f64::INFINITY).encode(), "null");
         assert_eq!(Json::Float(f64::NEG_INFINITY).encode(), "null");
         assert_eq!(Json::Float(0.25).encode(), "0.25");
+    }
+
+    #[test]
+    fn integers_encode_exactly_as_display_formats_them() {
+        for v in [i64::MIN, i64::MAX, -1, 0] {
+            assert_eq!(Json::Int(v).encode(), format!("{v}"));
+        }
+        for v in [0, 1, u64::from(u32::MAX) + 1, u64::MAX] {
+            assert_eq!(Json::UInt(v).encode(), format!("{v}"));
+        }
+        // Written in place after existing output, not over it.
+        let array = Json::Array(vec![Json::Int(i64::MIN), Json::UInt(u64::MAX)]);
+        assert_eq!(array.encode(), format!("[{},{}]", i64::MIN, u64::MAX));
     }
 
     #[test]

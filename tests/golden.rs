@@ -11,6 +11,7 @@ use std::sync::{Mutex, MutexGuard};
 use penelope::error::Error;
 use penelope::experiments::{self, efficiency_summary, efficiency_summary_faulted, Scale};
 use penelope::fault::FaultPlan;
+use penelope::fleet::{self, FleetConfig};
 use penelope::par;
 use penelope_telemetry::recorder::{self, Settings};
 use penelope_telemetry::{build_report, Json};
@@ -117,6 +118,7 @@ const FIG6_REPORT_FNV1A: u64 = 0xe85f_91cf_3266_1cd1;
 const TABLE3_REPORT_FNV1A: u64 = 0x8d45_eff3_f2ab_9f57;
 const PRE_TRACING_FIG6_REPORT_FNV1A: u64 = 0x8e66_90d8_63a2_c3c1;
 const PRE_TRACING_TABLE3_REPORT_FNV1A: u64 = 0xd27c_cdd1_79e7_4a55;
+const FLEET_REPORT_FNV1A: u64 = 0x96be_d56e_a86d_88b3;
 
 /// FNV-1a 64-bit, the same hash everywhere so pins are easy to regenerate
 /// (print `canonical_report_hash(...)` and paste).
@@ -215,6 +217,25 @@ fn table3_report_matches_the_golden_hashes() {
             hash, TABLE3_REPORT_FNV1A,
             "table3 report drifted from the golden at jobs={jobs}: \
              got {hash:#018x}, pinned {TABLE3_REPORT_FNV1A:#018x}"
+        );
+    }
+}
+
+/// The quick fleet report pins the Monte Carlo phase's bytes: every
+/// instance's variation draw, suite assignment and sketch observation
+/// feeds its distribution blocks, so any change to the per-instance
+/// arithmetic or the cell merge order flips this hash.
+#[test]
+fn fleet_report_matches_the_golden_hash() {
+    let _guard = jobs_lock();
+    for jobs in [1, 4] {
+        let (hash, _) = canonical_report_hashes(jobs, || {
+            fleet::fleet(Scale::quick(), FleetConfig::for_scale(Scale::quick()))
+        });
+        assert_eq!(
+            hash, FLEET_REPORT_FNV1A,
+            "fleet report drifted from the golden at jobs={jobs}: \
+             got {hash:#018x}, pinned {FLEET_REPORT_FNV1A:#018x}"
         );
     }
 }
