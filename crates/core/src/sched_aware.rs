@@ -301,24 +301,18 @@ impl std::fmt::Display for PolicyDecodeError {
 
 impl std::error::Error for PolicyDecodeError {}
 
-/// One K-counter bit of a field: `ALL1-K%` writes 1 on the counter's
-/// majority ticks, `ALL0-K%` writes 0.
+/// A field with ISV bits: written only while its timestamp gate is open,
+/// so its K-counter bits advance on their own schedule (one tick per
+/// write that passes the gate) and cannot fold into the shared templates.
+/// The template supplies the field's constant bits; these are ORed on top.
 #[derive(Debug, Clone)]
-struct KBit {
-    bit: u8,
-    majority_one: bool,
-    counter: KCounter,
-}
-
-/// The per-release work of a field that is not constant: its `ALL1` bits,
-/// its ISV bits (copied from the field's RINV image) and its K-counter bits
-/// in ascending bit order.
-#[derive(Debug, Clone)]
-struct DynamicField {
+struct GatedField {
     field: Field,
-    constant: u128,
     isv: u128,
-    k_bits: Vec<KBit>,
+    /// The field's K-counter bits written at each phase of its counters
+    /// (all zero when it has none).
+    k_phases: [u128; KCounter::PERIOD],
+    phase: usize,
 }
 
 /// Which ISV timestamp gate a field with ISV bits honors: the immediate
@@ -327,18 +321,42 @@ fn gate_of(field: Field) -> usize {
     usize::from(field == Field::Immediate)
 }
 
+/// The K-counter bits of one field at each phase: bit `b` is set at phase
+/// `p` when bit `b`'s counter writes a 1 on its `p`-th tick (`ALL1-K%`
+/// writes 1 on majority ticks, `ALL0-K%` on the others).
+fn k_phases(techniques: &[Technique]) -> [u128; KCounter::PERIOD] {
+    let mut phases = [0u128; KCounter::PERIOD];
+    for (bit, t) in techniques.iter().enumerate() {
+        let (k, majority_one) = match *t {
+            Technique::All1K(k) => (k, true),
+            Technique::All0K(k) => (k, false),
+            _ => continue,
+        };
+        let pattern = KCounter::new(k).pattern();
+        for (phase, bits) in phases.iter_mut().enumerate() {
+            if ((pattern >> phase) & 1 == 1) == majority_one {
+                *bits |= 1 << bit;
+            }
+        }
+    }
+    phases
+}
+
 /// The balancing mechanism: slot-release rewrites driven by a policy.
 #[derive(Debug, Clone)]
 pub struct SchedulerBalancer {
     policy: SchedulerPolicy,
-    /// Write sets of the constant protected bits, folded from the policy
-    /// once: every protected field is driven whole (its `ALL0`/`None`
-    /// bits as 0) with its `ALL1` bits set. A field with ISV bits is
-    /// written only while its gate is open, so the template is indexed by
-    /// the open gates (bit `g` for gate `g`).
-    templates: [EntryValues; 4],
-    /// Fields with ISV or K-counter bits, rewritten on top of the template.
-    dynamic: Vec<DynamicField>,
+    /// Write sets of every protected bit but the ISV ones, folded from the
+    /// policy once and indexed by (open gates, K phase). Each protected
+    /// field is driven whole (its `ALL0`/`None` bits as 0) with its `ALL1`
+    /// bits set. A field with ISV bits is written only while its gate is
+    /// open, so it appears only in the templates where it is (bit `g` of
+    /// the first index for gate `g`). Every other field's K-counters tick
+    /// once per successful release, so their bits depend only on the
+    /// success count modulo [`KCounter::PERIOD`] — the second index.
+    templates: Box<[[EntryValues; KCounter::PERIOD]; 4]>,
+    /// Fields with ISV bits, merged on top of the template.
+    gated: Vec<GatedField>,
     /// RINV images for the ISV fields.
     rinv_src1: Rinv,
     rinv_src2: Rinv,
@@ -357,51 +375,52 @@ impl SchedulerBalancer {
     /// Creates the mechanism with the given policy; ISV fields sample every
     /// `sample_period` cycles.
     pub fn new(policy: SchedulerPolicy, sample_period: u64) -> Self {
-        let mut templates = [EntryValues::default(); 4];
-        let mut dynamic = Vec::new();
+        let mut templates = Box::new([[EntryValues::default(); KCounter::PERIOD]; 4]);
+        let mut gated = Vec::new();
         for field in Field::ALL {
+            let techniques = &policy.bits[field.index()];
             let mut constant = 0u128;
             let mut isv = 0u128;
-            let mut k_bits = Vec::new();
-            let mut protected = false;
-            for (bit, t) in policy.bits[field.index()].iter().enumerate() {
-                match *t {
-                    Technique::None => continue,
+            for (bit, t) in techniques.iter().enumerate() {
+                match t {
                     Technique::All1 => constant |= 1 << bit,
-                    Technique::All0 => {}
                     Technique::Isv => isv |= 1 << bit,
-                    Technique::All1K(k) | Technique::All0K(k) => k_bits.push(KBit {
-                        bit: bit as u8,
-                        majority_one: matches!(t, Technique::All1K(_)),
-                        counter: KCounter::new(k),
-                    }),
+                    _ => {}
                 }
-                protected = true;
             }
-            if !protected {
+            if techniques.iter().all(|t| matches!(t, Technique::None)) {
                 continue;
             }
-            // Ungated fields go into every template, gated ones into the
-            // templates where their gate is open.
-            let open = if isv != 0 { 1 << gate_of(field) } else { 0 };
-            for (index, template) in templates.iter_mut().enumerate() {
-                if index & open == open {
-                    template.set(field, constant);
+            let k_phases = k_phases(techniques);
+            // Ungated fields go into every template with their K bits at
+            // the template's phase; gated ones into the templates where
+            // their gate is open, with their K bits left to `gated`.
+            let (open, folded) = if isv != 0 {
+                (1 << gate_of(field), [0; KCounter::PERIOD])
+            } else {
+                (0, k_phases)
+            };
+            for (index, by_phase) in templates.iter_mut().enumerate() {
+                if index & open != open {
+                    continue;
+                }
+                for (template, k_bits) in by_phase.iter_mut().zip(folded) {
+                    template.set(field, constant | k_bits);
                 }
             }
-            if isv != 0 || !k_bits.is_empty() {
-                dynamic.push(DynamicField {
+            if isv != 0 {
+                gated.push(GatedField {
                     field,
-                    constant,
                     isv,
-                    k_bits,
+                    k_phases,
+                    phase: 0,
                 });
             }
         }
         SchedulerBalancer {
             policy,
             templates,
-            dynamic,
+            gated,
             rinv_src1: Rinv::new(32, sample_period),
             rinv_src2: Rinv::new(32, sample_period),
             rinv_imm: Rinv::new(16, sample_period),
@@ -452,6 +471,8 @@ impl SchedulerBalancer {
         if sched.is_busy(slot) || !sched.consume_port(now) {
             return;
         }
+        // Ungated K-counters have ticked once per earlier success.
+        let phase = (self.successes % KCounter::PERIOD as u64) as usize;
         self.successes += 1;
         // ISV-protected fields honor their timestamp gate: writing inverted
         // samples into every released slot forever would swing the bias
@@ -464,29 +485,24 @@ impl SchedulerBalancer {
                 open |= 1 << g;
             }
         }
-        let mut write = self.templates[open];
-        for dynamic in &mut self.dynamic {
-            let field = dynamic.field;
-            if dynamic.isv != 0 && open & (1 << gate_of(field)) == 0 {
+        let mut write = self.templates[open][phase];
+        for gated in &mut self.gated {
+            let field = gated.field;
+            if open & (1 << gate_of(field)) == 0 {
                 continue;
             }
-            let mut value = dynamic.constant;
-            if dynamic.isv != 0 {
-                let rinv = match field {
-                    Field::Src2Data => &self.rinv_src2,
-                    Field::Immediate => &self.rinv_imm,
-                    // ISV on a non-data field samples the same image as
-                    // src1 (profiled policies may assign it).
-                    _ => &self.rinv_src1,
-                };
-                value |= rinv.value() & dynamic.isv;
-            }
-            for k in &mut dynamic.k_bits {
-                if k.counter.tick() == k.majority_one {
-                    value |= 1 << k.bit;
-                }
-            }
-            write.set(field, value);
+            let rinv = match field {
+                Field::Src2Data => &self.rinv_src2,
+                Field::Immediate => &self.rinv_imm,
+                // ISV on a non-data field samples the same image as src1
+                // (profiled policies may assign it).
+                _ => &self.rinv_src1,
+            };
+            write.or_bits(
+                field,
+                (rinv.value() & gated.isv) | gated.k_phases[gated.phase],
+            );
+            gated.phase = (gated.phase + 1) % KCounter::PERIOD;
         }
         sched.write_driven(slot, &write, now);
         if slot == SAMPLED_SLOT {

@@ -174,6 +174,10 @@ pub struct KCounter {
 }
 
 impl KCounter {
+    /// Ticks per phase cycle: the counter's output repeats with this
+    /// period.
+    pub const PERIOD: usize = 32;
+
     /// Creates a counter approximating fraction `k` (clamped to `[0, 1]`).
     pub fn new(k: f64) -> Self {
         let numerator = (k.clamp(0.0, 1.0) * 32.0).round() as u8;
@@ -197,6 +201,13 @@ impl KCounter {
         let use_majority = (p + 1) * n / 32 > p * n / 32;
         self.phase = (self.phase + 1) % 32;
         use_majority
+    }
+
+    /// The next [`KCounter::PERIOD`] ticks as a bit pattern, without
+    /// advancing: bit `i` says whether the `i`-th tick from now uses the
+    /// majority value.
+    pub fn pattern(mut self) -> u32 {
+        (0..Self::PERIOD).fold(0, |bits, i| bits | (u32::from(self.tick()) << i))
     }
 }
 
@@ -260,6 +271,19 @@ mod tests {
             Ok(Technique::All1K(k)) => assert!((k - 1.0).abs() < 1e-6, "K = {k}"),
             Ok(Technique::All1) => {} // boundary: 0.75·0.667 ≈ 0.5
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn kcounter_pattern_previews_the_next_period() {
+        for k in [0.0, 0.3, 0.5, 0.95, 1.0] {
+            let mut c = KCounter::new(k);
+            c.tick();
+            let pattern = c.pattern();
+            for i in 0..KCounter::PERIOD {
+                assert_eq!(c.tick(), (pattern >> i) & 1 == 1, "k={k}, tick {i}");
+            }
+            assert_eq!(c.pattern(), pattern, "k={k}: the pattern repeats");
         }
     }
 

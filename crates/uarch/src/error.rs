@@ -16,6 +16,14 @@ pub enum PipelineError {
     ZeroAllocWidth,
     /// The scheduler has no entries.
     NoSchedulerEntries,
+    /// The scheduler has more entries than the event core's one-word slot
+    /// sets can hold.
+    TooManySchedulerEntries {
+        /// Configured entries.
+        entries: usize,
+        /// The supported maximum.
+        max: usize,
+    },
     /// The scheduler has no allocation ports.
     NoSchedulerPorts,
     /// A register file cannot hold the pre-mapped architectural registers
@@ -51,6 +59,12 @@ impl std::fmt::Display for PipelineError {
                 write!(f, "alloc_width is zero: the pipeline cannot make progress")
             }
             PipelineError::NoSchedulerEntries => write!(f, "scheduler has no entries"),
+            PipelineError::TooManySchedulerEntries { entries, max } => {
+                write!(
+                    f,
+                    "scheduler has {entries} entries; at most {max} are supported"
+                )
+            }
             PipelineError::NoSchedulerPorts => write!(f, "scheduler has no allocation ports"),
             PipelineError::RegFileTooSmall {
                 class,

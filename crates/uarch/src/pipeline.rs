@@ -19,8 +19,7 @@
 //! the structures — exactly the points where Penelope's balancing writes
 //! happen.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::btb::Btb;
 use crate::cache::{AccessOutcome, CacheConfig, SetAssocCache};
@@ -305,11 +304,8 @@ struct InFlight {
     ready1: bool,
     ready2: bool,
     port: u8,
-    issued: bool,
-    finish_at: u64,
     mem_addr: Option<u64>,
     mob: Option<u8>,
-    seq: u64,
 }
 
 /// Aggregate results of a pipeline run.
@@ -387,27 +383,31 @@ pub struct Pipeline {
     int_ready: Vec<bool>,
     fp_ready: Vec<bool>,
     in_flight: Vec<Option<InFlight>>,
-    /// Occupied `in_flight` slots (allocations minus retires): the drain
-    /// check without the window scan.
-    in_flight_count: usize,
+    /// Slot sets are one word each, bit `s` for slot `s` (validation caps
+    /// the scheduler at [`MAX_SCHED_ENTRIES`]). `free`: slots with no uop
+    /// in flight — allocation takes the first set bit at or after
+    /// `slot_rr`.
+    free: u64,
+    /// Ready-but-unissued uops per port. A slot's bit is set exactly once
+    /// (at allocation if both sources are ready, or at the wakeup that
+    /// completes its readiness) and cleared when it issues; issue takes
+    /// the lowest `seq` among the port's bits.
+    ready: [u64; 5],
+    /// Issued uops awaiting completion at `finish_at[slot]` (immutable
+    /// after issue). Retire walks the due bits in ascending slot order.
+    issued: u64,
+    /// Allocation order of each slot's uop (the age issue selects by).
+    seq_of: Vec<u64>,
+    /// Completion cycle of each issued slot's uop.
+    finish_at: Vec<u64>,
+    /// Minimum `finish_at` over `issued` (`u64::MAX` when none): the next
+    /// retire event, read by the retire stage and by skip-ahead.
+    next_retire: u64,
     /// Delayed physical-register releases, sorted by due time: every push
     /// uses `now + release_delay` with a fixed delay and a monotonic clock,
     /// so the queue is ordered by construction and the front is the next
     /// release event.
     pending_release: VecDeque<(u64, RegClass, PhysReg)>,
-    /// Issued in-flight uops keyed by completion time: the retire stage
-    /// pops the due set instead of rescanning the window, and the front is
-    /// the next retire event for skip-ahead. Entries are unique (a uop
-    /// issues once) and `finish_at` never changes after issue.
-    retire_q: BinaryHeap<Reverse<(u64, SlotId)>>,
-    /// Scratch for the due set, sorted to slot order (the order the window
-    /// scan would retire in). Reused to stay allocation-free.
-    retire_buf: Vec<SlotId>,
-    /// Ready-but-unissued uops per port, keyed by age (`seq`): the issue
-    /// stage pops the oldest instead of rescanning the window. A uop is
-    /// pushed exactly once — at allocation if both sources are ready, or at
-    /// the wakeup that completes its readiness — and popped when issued.
-    ready_q: [BinaryHeap<Reverse<(u64, SlotId)>>; 5],
     /// Per-physical-register wakeup lists (integer / FP): slots whose
     /// sources were not ready at allocation, visited once when the producer
     /// writes back. Replaces the O(window) wake scan.
@@ -425,6 +425,21 @@ pub struct Pipeline {
 /// The three integer-ALU ports (each with an adder, Core-like); ports 2/3
 /// carry the AGU adders; port 4 doubles as the branch port.
 const ALU_PORTS: [u8; 3] = [0, 1, 4];
+
+/// Largest scheduler the event core models: its slot sets are one `u64`.
+/// The paper's scheduler, and every configuration shipped, has 32.
+pub const MAX_SCHED_ENTRIES: usize = 64;
+
+/// The slots in a slot set, lowest first.
+fn slots(mut set: u64) -> impl Iterator<Item = SlotId> {
+    std::iter::from_fn(move || {
+        (set != 0).then(|| {
+            let slot = set.trailing_zeros() as usize;
+            set &= set - 1;
+            slot
+        })
+    })
+}
 
 impl Pipeline {
     /// Builds a pipeline; the architectural registers are pre-mapped and
@@ -451,6 +466,12 @@ impl Pipeline {
         }
         if config.sched_entries == 0 {
             return Err(PipelineError::NoSchedulerEntries);
+        }
+        if config.sched_entries > MAX_SCHED_ENTRIES {
+            return Err(PipelineError::TooManySchedulerEntries {
+                entries: config.sched_entries,
+                max: MAX_SCHED_ENTRIES,
+            });
         }
         if config.sched_ports == 0 {
             return Err(PipelineError::NoSchedulerPorts);
@@ -519,11 +540,13 @@ impl Pipeline {
             int_ready,
             fp_ready,
             in_flight: vec![None; config.sched_entries],
-            in_flight_count: 0,
+            free: u64::MAX >> (64 - config.sched_entries),
+            ready: [0; 5],
+            issued: 0,
+            seq_of: vec![0; config.sched_entries],
+            finish_at: vec![u64::MAX; config.sched_entries],
+            next_retire: u64::MAX,
             pending_release: VecDeque::new(),
-            retire_q: BinaryHeap::new(),
-            retire_buf: Vec::new(),
-            ready_q: std::array::from_fn(|_| BinaryHeap::new()),
             waiters_int: vec![Vec::new(); usize::from(config.int_rf.entries)],
             waiters_fp: vec![Vec::new(); usize::from(config.fp_rf.entries)],
             stall_until: 0,
@@ -656,7 +679,8 @@ impl Pipeline {
                 }
             }
             hooks.cycle_end(&mut self.parts, now);
-            let drained = self.in_flight_count == 0 && self.pending_release.is_empty();
+            let drained = self.free.count_ones() as usize == self.in_flight.len()
+                && self.pending_release.is_empty();
             if pending.is_none() && drained {
                 // Probe the iterator for more work.
                 match trace.next() {
@@ -673,11 +697,11 @@ impl Pipeline {
             // (immediately, unless the front end is bubbled or structurally
             // blocked). Anything strictly between is an idle span in which
             // no event fires and no state changes except hook maintenance.
-            let mut next = self.retire_q.peek().map_or(u64::MAX, |&Reverse((t, _))| t);
+            let mut next = self.next_retire;
             if let Some(&(t, _, _)) = self.pending_release.front() {
                 next = next.min(t);
             }
-            if self.ready_q.iter().any(|q| !q.is_empty()) {
+            if self.ready.iter().any(|&m| m != 0) {
                 next = next.min(now + 1);
             }
             if !blocked && (pending.is_some() || !trace_done) {
@@ -711,26 +735,24 @@ impl Pipeline {
     }
 
     fn retire<H: Hooks>(&mut self, now: u64, hooks: &mut H) {
-        // Pop the due set off the completion heap and replay it in slot
-        // order — exactly the set, and the order, the full window scan
-        // retired in. Heap entries are unique and `finish_at` is immutable
-        // after issue, so nothing here can be stale.
-        if self
-            .retire_q
-            .peek()
-            .is_some_and(|&Reverse((t, _))| t <= now)
-        {
-            self.retire_buf.clear();
-            while let Some(&Reverse((t, slot))) = self.retire_q.peek() {
-                if t > now {
-                    break;
+        // Retire the due set in ascending slot order (the order the full
+        // window scan retired in), and refold the next retire time over
+        // the issued uops that stay. Retiring only frees slots and wakes
+        // waiters; nothing issues here, so the set is fixed up front.
+        if self.next_retire <= now {
+            let mut due = 0u64;
+            let mut next = u64::MAX;
+            for slot in slots(self.issued) {
+                let t = self.finish_at[slot];
+                if t <= now {
+                    due |= 1 << slot;
+                } else {
+                    next = next.min(t);
                 }
-                self.retire_q.pop();
-                self.retire_buf.push(slot);
             }
-            self.retire_buf.sort_unstable();
-            for i in 0..self.retire_buf.len() {
-                let slot = self.retire_buf[i];
+            self.issued &= !due;
+            self.next_retire = next;
+            for slot in slots(due) {
                 let Some(fl) = self.in_flight[slot] else {
                     continue;
                 };
@@ -758,9 +780,8 @@ impl Pipeline {
                     // Wake dependents: exactly the slots that registered on
                     // this physical register at allocation. Visit order may
                     // differ from the old window scan, but every update is a
-                    // commutative flag/residency write and the ready queues
-                    // key on unique (seq, slot), so observable behavior is
-                    // unchanged.
+                    // commutative flag/residency write and readiness is a
+                    // set bit, so observable behavior is unchanged.
                     let waiters = if fl.fp {
                         &mut self.waiters_fp
                     } else {
@@ -784,8 +805,8 @@ impl Pipeline {
                                 .sched
                                 .write_field(other_slot, Field::Ready2, 1, now);
                         }
-                        if !was_ready && o.ready1 && o.ready2 && !o.issued {
-                            self.ready_q[usize::from(o.port)].push(Reverse((o.seq, other_slot)));
+                        if !was_ready && o.ready1 && o.ready2 {
+                            self.ready[usize::from(o.port)] |= 1 << other_slot;
                         }
                     }
                     list.clear();
@@ -802,7 +823,7 @@ impl Pipeline {
                 self.parts.sched.release(slot, now);
                 hooks.scheduler_released(&mut self.parts.sched, slot, now);
                 self.in_flight[slot] = None;
-                self.in_flight_count -= 1;
+                self.free |= 1 << slot;
                 self.uops_retired += 1;
             }
         }
@@ -827,13 +848,15 @@ impl Pipeline {
 
     fn issue<H: Hooks>(&mut self, now: u64, hooks: &mut H) {
         for port in 0u8..5 {
-            // Oldest ready, unissued uop bound to this port: the front of
-            // the port's ready queue (entries are pushed exactly when a uop
-            // becomes ready and popped here, so the queue never holds a
-            // stale slot).
-            let Some(Reverse((_, slot))) = self.ready_q[usize::from(port)].pop() else {
+            // Oldest ready, unissued uop bound to this port: the lowest
+            // allocation `seq` among the port's ready bits (a bit is set
+            // exactly when a uop becomes ready and cleared here, so the
+            // set never holds a stale slot).
+            let ready = self.ready[usize::from(port)];
+            let Some(slot) = slots(ready).min_by_key(|&s| self.seq_of[s]) else {
                 continue;
             };
+            self.ready[usize::from(port)] &= !(1 << slot);
 
             let mut extra = 0;
             if let Some(addr) = self.in_flight[slot].as_ref().and_then(|f| f.mem_addr) {
@@ -855,14 +878,14 @@ impl Pipeline {
                 }
                 hooks.dl0_accessed(&mut self.parts.dl0, &d_out, now);
             }
-            let Some(fl) = self.in_flight[slot].as_mut() else {
+            let Some(fl) = self.in_flight[slot].as_ref() else {
                 continue;
             };
-            fl.issued = true;
-            fl.finish_at = now + u64::from(fl.class.latency()) + extra;
-            let finish_at = fl.finish_at;
             let class = fl.class;
-            self.retire_q.push(Reverse((finish_at, slot)));
+            let finish_at = now + u64::from(class.latency()) + extra;
+            self.finish_at[slot] = finish_at;
+            self.issued |= 1 << slot;
+            self.next_retire = self.next_retire.min(finish_at);
             self.parts.sched.issue(slot, now);
             self.port_issues[usize::from(port)] += 1;
             if class == UopClass::IntAlu || class.is_memory() {
@@ -901,11 +924,9 @@ impl Pipeline {
         // Preconditions: scheduler slot, destination register, MOB id.
         // Slots are claimed round-robin so freed slots are not immediately
         // reused (their contents keep aging realistically).
-        let n = self.in_flight.len();
-        let free_slot = (0..n)
-            .map(|i| (self.slot_rr + i) % n)
-            .find(|&s| self.in_flight[s].is_none() && !self.parts.sched.is_busy(s));
-        let Some(slot) = free_slot else { return false };
+        let Some(slot) = self.free_slot() else {
+            return false;
+        };
         let fp = uop.class.is_fp();
 
         let dst = match uop.dst {
@@ -1012,12 +1033,13 @@ impl Pipeline {
         self.parts.sched.allocate_at(slot, &values, usage, now);
         hooks.scheduler_allocated(&mut self.parts.sched, slot, &values, now);
 
-        self.slot_rr = (slot + 1) % n;
+        self.slot_rr = (slot + 1) % self.in_flight.len();
         self.seq += 1;
+        self.seq_of[slot] = self.seq;
         if ready1 && ready2 {
-            self.ready_q[usize::from(port)].push(Reverse((self.seq, slot)));
+            self.ready[usize::from(port)] |= 1 << slot;
         }
-        self.in_flight_count += 1;
+        self.free &= !(1 << slot);
         self.in_flight[slot] = Some(InFlight {
             class: uop.class,
             fp,
@@ -1028,13 +1050,19 @@ impl Pipeline {
             ready1,
             ready2,
             port,
-            issued: false,
-            finish_at: u64::MAX,
             mem_addr: uop.mem_addr,
             mob,
-            seq: self.seq,
         });
         true
+    }
+
+    /// The first free slot at or after `slot_rr`, wrapping around, that
+    /// the scheduler also holds free.
+    fn free_slot(&self) -> Option<SlotId> {
+        let from_rr = u64::MAX << self.slot_rr;
+        slots(self.free & from_rr)
+            .chain(slots(self.free & !from_rr))
+            .find(|&slot| !self.parts.sched.is_busy(slot))
     }
 }
 

@@ -282,6 +282,24 @@ impl EntryValues {
         }
     }
 
+    /// ORs `value` (masked to the field's width) into one field and marks
+    /// it driven: bits already set stay set. Merging a field's dynamic bits
+    /// over a precomputed write set that drives it is one call.
+    pub fn or_bits(&mut self, field: Field, value: u128) {
+        let i = field.index();
+        match single_slot(i) {
+            Some(k) => {
+                self.single_val |= u8::from(value & 1 == 1) << k;
+                self.single_driven |= 1 << k;
+            }
+            None => {
+                let g = GROUP_OF[i] as usize;
+                self.group_val[g] |= place(field, value);
+                self.group_driven[g] |= field_bits(field);
+            }
+        }
+    }
+
     /// Overwrites one field (masked to its width) and marks it driven.
     pub fn set(&mut self, field: Field, value: u128) {
         let i = field.index();
@@ -592,7 +610,20 @@ impl Scheduler {
     /// Writes one field of a slot (ready-bit updates while busy; balancing
     /// writes while free). Does not consume a port — pair with
     /// [`Scheduler::consume_port`] for opportunistic writes.
+    ///
+    /// The individually tracked 1-bit fields (`Valid`, `Ready1`, `Ready2`)
+    /// write their word directly — the same charge a one-field
+    /// [`Scheduler::write_driven`] makes, without the merge.
     pub fn write_field(&mut self, slot: SlotId, field: Field, value: u128, now: u64) {
+        let i = field.index();
+        if let Some(k) = single_slot(i) {
+            let single = &mut self.slots[slot].singles[k];
+            let want = value & 1;
+            if single.value() != want {
+                single.write(want, now, &mut self.residency[i]);
+            }
+            return;
+        }
         let mut write = EntryValues::default();
         write.set(field, value);
         self.write_driven(slot, &write, now);
@@ -998,6 +1029,45 @@ mod tests {
         assert_eq!(
             a.field_residency(Field::Flags),
             b.field_residency(Field::Flags)
+        );
+    }
+
+    #[test]
+    fn single_bit_write_field_charges_as_a_one_field_write_set() {
+        // The direct word write of Valid/Ready1/Ready2 must leave the
+        // values and residency integers a one-field `write_driven` does,
+        // including repeated values and values wider than the field.
+        let mut direct = Scheduler::new(2, 1);
+        let mut merged = Scheduler::new(2, 1);
+        let writes = [
+            (3, Field::Ready1, 1),
+            (5, Field::Ready2, 1),
+            (5, Field::Ready1, 1),
+            (9, Field::Valid, 3),
+            (12, Field::Ready1, 2),
+            (12, Field::Ready2, 0),
+            (20, Field::Valid, 0),
+            (27, Field::Ready2, 1),
+        ];
+        for (now, field, value) in writes {
+            direct.write_field(1, field, value, now);
+            let mut set = EntryValues::default();
+            set.set(field, value);
+            merged.write_driven(1, &set, now);
+        }
+        direct.sync(40);
+        merged.sync(40);
+        for field in Field::ALL {
+            assert_eq!(direct.field_value(1, field), merged.field_value(1, field));
+            assert_eq!(
+                direct.field_residency(field),
+                merged.field_residency(field),
+                "{field}"
+            );
+        }
+        assert_eq!(
+            direct.field_residency(Field::Ready1).zero_cycles(0),
+            40 + 3 + 28
         );
     }
 

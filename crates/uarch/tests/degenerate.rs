@@ -4,11 +4,13 @@
 //!
 //! These pin the `total_time == 0` / `span == 0` guards in
 //! `uarch::bitstats` — a fleet profiling pass over a trivial workload must
-//! never leak NaN into the aging model.
+//! never leak NaN into the aging model — and the scheduler-size bound of
+//! the event core's one-word slot sets.
 
 use tracegen::suite::Suite;
 use tracegen::trace::TraceSpec;
-use uarch::pipeline::{NoHooks, Pipeline, PipelineConfig, RunResult};
+use uarch::error::PipelineError;
+use uarch::pipeline::{NoHooks, Pipeline, PipelineConfig, RunResult, MAX_SCHED_ENTRIES};
 
 fn pipeline() -> Pipeline {
     Pipeline::try_new(PipelineConfig::default()).expect("default configuration is valid")
@@ -96,4 +98,32 @@ fn a_single_uop_trace_runs_cleanly_through_both_loops() {
     // The event-driven loop is observably identical to the reference even
     // on a one-uop trace (all drain, no steady state).
     assert_eq!(fast, slow);
+}
+
+#[test]
+fn a_64_entry_scheduler_runs_and_a_65_entry_one_is_refused() {
+    assert_eq!(MAX_SCHED_ENTRIES, 64);
+    let full = PipelineConfig {
+        sched_entries: 64,
+        ..PipelineConfig::default()
+    };
+    let mut pipe = Pipeline::try_new(full).expect("64 entries fit the slot sets");
+    let result = pipe.run(
+        TraceSpec::new(Suite::Server, 0).generate(2_000),
+        &mut NoHooks,
+    );
+    assert_eq!(result.uops, 2_000);
+    assert_finite_duties(&mut pipe, &result);
+
+    let over = PipelineConfig {
+        sched_entries: 65,
+        ..PipelineConfig::default()
+    };
+    let refused = PipelineError::TooManySchedulerEntries {
+        entries: 65,
+        max: 64,
+    };
+    assert_eq!(Pipeline::validate(&over), Err(refused.clone()));
+    assert_eq!(Pipeline::try_new(over).err(), Some(refused.clone()));
+    assert!(refused.to_string().contains("65"), "{refused}");
 }

@@ -1,7 +1,8 @@
 //! `EntryValues` stores a slot write set as two packed group words, their
 //! driven masks and the three 1-bit fields. These tests pin its public
 //! view field by field: `set` round-trips through `get`/`is_driven` for
-//! every field without disturbing the others, and `from_uop` agrees with a
+//! every field without disturbing the others (as does `or_bits`, which
+//! unions into the field instead), and `from_uop` agrees with a
 //! per-field reference of Table 2's capture rules.
 
 use proptest::prelude::*;
@@ -100,6 +101,25 @@ proptest! {
         let mut entry = base;
         entry.set(field, value);
         prop_assert_eq!(entry.get(field), value & mask(field));
+        prop_assert!(entry.is_driven(field));
+        for other in Field::ALL.into_iter().filter(|&f| f != field) {
+            prop_assert_eq!(entry.get(other), base.get(other), "{} disturbed", other);
+            prop_assert_eq!(entry.is_driven(other), base.is_driven(other), "{} drive disturbed", other);
+        }
+    }
+
+    #[test]
+    fn or_bits_unions_one_field_and_leaves_the_rest(
+        start in any_uop(),
+        field_index in 0usize..18,
+        halves in (any::<u64>(), any::<u64>()),
+    ) {
+        let value = (u128::from(halves.0) << 64) | u128::from(halves.1);
+        let base = EntryValues::from_uop(&start, 1, 2, 3, 4, false, true);
+        let field = Field::ALL[field_index];
+        let mut entry = base;
+        entry.or_bits(field, value);
+        prop_assert_eq!(entry.get(field), (base.get(field) | value) & mask(field));
         prop_assert!(entry.is_driven(field));
         for other in Field::ALL.into_iter().filter(|&f| f != field) {
             prop_assert_eq!(entry.get(other), base.get(other), "{} disturbed", other);

@@ -6,14 +6,22 @@
 //! bit, same telemetry report content. Randomized traces probe the
 //! general case; the boundary tests pin the empty trace and a
 //! maximally-stalled dependency chain where skip-ahead does all the work.
+//! Both cores share allocation, issue and retire, so a pinned digest of
+//! the hook stream across scheduler sizes and miss-heavy geometries
+//! guards the order those stages produce.
 
+use penelope::sched_aware::SchedulerHooks;
 use penelope_telemetry::{TelemetryHooks, TelemetryOutput};
 use proptest::prelude::*;
 use tracegen::suite::Suite;
 use tracegen::trace::TraceSpec;
 use tracegen::uop::{Uop, UopClass};
-use uarch::pipeline::{Hooks, NoHooks, Parts, Pipeline, PipelineConfig};
-use uarch::scheduler::Field;
+use uarch::btb::Btb;
+use uarch::cache::{AccessOutcome, CacheConfig, SetAssocCache};
+use uarch::pipeline::{AdderPolicy, Hooks, NoHooks, Parts, Pipeline, PipelineConfig, RegClass};
+use uarch::regfile::{PhysReg, RegisterFile};
+use uarch::scheduler::{EntryValues, Field, Scheduler, SlotId};
+use uarch::tlb::Dtlb;
 
 /// Everything an outside observer can see of a finished run: retire
 /// totals, per-structure residency integrals (bit-exact, not fractions)
@@ -166,4 +174,251 @@ fn maximal_stall_chain_matches_and_actually_skips() {
         counter.spanned,
         result.cycles
     );
+}
+
+/// FNV-1a 64-bit state fed one little-endian `u64` at a time.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    fn words(&mut self, ws: &[u64]) {
+        for &w in ws {
+            self.word(w);
+        }
+    }
+}
+
+/// Folds every hook call — its kind, the slot/register/way it names and
+/// the cycle it fires in — into one digest, and forwards the scheduler
+/// events to the paper's balancer so its writes land in the residency
+/// pinned alongside. Idle spans are digested as `(start, end)` without a
+/// per-cycle replay, so long-miss configurations stay cheap.
+struct StreamDigest {
+    fnv: Fnv,
+    balancer: SchedulerHooks,
+}
+
+impl Hooks for StreamDigest {
+    fn regfile_released(
+        &mut self,
+        _rf: &mut RegisterFile,
+        class: RegClass,
+        preg: PhysReg,
+        now: u64,
+    ) {
+        let class = u64::from(class == RegClass::Fp);
+        self.fnv.words(&[1, class, u64::from(preg), now]);
+    }
+
+    fn regfile_written(
+        &mut self,
+        _rf: &mut RegisterFile,
+        class: RegClass,
+        preg: PhysReg,
+        value: u128,
+        now: u64,
+    ) {
+        let class = u64::from(class == RegClass::Fp);
+        self.fnv.words(&[
+            2,
+            class,
+            u64::from(preg),
+            value as u64,
+            (value >> 64) as u64,
+            now,
+        ]);
+    }
+
+    fn scheduler_released(&mut self, sched: &mut Scheduler, slot: SlotId, now: u64) {
+        self.fnv.words(&[3, slot as u64, now]);
+        self.balancer.scheduler_released(sched, slot, now);
+    }
+
+    fn scheduler_allocated(
+        &mut self,
+        sched: &mut Scheduler,
+        slot: SlotId,
+        values: &EntryValues,
+        now: u64,
+    ) {
+        self.fnv.words(&[4, slot as u64, now]);
+        for f in Field::ALL {
+            let v = values.get(f);
+            self.fnv
+                .words(&[u64::from(values.is_driven(f)), v as u64, (v >> 64) as u64]);
+        }
+        self.balancer.scheduler_allocated(sched, slot, values, now);
+    }
+
+    fn dl0_accessed(&mut self, _dl0: &mut SetAssocCache, out: &AccessOutcome, now: u64) {
+        self.fnv
+            .words(&[5, u64::from(out.hit), out.set as u64, out.way as u64, now]);
+    }
+
+    fn l2_accessed(&mut self, _l2: &mut SetAssocCache, out: &AccessOutcome, now: u64) {
+        self.fnv
+            .words(&[6, u64::from(out.hit), out.set as u64, out.way as u64, now]);
+    }
+
+    fn dtlb_accessed(&mut self, _dtlb: &mut Dtlb, out: &AccessOutcome, now: u64) {
+        self.fnv
+            .words(&[7, u64::from(out.hit), out.set as u64, out.way as u64, now]);
+    }
+
+    fn btb_accessed(&mut self, _btb: &mut Btb, out: &AccessOutcome, now: u64) {
+        self.fnv
+            .words(&[8, u64::from(out.hit), out.set as u64, out.way as u64, now]);
+    }
+
+    fn cycle_end(&mut self, _parts: &mut Parts, now: u64) {
+        self.fnv.words(&[9, now]);
+    }
+
+    fn on_idle_span(&mut self, _parts: &mut Parts, start: u64, end: u64) {
+        self.fnv.words(&[10, start, end]);
+    }
+}
+
+/// Runs two traces back to back through one pipeline under `config` and
+/// digests the hook stream, each trace's `RunResult`, and the final
+/// per-field scheduler and register-file residency integers. Returns the
+/// digest and the cycles simulated.
+fn event_stream_digest(config: PipelineConfig) -> (u64, u64) {
+    let mut pipe = Pipeline::try_new(config).expect("valid configuration");
+    let mut hooks = StreamDigest {
+        fnv: Fnv::new(),
+        balancer: SchedulerHooks::paper_default(64),
+    };
+    for (suite, seed, len) in [(Suite::Server, 0, 3_000), (Suite::SpecInt2000, 1, 2_000)] {
+        let r = pipe.run(TraceSpec::new(suite, seed).generate(len), &mut hooks);
+        hooks.fnv.words(&[11, r.cycles, r.uops]);
+        hooks.fnv.words(&r.port_issues);
+        hooks.fnv.words(&r.adder_ops);
+    }
+    let now = pipe.now();
+    pipe.parts.sched.sync(now);
+    pipe.parts.int_rf.sync(now);
+    pipe.parts.fp_rf.sync(now);
+    let mut fnv = hooks.fnv;
+    for f in Field::ALL {
+        let (total, zeros) = residency(pipe.parts.sched.field_residency(f));
+        fnv.word(total);
+        fnv.words(&zeros);
+    }
+    for rf in [&pipe.parts.int_rf, &pipe.parts.fp_rf] {
+        let (total, zeros) = residency(rf.residency());
+        fnv.word(total);
+        fnv.words(&zeros);
+    }
+    (fnv.0, now)
+}
+
+/// Pinned event-stream digests: the exact sequence of hook calls (kind,
+/// slot/register/way, cycle) and per-trace results the event core
+/// produces, across configurations that stress its scheduling queues —
+/// small and odd scheduler sizes, miss-heavy geometries, and completion
+/// delays far beyond any execution latency. The `run` vs
+/// `run_cycle_accurate` differential cannot see a change both legs share
+/// (allocation, issue and retire order); these pins can.
+#[test]
+fn event_stream_matches_pinned_digests() {
+    let base = PipelineConfig::default;
+    let cases: [(&str, PipelineConfig, u64); 9] = [
+        ("default", base(), 0xed72_b257_f0ea_71dd),
+        (
+            "8KB DL0, 32-entry DTLB",
+            PipelineConfig {
+                dl0: CacheConfig::dl0(8, 8),
+                dtlb_entries: 32,
+                ..base()
+            },
+            0x76b4_6870_8dc8_51fc,
+        ),
+        (
+            "L2, 100k-cycle L2 miss",
+            PipelineConfig {
+                dl0: CacheConfig::dl0(8, 8),
+                l2: Some(CacheConfig {
+                    size_bytes: 16 * 1024,
+                    ways: 4,
+                    line_bytes: 64,
+                }),
+                l2_miss_penalty: 100_000,
+                ..base()
+            },
+            0x1502_bfee_9e3f_8772,
+        ),
+        (
+            "prioritized adders",
+            PipelineConfig {
+                adder_policy: AdderPolicy::Prioritized,
+                ..base()
+            },
+            0xfb09_c8f6_4878_93fb,
+        ),
+        (
+            "1 entry",
+            PipelineConfig {
+                sched_entries: 1,
+                ..base()
+            },
+            0x6f91_20c6_9e70_48a9,
+        ),
+        (
+            "2 entries",
+            PipelineConfig {
+                sched_entries: 2,
+                ..base()
+            },
+            0xcc3f_688d_36e6_a25c,
+        ),
+        (
+            "31 entries",
+            PipelineConfig {
+                sched_entries: 31,
+                ..base()
+            },
+            0x52ec_7222_a4d7_5ef7,
+        ),
+        (
+            "33 entries",
+            PipelineConfig {
+                sched_entries: 33,
+                ..base()
+            },
+            0x0441_a8d4_7a04_a80a,
+        ),
+        (
+            "64 entries",
+            PipelineConfig {
+                sched_entries: 64,
+                ..base()
+            },
+            0xcc6c_f70e_88f3_c4d2,
+        ),
+    ];
+    let mut mismatches = Vec::new();
+    for (name, config, pinned) in cases {
+        let (got, cycles) = event_stream_digest(config);
+        if config.l2_miss_penalty == 100_000 {
+            assert!(
+                cycles > 1_000_000,
+                "{name}: only {cycles} cycles, so no long L2 miss was exercised"
+            );
+        }
+        if got != pinned {
+            mismatches.push(format!("{name}: got {got:#018x}, pinned {pinned:#018x}"));
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
 }
