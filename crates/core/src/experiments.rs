@@ -613,6 +613,12 @@ pub struct Table3 {
     pub rows: Vec<Table3Row>,
 }
 
+/// The SetFixed/WayFixed rotation period: the paper's 10M cycles, time-scaled
+/// with a 2,000-cycle floor.
+fn rotation_period(scale: Scale) -> u64 {
+    (10_000_000 / scale.time_scale).max(2_000)
+}
+
 fn scheme_cpi(
     base_config: PipelineConfig,
     dl0_scheme: SchemeKind,
@@ -646,122 +652,77 @@ fn scheme_cpi(
 /// used, so the rows are identical at any `--jobs` setting.
 pub fn table3(scale: Scale) -> Result<Table3, Error> {
     let _span = penelope_telemetry::span!("driver: table3");
-    let rotation = (10_000_000 / scale.time_scale).max(2_000);
+    let rotation = rotation_period(scale);
 
-    #[derive(Clone, Copy)]
-    enum Geometry {
-        Dl0 { ways: u16, kb: u32 },
-        Dtlb { entries: u32 },
+    /// One Table 3 geometry: the structure the schemes protect, its
+    /// LineDynamic threshold and the first of its four seeds.
+    struct Geometry {
+        phase: String,
+        label: String,
+        config: PipelineConfig,
+        dtlb: bool,
+        threshold: f64,
+        first_seed: u64,
     }
     let mut grid = Vec::new();
     for ways in [8u16, 4] {
         for kb in [32u32, 16, 8] {
-            grid.push(Geometry::Dl0 { ways, kb });
+            let name = format!("DL0 {ways}-way {kb}KB");
+            grid.push(Geometry {
+                phase: format!("table3: {name}"),
+                label: name,
+                config: PipelineConfig {
+                    dl0: CacheConfig::dl0(kb, ways),
+                    ..PipelineConfig::default()
+                },
+                dtlb: false,
+                threshold: SchemeKind::dl0_threshold(kb),
+                first_seed: 1,
+            });
         }
     }
     for entries in [128u32, 64, 32] {
-        grid.push(Geometry::Dtlb { entries });
-    }
-
-    let rows = par::try_cells_named("table3", grid.len(), |cell| match grid[cell.index] {
-        Geometry::Dl0 { ways, kb } => {
-            let base_config = PipelineConfig {
-                dl0: CacheConfig::dl0(kb, ways),
-                ..PipelineConfig::default()
-            };
-            let (baseline, set_fixed, line_fixed, line_dynamic) =
-                recorder::phase(&format!("table3: DL0 {ways}-way {kb}KB"), || {
-                    Ok::<_, Error>((
-                        scheme_cpi(
-                            base_config,
-                            SchemeKind::Baseline,
-                            SchemeKind::Baseline,
-                            scale,
-                            1,
-                        )?,
-                        scheme_cpi(
-                            base_config,
-                            SchemeKind::set_fixed_50(rotation),
-                            SchemeKind::Baseline,
-                            scale,
-                            2,
-                        )?,
-                        scheme_cpi(
-                            base_config,
-                            SchemeKind::line_fixed_50(),
-                            SchemeKind::Baseline,
-                            scale,
-                            3,
-                        )?,
-                        scheme_cpi(
-                            base_config,
-                            SchemeKind::line_dynamic_60(
-                                SchemeKind::dl0_threshold(kb),
-                                scale.time_scale,
-                            ),
-                            SchemeKind::Baseline,
-                            scale,
-                            4,
-                        )?,
-                    ))
-                })?;
-            let loss = |cpi: f64| (cpi / baseline - 1.0).max(0.0);
-            Ok(Table3Row {
-                label: format!("DL0 {ways}-way {kb}KB"),
-                set_fixed: loss(set_fixed),
-                line_fixed: loss(line_fixed),
-                line_dynamic: loss(line_dynamic),
-            })
-        }
-        Geometry::Dtlb { entries } => {
-            let base_config = PipelineConfig {
+        grid.push(Geometry {
+            phase: format!("table3: DTLB {entries} ent."),
+            label: format!("DTLB 8-way {entries} ent."),
+            config: PipelineConfig {
                 dtlb_entries: entries,
                 ..PipelineConfig::default()
-            };
-            let (baseline, set_fixed, line_fixed, line_dynamic) =
-                recorder::phase(&format!("table3: DTLB {entries} ent."), || {
-                    Ok::<_, Error>((
-                        scheme_cpi(
-                            base_config,
-                            SchemeKind::Baseline,
-                            SchemeKind::Baseline,
-                            scale,
-                            5,
-                        )?,
-                        scheme_cpi(
-                            base_config,
-                            SchemeKind::Baseline,
-                            SchemeKind::set_fixed_50(rotation),
-                            scale,
-                            6,
-                        )?,
-                        scheme_cpi(
-                            base_config,
-                            SchemeKind::Baseline,
-                            SchemeKind::line_fixed_50(),
-                            scale,
-                            7,
-                        )?,
-                        scheme_cpi(
-                            base_config,
-                            SchemeKind::Baseline,
-                            SchemeKind::line_dynamic_60(
-                                SchemeKind::dtlb_threshold(entries),
-                                scale.time_scale,
-                            ),
-                            scale,
-                            8,
-                        )?,
-                    ))
-                })?;
-            let loss = |cpi: f64| (cpi / baseline - 1.0).max(0.0);
-            Ok(Table3Row {
-                label: format!("DTLB 8-way {entries} ent."),
-                set_fixed: loss(set_fixed),
-                line_fixed: loss(line_fixed),
-                line_dynamic: loss(line_dynamic),
-            })
-        }
+            },
+            dtlb: true,
+            threshold: SchemeKind::dtlb_threshold(entries),
+            first_seed: 5,
+        });
+    }
+
+    let rows = par::try_cells_named("table3", grid.len(), |cell| {
+        let geometry = &grid[cell.index];
+        let schemes = [
+            SchemeKind::Baseline,
+            SchemeKind::set_fixed_50(rotation),
+            SchemeKind::line_fixed_50(),
+            SchemeKind::line_dynamic_60(geometry.threshold, scale.time_scale),
+        ];
+        let cpis = recorder::phase(&geometry.phase, || {
+            (geometry.first_seed..)
+                .zip(schemes)
+                .map(|(seed, scheme)| {
+                    let (dl0, dtlb) = if geometry.dtlb {
+                        (SchemeKind::Baseline, scheme)
+                    } else {
+                        (scheme, SchemeKind::Baseline)
+                    };
+                    scheme_cpi(geometry.config, dl0, dtlb, scale, seed)
+                })
+                .collect::<Result<Vec<_>, Error>>()
+        })?;
+        let loss = |cpi: f64| (cpi / cpis[0] - 1.0).max(0.0);
+        Ok(Table3Row {
+            label: geometry.label.clone(),
+            set_fixed: loss(cpis[1]),
+            line_fixed: loss(cpis[2]),
+            line_dynamic: loss(cpis[3]),
+        })
     })?;
 
     Ok(Table3 { rows })
@@ -1261,7 +1222,7 @@ pub fn table3_tail(scale: Scale) -> Result<Vec<TailRow>, Error> {
         let runs = feed(&mut pipe, &workload, scale.uops_per_trace, &mut hooks, None)?;
         Ok(runs.iter().map(RunResult::cpi).collect())
     };
-    let rotation = (10_000_000 / scale.time_scale).max(2_000);
+    let rotation = rotation_period(scale);
     let schemes = [
         SchemeKind::set_fixed_50(rotation),
         SchemeKind::line_fixed_50(),
@@ -1313,7 +1274,7 @@ pub struct BtbRow {
 /// DL0 and DTLB).
 pub fn btb_extension(scale: Scale) -> Result<Vec<BtbRow>, Error> {
     let _span = penelope_telemetry::span!("driver: btb_extension");
-    let rotation = (10_000_000 / scale.time_scale).max(2_000);
+    let rotation = rotation_period(scale);
     let schemes = [
         SchemeKind::Baseline,
         SchemeKind::set_fixed_50(rotation),

@@ -180,12 +180,23 @@ mod tests {
 
     #[test]
     fn with_recording_is_transparent_when_disabled() {
+        /// Not zero-sized, so its address identifies it.
+        struct Owned(u64);
+        impl Hooks for Owned {}
+        impl EventSource for Owned {}
+
         let _ = recorder::finish();
         let mut pipe = Pipeline::new(PipelineConfig::default());
-        let mut hooks = uarch::pipeline::NoHooks;
+        let mut hooks = Owned(7);
+        let own = &hooks as *const Owned as *const ();
         let trace = TraceSpec::new(Suite::Office, 0).generate(2_000);
-        let result = with_recording(&mut hooks, |mut h| pipe.run(trace, &mut h));
+        let (result, seen) = with_recording(&mut hooks, |mut h| {
+            let seen = h as *const dyn Hooks as *const ();
+            (pipe.run(trace, &mut h), seen)
+        });
         assert!(result.cycles > 0);
+        assert_eq!(seen, own, "the body must get the caller's hooks, unwrapped");
+        assert_eq!(hooks.0, 7);
         assert!(recorder::finish().is_none(), "nothing was installed");
     }
 

@@ -353,6 +353,32 @@ mod tests {
     }
 
     #[test]
+    fn span_formats_its_name_only_while_recording() {
+        use std::cell::Cell;
+        use std::fmt;
+
+        /// Counts how often the macro renders it.
+        struct Counted<'a>(&'a Cell<u32>);
+        impl fmt::Display for Counted<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                self.0.set(self.0.get() + 1);
+                f.write_str("counted")
+            }
+        }
+
+        let calls = Cell::new(0);
+        let _ = recorder::finish();
+        drop(crate::span!("cell {}", Counted(&calls)));
+        assert_eq!(calls.get(), 0, "a disabled span must not format its name");
+
+        recorder::install(Settings::default());
+        drop(crate::span!("cell {}", Counted(&calls)));
+        let collector = recorder::finish().expect("installed");
+        assert_eq!(calls.get(), 1);
+        assert_eq!(collector.spans[0].name, "cell counted");
+    }
+
+    #[test]
     fn spans_nest_and_credit_cycles_to_every_open_ancestor() {
         recorder::install(Settings::default());
         {

@@ -27,9 +27,9 @@
 //! produced — byte-identical, not approximately equal.
 //!
 //! [`ScalarResidency`] keeps the original per-bit loop alive as a reference
-//! oracle; the differential property suite (`tests/bitstats_prop.rs`) and
-//! the `bitstats_record` microbench compare the two implementations
-//! event-for-event.
+//! oracle; the differential property suite (`tests/bitstats_prop.rs`)
+//! compares the two implementations event-for-event, and its `--ignored`
+//! release test `swar_kernel_is_at_least_3x_faster_at_width_64` times them.
 
 use nbti_model::duty::Duty;
 
@@ -306,8 +306,9 @@ impl Eq for BitResidency {}
 /// This is the implementation [`BitResidency`] replaced: O(width) scalar
 /// operations per event, trivially auditable. The differential property
 /// suite drives both implementations with identical event streams and
-/// demands exact integer agreement; the `bitstats_record` bench measures
-/// the speedup against it.
+/// demands exact integer agreement; the `--ignored` release test
+/// `swar_kernel_is_at_least_3x_faster_at_width_64` measures the speedup
+/// against it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScalarResidency {
     zero_time: Vec<u64>,

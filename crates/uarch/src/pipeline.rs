@@ -608,8 +608,7 @@ impl Pipeline {
 
     /// The cycle-by-cycle reference loop: identical to [`Pipeline::run`]
     /// but ticking every simulated cycle. Kept as the differential oracle
-    /// for the event-driven core (and as the baseline leg of the
-    /// `pipeline_run` Criterion bench).
+    /// the event-core tests compare [`Pipeline::run`] against.
     pub fn run_cycle_accurate<I, H>(&mut self, trace: I, hooks: &mut H) -> RunResult
     where
         I: IntoIterator<Item = Uop>,

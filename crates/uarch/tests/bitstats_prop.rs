@@ -258,9 +258,8 @@ fn swar_kernel_is_at_least_3x_faster_at_width_64() {
     use std::hint::black_box;
     use std::time::Instant;
 
-    // The acceptance microbench, runnable without Criterion: identical
-    // pseudo-random event streams through both kernels at width 64.
-    // Durations are 1..=64 cycles — the regime pipeline events live in.
+    // The acceptance microbench: identical pseudo-random event streams
+    // through both kernels at width 64. Durations are 1..=64 cycles — the regime pipeline events live in.
     const EVENTS: usize = 200_000;
     const ROUNDS: usize = 5;
     let mut state = 0x243F_6A88_85A3_08D3u64;
