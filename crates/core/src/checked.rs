@@ -163,7 +163,8 @@ impl<H: Hooks + RinvAccess> CheckedHooks<H> {
         let fp_free = parts.fp_rf.free_fraction(now);
         self.check_fraction(now, "FP RF", "free fraction", fp_free);
 
-        // Worst cell duties (the inputs to the guardband model).
+        // Worst cell duties (the inputs to the guardband model). A check
+        // lands mid-run, before the run settles, so each read syncs first.
         parts.int_rf.sync(now);
         let duty = parts.int_rf.residency().worst_cell_duty().fraction();
         self.check_fraction(now, "integer RF", "worst cell duty", duty);

@@ -50,7 +50,7 @@ use crate::invert_mode::{full_guardband_baseline, InvertMode};
 use crate::journal::{cell_payload, CellPayload};
 use crate::obs::{self, with_recording};
 use crate::par;
-use crate::processor::{build, PenelopeConfig};
+use crate::processor::{build, PenelopeConfig, PenelopeHooks};
 use crate::regfile_aware::{RegfileIsv, RegfileIsvHooks};
 use crate::sched_aware::{worst_figure8_bias, SchedulerBalancer, SchedulerHooks, SchedulerPolicy};
 
@@ -233,13 +233,10 @@ pub fn motivation(scale: Scale) -> Result<Motivation, Error> {
     }
     let mut cells = par::try_cells_named("motivation", 2, |cell| {
         if cell.index == 0 {
-            let (mut pipe, uniform_result) = recorder::phase("motivation: uniform", || {
+            let (pipe, uniform_result) = recorder::phase("motivation: uniform", || {
                 run_workload(PipelineConfig::default(), scale, &mut NoHooks)
             })?;
-            let now = pipe.now();
-            pipe.parts.int_rf.sync(now);
             let biases = pipe.parts.int_rf.residency().biases();
-            pipe.parts.sched.sync(now);
             let uniform = uniform_result.adder_utilization();
             Ok(MotCell {
                 int_bias_min: biases.iter().map(|d| d.fraction()).fold(1.0, f64::min),
@@ -408,12 +405,10 @@ pub fn fig6(scale: Scale) -> Result<Fig6, Error> {
 
     let mut cells = par::try_cells_named("fig6", 2, |cell| {
         if cell.index == 0 {
-            let (mut base, _) = recorder::phase("fig6: baseline", || {
+            let (base, _) = recorder::phase("fig6: baseline", || {
                 run_workload(PipelineConfig::default(), scale, &mut NoHooks)
             })?;
             let now = base.now();
-            base.parts.int_rf.sync(now);
-            base.parts.fp_rf.sync(now);
             Ok(Fig6Cell {
                 int_bias: to_fracs(base.parts.int_rf.residency().biases()),
                 fp_bias: to_fracs(base.parts.fp_rf.residency().biases()),
@@ -424,12 +419,9 @@ pub fn fig6(scale: Scale) -> Result<Fig6, Error> {
             })
         } else {
             let mut hooks = RegfileIsvHooks::new(scale.time_scale.max(64));
-            let (mut isv, _) = recorder::phase("fig6: isv", || {
+            let (isv, _) = recorder::phase("fig6: isv", || {
                 run_workload(PipelineConfig::default(), scale, &mut hooks)
             })?;
-            let now = isv.now();
-            isv.parts.int_rf.sync(now);
-            isv.parts.fp_rf.sync(now);
             Ok(Fig6Cell {
                 int_bias: to_fracs(isv.parts.int_rf.residency().biases()),
                 fp_bias: to_fracs(isv.parts.fp_rf.residency().biases()),
@@ -525,14 +517,13 @@ pub fn fig8(scale: Scale) -> Result<Fig8, Error> {
     }
 
     let mut base = par::try_cells_named("fig8:baseline", 1, |_| {
-        let (mut pipe, _) = recorder::phase("fig8: baseline", || {
+        let (pipe, _) = recorder::phase("fig8: baseline", || {
             run_workload(PipelineConfig::default(), scale, &mut NoHooks)
         })?;
         let now = pipe.now();
-        pipe.parts.sched.sync(now);
         let occupancy = pipe.parts.sched.occupancy(now);
         let data_occupancy = pipe.parts.sched.data_occupancy(now);
-        let policy = SchedulerPolicy::from_scheduler(&mut pipe.parts.sched, now)?;
+        let policy = SchedulerPolicy::from_scheduler(&pipe.parts.sched, now)?;
         Ok(Fig8Stage {
             bits: field_bits(&pipe.parts.sched),
             worst: worst_figure8_bias(&pipe.parts.sched).fraction(),
@@ -552,11 +543,9 @@ pub fn fig8(scale: Scale) -> Result<Fig8, Error> {
         let mut hooks = SchedulerHooks {
             balancer: SchedulerBalancer::new(policy.clone(), scale.time_scale.max(64)),
         };
-        let (mut pipe, _) = recorder::phase("fig8: protected", || {
+        let (pipe, _) = recorder::phase("fig8: protected", || {
             run_workload(PipelineConfig::default(), scale, &mut hooks)
         })?;
-        let now = pipe.now();
-        pipe.parts.sched.sync(now);
         Ok(Fig8Stage {
             bits: field_bits(&pipe.parts.sched),
             worst: worst_figure8_bias(&pipe.parts.sched).fraction(),
@@ -619,6 +608,42 @@ fn rotation_period(scale: Scale) -> u64 {
     (10_000_000 / scale.time_scale).max(2_000)
 }
 
+/// The one cache-scheme run behind Table 3 and its extensions: the
+/// composed processor over `pipeline` with the `[dl0, dtlb, btb]` schemes
+/// and the regfile/scheduler RINVs frozen after their first sample, fed
+/// the workload (under the recorder phase `phase`, if any). Returns the
+/// pipeline, its hooks and each trace's result.
+///
+/// Only the cache schemes matter here, but `build` assembles the full
+/// `PenelopeHooks`: register-file and scheduler balancing still run on
+/// every uop. No caller reads their residency.
+fn cache_scheme_run(
+    pipeline: PipelineConfig,
+    [dl0_scheme, dtlb_scheme, btb_scheme]: [SchemeKind; 3],
+    seed: u64,
+    scale: Scale,
+    phase: Option<&str>,
+) -> Result<(Pipeline, PenelopeHooks, Vec<RunResult>), Error> {
+    let config = PenelopeConfig {
+        pipeline,
+        dl0_scheme,
+        dtlb_scheme,
+        btb_scheme,
+        sample_period: u64::MAX / 2,
+        seed,
+        ..PenelopeConfig::default()
+    };
+    let (mut pipe, mut hooks) = build(&config)?;
+    let workload = scale.workload();
+    let mut run = || feed(&mut pipe, &workload, scale.uops_per_trace, &mut hooks, None);
+    let runs = match phase {
+        Some(name) => recorder::phase(name, run),
+        None => run(),
+    }?;
+    Ok((pipe, hooks, runs))
+}
+
+/// Workload CPI of one DL0/DTLB scheme pair (BTB unprotected).
 fn scheme_cpi(
     base_config: PipelineConfig,
     dl0_scheme: SchemeKind,
@@ -626,22 +651,8 @@ fn scheme_cpi(
     scale: Scale,
     seed: u64,
 ) -> Result<f64, Error> {
-    let config = PenelopeConfig {
-        pipeline: base_config,
-        dl0_scheme,
-        dtlb_scheme,
-        btb_scheme: SchemeKind::Baseline,
-        // Freezes the regfile/sched RINVs after their first sample.
-        sample_period: u64::MAX / 2,
-        seed,
-        ..PenelopeConfig::default()
-    };
-    let (mut pipe, mut hooks) = build(&config)?;
-    // Only the cache schemes matter for Table 3, but `build` assembles the
-    // full `PenelopeHooks`: register-file and scheduler balancing still run
-    // on every uop. Nothing here reads their residency.
-    let workload = scale.workload();
-    let runs = feed(&mut pipe, &workload, scale.uops_per_trace, &mut hooks, None)?;
+    let schemes = [dl0_scheme, dtlb_scheme, SchemeKind::Baseline];
+    let (_, _, runs) = cache_scheme_run(base_config, schemes, seed, scale, None)?;
     Ok(sum_runs(&runs).cpi())
 }
 
@@ -754,6 +765,18 @@ impl EfficiencyRow {
     }
 }
 
+/// The real adder operands the §4.3 guardband is measured over: the first
+/// three traces of `workload`, a quarter of each trace's uops (at least
+/// 512).
+fn adder_sample(workload: &Workload, scale: Scale) -> Vec<(u64, u64, bool)> {
+    workload
+        .specs()
+        .iter()
+        .take(3)
+        .flat_map(|s| real_adder_inputs(s, (scale.uops_per_trace / 4).max(512)))
+        .collect()
+}
+
 /// The §4.2–4.6 efficiency comparison: the two conventional designs and
 /// the four Penelope case studies, with measured inputs where available.
 pub fn efficiency_summary(scale: Scale) -> Result<Vec<EfficiencyRow>, Error> {
@@ -817,13 +840,7 @@ pub fn efficiency_summary(scale: Scale) -> Result<Vec<EfficiencyRow>, Error> {
                 run_workload(PipelineConfig::default(), scale, &mut NoHooks)
             })?;
             let util = run.max_adder_utilization().clamp(0.0, 1.0);
-            let inputs: Vec<(u64, u64, bool)> = scale
-                .workload()
-                .specs()
-                .iter()
-                .take(3)
-                .flat_map(|s| real_adder_inputs(s, (scale.uops_per_trace / 4).max(512)))
-                .collect();
+            let inputs = adder_sample(&scale.workload(), scale);
             Ok(Piece::Adder(AdderProtection::block_cost(
                 protection.guardband(&adder, util, inputs, &model),
             )))
@@ -945,11 +962,6 @@ pub fn efficiency_summary_faulted(
         return Err(TraceError::EmptyTrace.into());
     }
 
-    let now = pipe.now();
-    pipe.parts.int_rf.sync(now);
-    pipe.parts.fp_rf.sync(now);
-    pipe.parts.sched.sync(now);
-
     // Duty faults: NaN / out-of-range biases must come back as typed
     // model errors from `Duty::new`, not panics.
     let rf_worst = injector.perturb_duty(
@@ -968,13 +980,7 @@ pub fn efficiency_summary_faulted(
 
     let adder = LadnerFischerAdder::new(32);
     let protection = AdderProtection::select(&adder);
-    let inputs: Vec<(u64, u64, bool)> = workload
-        .specs()
-        .iter()
-        .take(3)
-        .flat_map(|s| real_adder_inputs(s, (scale.uops_per_trace / 4).max(512)))
-        .collect();
-    let adder_gb = protection.guardband(&adder, util, inputs, &model);
+    let adder_gb = protection.guardband(&adder, util, adder_sample(&workload, scale), &model);
 
     let rows = vec![
         EfficiencyRow::new(
@@ -1054,11 +1060,10 @@ pub fn table4(scale: Scale) -> Result<Table4, Error> {
     // scheduler's K values (§4.5).
     recorder::manifest_entry("scale", obs::scale_json(&scale));
     let mut base = par::try_cells_named("table4:baseline", 1, |_| {
-        let (mut base_pipe, base_run) = recorder::phase("table4: baseline", || {
+        let (base_pipe, base_run) = recorder::phase("table4: baseline", || {
             run_workload(PipelineConfig::default(), scale, &mut NoHooks)
         })?;
-        let base_now = base_pipe.now();
-        let policy = SchedulerPolicy::from_scheduler(&mut base_pipe.parts.sched, base_now)?;
+        let policy = SchedulerPolicy::from_scheduler(&base_pipe.parts.sched, base_pipe.now())?;
         Ok(BaseStage {
             cpi: base_run.cpi(),
             policy: Some(policy),
@@ -1093,17 +1098,9 @@ pub fn table4(scale: Scale) -> Result<Table4, Error> {
         let adder = LadnerFischerAdder::new(32);
         let protection = AdderProtection::select(&adder);
         let util = pen_run.max_adder_utilization().clamp(0.0, 1.0);
-        let inputs: Vec<(u64, u64, bool)> = workload
-            .specs()
-            .iter()
-            .take(3)
-            .flat_map(|s| real_adder_inputs(s, (scale.uops_per_trace / 4).max(512)))
-            .collect();
-        let adder_gb = protection.guardband(&adder, util, inputs, &model);
+        let adder_gb = protection.guardband(&adder, util, adder_sample(&workload, scale), &model);
 
         // Register files under ISV (from the combined run).
-        pipe.parts.int_rf.sync(now);
-        pipe.parts.fp_rf.sync(now);
         let rf_worst = pipe
             .parts
             .int_rf
@@ -1113,7 +1110,6 @@ pub fn table4(scale: Scale) -> Result<Table4, Error> {
             .max(pipe.parts.fp_rf.residency().worst_cell_duty().fraction());
 
         // Scheduler under the balancer.
-        pipe.parts.sched.sync(now);
         Ok(PenStage {
             cpi: pen_run.cpi(),
             adder_gb: adder_gb.fraction(),
@@ -1207,19 +1203,9 @@ pub fn table3_tail(scale: Scale) -> Result<Vec<TailRow>, Error> {
         ..PipelineConfig::default()
     };
     // Per-trace baseline CPIs.
-    let workload = scale.workload();
     let per_trace = |dl0_scheme: SchemeKind, seed: u64| -> Result<Vec<f64>, Error> {
-        let config = PenelopeConfig {
-            pipeline: base_config,
-            dl0_scheme,
-            dtlb_scheme: SchemeKind::Baseline,
-            btb_scheme: SchemeKind::Baseline,
-            sample_period: u64::MAX / 2,
-            seed,
-            ..PenelopeConfig::default()
-        };
-        let (mut pipe, mut hooks) = build(&config)?;
-        let runs = feed(&mut pipe, &workload, scale.uops_per_trace, &mut hooks, None)?;
+        let schemes = [dl0_scheme, SchemeKind::Baseline, SchemeKind::Baseline];
+        let (_, _, runs) = cache_scheme_run(base_config, schemes, seed, scale, None)?;
         Ok(runs.iter().map(RunResult::cpi).collect())
     };
     let rotation = rotation_period(scale);
@@ -1287,20 +1273,15 @@ pub fn btb_extension(scale: Scale) -> Result<Vec<BtbRow>, Error> {
     ];
     // One engine cell per scheme; cell 0 is the unprotected baseline the
     // losses are relative to.
-    let workload = scale.workload();
     let cells = par::try_cells_named("btb", schemes.len(), |cell| {
         let scheme = schemes[cell.index];
-        let config = PenelopeConfig {
-            dl0_scheme: SchemeKind::Baseline,
-            dtlb_scheme: SchemeKind::Baseline,
-            btb_scheme: scheme,
-            sample_period: u64::MAX / 2,
-            ..PenelopeConfig::default()
-        };
-        let (mut pipe, mut hooks) = build(&config)?;
-        let runs = recorder::phase(&format!("btb: {}", scheme.label()), || {
-            feed(&mut pipe, &workload, scale.uops_per_trace, &mut hooks, None)
-        })?;
+        let (pipe, hooks, runs) = cache_scheme_run(
+            PipelineConfig::default(),
+            [SchemeKind::Baseline, SchemeKind::Baseline, scheme],
+            PenelopeConfig::default().seed,
+            scale,
+            Some(&format!("btb: {}", scheme.label())),
+        )?;
         let total = sum_runs(&runs);
         let now = pipe.now();
         Ok((
@@ -1363,13 +1344,9 @@ pub fn vmin_extension(scale: Scale) -> Result<Vec<VminRow>, Error> {
     }
     let mut cells = par::try_cells_named("vmin", 2, |cell| {
         if cell.index == 0 {
-            let (mut base, _) = recorder::phase("vmin: baseline", || {
+            let (base, _) = recorder::phase("vmin: baseline", || {
                 run_workload(PipelineConfig::default(), scale, &mut NoHooks)
             })?;
-            let base_now = base.now();
-            base.parts.int_rf.sync(base_now);
-            base.parts.fp_rf.sync(base_now);
-            base.parts.sched.sync(base_now);
             Ok(VminCell {
                 int: base.parts.int_rf.residency().worst_cell_duty(),
                 fp: base.parts.fp_rf.residency().worst_cell_duty(),
@@ -1387,9 +1364,6 @@ pub fn vmin_extension(scale: Scale) -> Result<Vec<VminRow>, Error> {
                 feed(&mut pen, &workload, scale.uops_per_trace, &mut hooks, None)
             })?;
             let pen_now = pen.now();
-            pen.parts.int_rf.sync(pen_now);
-            pen.parts.fp_rf.sync(pen_now);
-            pen.parts.sched.sync(pen_now);
             Ok(VminCell {
                 int: pen.parts.int_rf.residency().worst_cell_duty(),
                 fp: pen.parts.fp_rf.residency().worst_cell_duty(),
@@ -1487,9 +1461,7 @@ pub fn ablation(scale: Scale) -> Result<Vec<AblationRow>, Error> {
     let periods = [64u64, 1_024, 16_384];
     let duties = par::try_cells_named("ablation:isv", periods.len(), |cell| {
         let mut hooks = RegfileIsvHooks::new(periods[cell.index]);
-        let (mut pipe, _) = run_workload(PipelineConfig::default(), scale, &mut hooks)?;
-        let now = pipe.now();
-        pipe.parts.int_rf.sync(now);
+        let (pipe, _) = run_workload(PipelineConfig::default(), scale, &mut hooks)?;
         Ok(pipe.parts.int_rf.residency().worst_cell_duty().fraction())
     })?;
     for (period, worst) in periods.into_iter().zip(duties) {

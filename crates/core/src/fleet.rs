@@ -511,9 +511,6 @@ fn profile_suite(suite: Suite, scale: Scale) -> Result<SuiteAnchors, Error> {
         None,
     )?);
 
-    let now = pipe.now();
-    pipe.parts.int_rf.sync(now);
-    pipe.parts.sched.sync(now);
     let rf_worst = pipe.parts.int_rf.residency().worst_cell_duty().cell_worst();
     let sched_worst = worst_figure8_bias(&pipe.parts.sched).cell_worst();
     let duty = rf_worst.fraction().max(sched_worst.fraction());

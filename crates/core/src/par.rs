@@ -210,19 +210,9 @@ impl<T: CellPayload> PayloadCodec<T> {
 }
 
 /// Executes `cells` grid cells with the process-wide [`jobs`] worker
-/// count, returning per-cell results in index order. See
-/// [`run_cells_with_jobs`].
-pub fn run_cells<T, F>(cells: usize, body: F) -> Vec<Result<T, Error>>
-where
-    T: Send,
-    F: Fn(Cell) -> Result<T, Error> + Sync,
-{
-    run_cells_with_jobs(jobs(), cells, body)
-}
-
-/// Like [`run_cells`], but stops at the first error in cell-index order
-/// (later cells still execute — the grid is already dispatched — but the
-/// lowest-indexed error wins deterministically).
+/// count (see [`run_cells_with_jobs`]) and stops at the first error in
+/// cell-index order (later cells still execute — the grid is already
+/// dispatched — but the lowest-indexed error wins deterministically).
 ///
 /// # Errors
 ///
@@ -233,7 +223,9 @@ where
     T: Send,
     F: Fn(Cell) -> Result<T, Error> + Sync,
 {
-    run_cells(cells, body).into_iter().collect()
+    run_cells_with_jobs(jobs(), cells, body)
+        .into_iter()
+        .collect()
 }
 
 /// Executes `cells` grid cells on `jobs` scoped worker threads (clamped to
@@ -254,10 +246,11 @@ where
     run_supervised(None, None, supervisor(), jobs, cells, body)
 }
 
-/// Like [`run_cells`], for a *named* sweep: when the bench CLI has armed a
-/// checkpoint journal, each completed cell's payload and telemetry
-/// snapshot are persisted under `(name, index)`, and cells already present
-/// in a resumed journal are restored instead of re-executed.
+/// Like [`run_cells_with_jobs`] at the process-wide [`jobs`] count, for a
+/// *named* sweep: when the bench CLI has armed a checkpoint journal, each
+/// completed cell's payload and telemetry snapshot are persisted under
+/// `(name, index)`, and cells already present in a resumed journal are
+/// restored instead of re-executed.
 ///
 /// Sweep names are the durability namespace: every distinct grid a binary
 /// dispatches (including sub-sweeps of composite drivers) must use a

@@ -214,15 +214,11 @@ mod tests {
 
         let mut base_pipe = Pipeline::new(PipelineConfig::default());
         base_pipe.run(trace(), &mut NoHooks);
-        let now = base_pipe.now();
-        base_pipe.parts.int_rf.sync(now);
         let base_worst = base_pipe.parts.int_rf.residency().worst_cell_duty();
 
         let mut isv_pipe = Pipeline::new(PipelineConfig::default());
         let mut hooks = RegfileIsvHooks::new(512);
         isv_pipe.run(trace(), &mut hooks);
-        let now = isv_pipe.now();
-        isv_pipe.parts.int_rf.sync(now);
         let isv_worst = isv_pipe.parts.int_rf.residency().worst_cell_duty();
 
         // Paper: worst-case bias falls from 89.9% to 48.5% (cell duty

@@ -112,8 +112,7 @@ impl SchedulerPolicy {
     ///
     /// Returns a [`TechniqueError`] if a measured occupancy or bias is
     /// outside `[0, 1]` (a corrupted measurement chain).
-    pub fn from_scheduler(sched: &mut Scheduler, now: u64) -> Result<Self, TechniqueError> {
-        sched.sync(now);
+    pub fn from_scheduler(sched: &Scheduler, now: u64) -> Result<Self, TechniqueError> {
         let occupancy = sched.occupancy(now);
         let data_occupancy = sched.data_occupancy(now);
         let mut bits: [Vec<Technique>; 18] =
@@ -682,21 +681,17 @@ mod tests {
 
         let mut base = Pipeline::new(PipelineConfig::default());
         base.run(trace(), &mut NoHooks);
-        let now = base.now();
-        base.parts.sched.sync(now);
         let base_worst = worst_figure8_bias(&base.parts.sched);
 
         // K values are profiled, exactly as the paper derives them from
         // 100 profiling traces (§4.5).
-        let policy = SchedulerPolicy::from_scheduler(&mut base.parts.sched, now)
+        let policy = SchedulerPolicy::from_scheduler(&base.parts.sched, base.now())
             .expect("profiled biases are in range");
         let mut aware = Pipeline::new(PipelineConfig::default());
         let mut hooks = SchedulerHooks {
             balancer: SchedulerBalancer::new(policy, 256),
         };
         aware.run(trace(), &mut hooks);
-        let now = aware.now();
-        aware.parts.sched.sync(now);
         let aware_worst = worst_figure8_bias(&aware.parts.sched);
 
         // Paper: worst bias falls from ~100% to 63.2% (their occupancy is
@@ -719,7 +714,7 @@ mod tests {
         );
         let now = pipe.now();
         let occupancy = pipe.parts.sched.occupancy(now);
-        let policy = SchedulerPolicy::from_scheduler(&mut pipe.parts.sched, now)
+        let policy = SchedulerPolicy::from_scheduler(&pipe.parts.sched, now)
             .expect("profiled biases are in range");
         // Flags bits are ~always 0 while busy: above 50% occupancy the
         // casuistic picks an ALL1 variant, below it falls back to ISV.

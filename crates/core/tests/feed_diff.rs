@@ -45,15 +45,11 @@ fn residency(r: &BitResidency) -> (u64, Vec<u64>) {
 }
 
 fn observe(
-    mut pipe: Pipeline,
+    pipe: Pipeline,
     runs: Result<Vec<RunResult>, Error>,
     landed: u64,
     injector: &mut FaultInjector,
 ) -> Observed {
-    let now = pipe.now();
-    pipe.parts.int_rf.sync(now);
-    pipe.parts.fp_rf.sync(now);
-    pipe.parts.sched.sync(now);
     Observed {
         runs: runs.map_err(|e| e.to_string()),
         landed,

@@ -326,8 +326,7 @@ fn profiled_policy() -> SchedulerPolicy {
         TraceSpec::new(Suite::Office, 1).generate(6_000),
         &mut NoHooks,
     );
-    let now = pipe.now();
-    SchedulerPolicy::from_scheduler(&mut pipe.parts.sched, now)
+    SchedulerPolicy::from_scheduler(&pipe.parts.sched, pipe.now())
         .expect("profiled biases are in range")
 }
 

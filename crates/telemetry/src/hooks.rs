@@ -202,11 +202,11 @@ impl<H: Hooks + EventSource> TelemetryHooks<H> {
         self.output.registry.inc(self.ids.samples, 1);
 
         // Scheduler: time-averaged occupancy, data-field occupancy, and
-        // instantaneous busy fraction. The `_at` peeks read the integrals
-        // without advancing the trackers' event clocks — measurement must
-        // not perturb the structures it observes.
-        let occ = parts.sched.occupancy_at(now);
-        let data_occ = parts.sched.data_occupancy_at(now);
+        // instantaneous busy fraction. The occupancy reads peek at the
+        // integrals without advancing the trackers' event clocks —
+        // measurement must not perturb the structures it observes.
+        let occ = parts.sched.occupancy(now);
+        let data_occ = parts.sched.data_occupancy(now);
         let total = parts.sched.len();
         let free = parts.sched.free_slots().count();
         let busy_frac = if total == 0 {
@@ -223,12 +223,13 @@ impl<H: Hooks + EventSource> TelemetryHooks<H> {
             .histogram("sched.occupancy", &FRACTION_BUCKETS);
         self.output.registry.observe(h, occ);
 
-        // Register files: free fraction plus worst-cell duty (sync flushes
-        // the event-driven residency accounting up to `now`).
+        // Register files: free fraction plus worst-cell duty. A sample lands
+        // mid-run, before the run settles its residency, so sync flushes
+        // the event-driven accounting up to `now` first.
         parts.int_rf.sync(now);
         parts.fp_rf.sync(now);
-        let int_free = parts.int_rf.free_fraction_at(now);
-        let fp_free = parts.fp_rf.free_fraction_at(now);
+        let int_free = parts.int_rf.free_fraction(now);
+        let fp_free = parts.fp_rf.free_fraction(now);
         self.push("rf.int.free_fraction", now, int_free);
         self.push("rf.fp.free_fraction", now, fp_free);
         self.push(

@@ -124,17 +124,6 @@ impl BitResidency {
         }
     }
 
-    /// Records a closed-form span: `value` held for the `duration` cycles
-    /// of an idle/stall region the simulator skipped over in one step.
-    ///
-    /// This is the bulk-advance entry point of the event-driven core; it is
-    /// exactly [`BitResidency::record`] (one event costs the same whatever
-    /// its length), named explicitly so span-application sites read as
-    /// such.
-    pub fn record_span(&mut self, value: u128, duration: u64) {
-        self.record(value, duration);
-    }
-
     /// Adds `duration` to the zero-count of every bit set in `zeros`.
     fn charge(&mut self, zeros: u128, duration: u64) {
         if duration > LANE_CAPACITY {
@@ -542,16 +531,10 @@ impl OccupancyTracker {
         self.busy
     }
 
-    /// Average fraction of entries busy up to time `now`.
-    pub fn occupancy(&mut self, now: u64) -> Duty {
-        self.advance(now);
-        self.occupancy_at(now)
-    }
-
-    /// Average fraction of entries busy up to time `now`, without mutating
-    /// the tracker — the measurement peek for telemetry sampling, which
-    /// must not perturb `last`.
-    pub fn occupancy_at(&self, now: u64) -> Duty {
+    /// Average fraction of entries busy up to time `now`. A read, not an
+    /// event: it leaves the tracker as it was, so telemetry can sample it
+    /// mid-run without perturbing later accounting.
+    pub fn occupancy(&self, now: u64) -> Duty {
         let span = u128::from(now - self.started) * u128::from(self.capacity);
         if span == 0 {
             return Duty::ZERO;
@@ -560,13 +543,8 @@ impl OccupancyTracker {
     }
 
     /// Average fraction of entries free up to time `now`.
-    pub fn free_fraction(&mut self, now: u64) -> Duty {
+    pub fn free_fraction(&self, now: u64) -> Duty {
         self.occupancy(now).complement()
-    }
-
-    /// Non-mutating counterpart of [`free_fraction`](Self::free_fraction).
-    pub fn free_fraction_at(&self, now: u64) -> Duty {
-        self.occupancy_at(now).complement()
     }
 }
 
@@ -756,17 +734,15 @@ mod tests {
         occ.acquire(10);
         occ.release(20);
         let snapshot = occ;
-        let peeked = occ.occupancy_at(40);
-        assert_eq!(occ, snapshot, "occupancy_at must not mutate");
-        let advanced = occ.occupancy(40);
-        assert_eq!(peeked, advanced);
-        assert_eq!(occ.free_fraction_at(40), peeked.complement());
+        let peeked = occ.occupancy(40);
+        assert_eq!(occ, snapshot, "occupancy must not mutate");
+        assert_eq!(occ.free_fraction(40), peeked.complement());
         // Peeking between events does not disturb later accounting.
         let mut a = OccupancyTracker::new(2, 0);
         let mut b = OccupancyTracker::new(2, 0);
         a.acquire(0);
         b.acquire(0);
-        let _ = a.occupancy_at(5);
+        let _ = a.occupancy(5);
         a.release(10);
         b.release(10);
         assert_eq!(a.occupancy(20), b.occupancy(20));

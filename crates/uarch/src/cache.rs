@@ -12,16 +12,7 @@
 //!   dynamic scheme to estimate induced extra misses without actually
 //!   inverting (§3.2.1, implementation issues);
 //! - time-accounting of the inverted fraction, from which the bias
-//!   improvement of the cache's bit cells follows;
-//! - word-parallel residency accounting of the per-line *valid bits*: the
-//!   bits §3.2.1 singles out as the always-"1" aging hazard of a warm
-//!   cache. Lines are packed 128 to a [`TrackedWord`], so a state change
-//!   updates one word and charging an interval is a single SWAR
-//!   [`BitResidency::record`] instead of a per-line loop.
-
-use nbti_model::duty::Duty;
-
-use crate::bitstats::{BitResidency, TrackedWord};
+//!   improvement of the cache's bit cells follows.
 
 /// Cache geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,64 +160,6 @@ pub struct AccessOutcome {
     pub shadow_hit: bool,
 }
 
-/// Word-parallel residency accounting for the per-line valid bits.
-///
-/// Bit `i` of block `line / width` mirrors line `i`'s valid state; each
-/// block pairs a [`TrackedWord`] with a [`BitResidency`], so the cost of a
-/// state change is one word write and the residency charge rides the SWAR
-/// kernel. The last block of a non-multiple geometry has unused high bits;
-/// they stay 0 and are never read back.
-#[derive(Debug, Clone)]
-struct ValidBits {
-    width: usize,
-    lines: usize,
-    words: Vec<TrackedWord>,
-    residency: Vec<BitResidency>,
-}
-
-impl ValidBits {
-    fn new(lines: usize) -> Self {
-        let width = lines.min(128);
-        let blocks = lines.div_ceil(width);
-        ValidBits {
-            width,
-            lines,
-            words: vec![TrackedWord::new(0, 0); blocks],
-            residency: (0..blocks).map(|_| BitResidency::new(width)).collect(),
-        }
-    }
-
-    fn set(&mut self, line: usize, valid: bool, now: u64) {
-        let block = line / self.width;
-        let bit = line % self.width;
-        let old = self.words[block].value();
-        let new = if valid {
-            old | (1u128 << bit)
-        } else {
-            old & !(1u128 << bit)
-        };
-        if new != old {
-            self.words[block].write(new, now, &mut self.residency[block]);
-        }
-    }
-
-    fn sync(&mut self, now: u64) {
-        for (word, residency) in self.words.iter_mut().zip(&mut self.residency) {
-            word.flush(now, residency);
-        }
-    }
-
-    fn zero_bias(&self, line: usize) -> Duty {
-        self.residency[line / self.width].bias(line % self.width)
-    }
-
-    fn worst_cell_duty(&self) -> Duty {
-        (0..self.lines)
-            .map(|line| self.zero_bias(line).cell_worst())
-            .fold(Duty::ZERO, |w, d| if d > w { d } else { w })
-    }
-}
-
 /// A set-associative, write-allocate cache with true LRU.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
@@ -238,8 +171,6 @@ pub struct SetAssocCache {
     inverted_time: u128,
     /// Time accounting starts here.
     epoch: u64,
-    /// Per-line valid-bit residency (word-parallel accounting).
-    valid_bits: ValidBits,
     /// Running count of lines in the Valid state. Kept in step by
     /// [`SetAssocCache::set_line_state`] so the per-cycle scheme decisions
     /// and telemetry samples read a counter instead of scanning every line.
@@ -261,22 +192,15 @@ impl SetAssocCache {
             clock: 0,
             inverted_time: 0,
             epoch: 0,
-            valid_bits: ValidBits::new(config.lines()),
             valid_lines: 0,
             inverted_lines: 0,
             config,
         }
     }
 
-    /// Flat line index of `(set, way)`.
-    fn line_index(&self, set: usize, way: usize) -> usize {
-        set * self.ways() + way
-    }
-
-    /// Transitions one line's state, keeping the valid-bit residency word
-    /// in step. Every state change must go through here.
-    fn set_line_state(&mut self, set: usize, way: usize, state: LineState, now: u64) {
-        let line = self.line_index(set, way);
+    /// Transitions one line's state, keeping the valid/inverted line
+    /// counters in step. Every state change must go through here.
+    fn set_line_state(&mut self, set: usize, way: usize, state: LineState) {
         let old = self.sets[set][way].state;
         if old != state {
             match old {
@@ -291,7 +215,6 @@ impl SetAssocCache {
             }
         }
         self.sets[set][way].state = state;
-        self.valid_bits.set(line, state == LineState::Valid, now);
     }
 
     /// The geometry.
@@ -372,7 +295,7 @@ impl SetAssocCache {
         line.tag = tag;
         line.lru = stamp;
         line.shadow = false;
-        self.set_line_state(set, victim, LineState::Valid, now);
+        self.set_line_state(set, victim, LineState::Valid);
         AccessOutcome {
             hit: false,
             set,
@@ -420,7 +343,7 @@ impl SetAssocCache {
     pub fn invert_lru_line(&mut self, set: usize, now: u64) -> Option<usize> {
         let way = self.lru_valid_way(set)?;
         self.sets[set][way].inverted_since = now;
-        self.set_line_state(set, way, LineState::Inverted, now);
+        self.set_line_state(set, way, LineState::Inverted);
         Some(way)
     }
 
@@ -434,7 +357,7 @@ impl SetAssocCache {
             .position(|l| l.state == LineState::Invalid)
         {
             self.sets[set][way].inverted_since = now;
-            self.set_line_state(set, way, LineState::Inverted, now);
+            self.set_line_state(set, way, LineState::Inverted);
             return Some(way);
         }
         self.invert_lru_line(set, now)
@@ -505,7 +428,7 @@ impl SetAssocCache {
             for way in 0..self.ways() {
                 self.charge_inversion_end(set, way, now);
                 self.sets[set][way].shadow = false;
-                self.set_line_state(set, way, LineState::Invalid, now);
+                self.set_line_state(set, way, LineState::Invalid);
             }
         }
     }
@@ -525,26 +448,6 @@ impl SetAssocCache {
             }
         }
         (total as f64 / span as f64).clamp(0.0, 1.0)
-    }
-
-    /// Flushes the valid-bit residency accounting up to `now`. Call before
-    /// reading [`SetAssocCache::valid_bit_zero_bias`].
-    pub fn sync_valid_bits(&mut self, now: u64) {
-        self.valid_bits.sync(now);
-    }
-
-    /// Fraction of time the valid bit of line `(set, way)` held "0", up to
-    /// the last [`SetAssocCache::sync_valid_bits`].
-    pub fn valid_bit_zero_bias(&self, set: usize, way: usize) -> Duty {
-        self.valid_bits.zero_bias(self.line_index(set, way))
-    }
-
-    /// Worst cell duty over all valid bits up to `now` — the §3.2.1 aging
-    /// hazard: a warm cache holds its valid bits at "1" almost
-    /// permanently, and an inverted/invalid line is the relief.
-    pub fn worst_valid_cell_duty(&mut self, now: u64) -> Duty {
-        self.valid_bits.sync(now);
-        self.valid_bits.worst_cell_duty()
     }
 
     /// Access statistics.
@@ -679,68 +582,6 @@ mod tests {
         c.invalidate_all(10);
         assert_eq!(c.valid_count(), 0);
         assert_eq!(c.inverted_count(), 0);
-    }
-
-    #[test]
-    fn valid_bit_residency_integrates_line_lifetimes() {
-        let mut c = tiny();
-        // Line (0, 0) fills at t=10 and stays valid: its valid bit is 0
-        // over [0, 10) and 1 over [10, 40).
-        c.access(0x0000, 10);
-        c.sync_valid_bits(40);
-        assert!((c.valid_bit_zero_bias(0, 0).fraction() - 0.25).abs() < 1e-12);
-        // An untouched line's valid bit is 0 the whole time.
-        assert!((c.valid_bit_zero_bias(3, 1).fraction() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn inversion_relieves_the_valid_bit() {
-        let mut c = tiny();
-        c.access(0x0000, 0);
-        let way = c.invert_lru_line(0, 50).unwrap();
-        c.sync_valid_bits(100);
-        // Valid over [0, 50), inverted (bit 0) over [50, 100): bias 0.5.
-        assert!((c.valid_bit_zero_bias(0, way).fraction() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn worst_valid_cell_duty_sees_never_valid_lines() {
-        let mut c = tiny();
-        c.access(0x0000, 0);
-        // Untouched lines sit at "0" for the whole span → cell duty 1.
-        assert!((c.worst_valid_cell_duty(100).fraction() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn valid_bit_accounting_spans_multiple_blocks() {
-        // 512 lines → four 128-bit blocks; the last line lives in the
-        // last block's top bit.
-        let mut c = SetAssocCache::new(CacheConfig::dl0(32, 8));
-        let sets = c.set_count() as u64;
-        let last_set = c.set_count() - 1;
-        // Fill every way of the last set at t=0.
-        for w in 0..8u64 {
-            let addr = (last_set as u64 + w * sets) * 64;
-            let out = c.access(addr, 0);
-            assert_eq!(out.set, last_set);
-        }
-        c.sync_valid_bits(100);
-        for w in 0..8 {
-            assert!(
-                c.valid_bit_zero_bias(last_set, w).fraction() < 1e-12,
-                "way {w} was valid the whole span"
-            );
-        }
-    }
-
-    #[test]
-    fn invalidate_all_charges_valid_time() {
-        let mut c = tiny();
-        c.access(0x0000, 0);
-        c.invalidate_all(30);
-        c.sync_valid_bits(60);
-        // Valid over [0, 30), invalid over [30, 60).
-        assert!((c.valid_bit_zero_bias(0, 0).fraction() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -3,22 +3,15 @@
 //! Scheduler entries carry a 6-bit `MOB id` (Table 2). §4.5 observes that
 //! MOB slots "are used evenly", so their bits are self-balanced and need no
 //! protection — which this allocator reproduces by handing out ids in
-//! circular order.
-
-use crate::bitstats::BitResidency;
+//! circular order. The bits that age are the scheduler's `MobId` field,
+//! whose residency the scheduler keeps.
 
 /// Circular MOB id allocator.
-///
-/// Id residency rides the [`BitResidency`] lane kernel: each allocation
-/// charges one `(id, 1)` event, a single lane add rather than a per-bit
-/// loop.
 #[derive(Debug, Clone)]
 pub struct MobAllocator {
     capacity: u8,
     next: u8,
     in_use: u64,
-    /// Residency of the id values handed out (for self-balance checks).
-    residency: BitResidency,
 }
 
 impl MobAllocator {
@@ -34,7 +27,6 @@ impl MobAllocator {
             capacity,
             next: 0,
             in_use: 0,
-            residency: BitResidency::new(6),
         }
     }
 
@@ -46,7 +38,6 @@ impl MobAllocator {
             if self.in_use & (1 << id) == 0 {
                 self.in_use |= 1 << id;
                 self.next = (id + 1) % self.capacity;
-                self.residency.record(u128::from(id), 1);
                 return Some(id);
             }
         }
@@ -67,11 +58,6 @@ impl MobAllocator {
     pub fn in_use_count(&self) -> u32 {
         self.in_use.count_ones()
     }
-
-    /// Residency of handed-out id values (one sample per allocation).
-    pub fn id_residency(&self) -> &BitResidency {
-        &self.residency
-    }
 }
 
 #[cfg(test)]
@@ -89,20 +75,6 @@ mod tests {
         assert_eq!(mob.allocate(), Some(3));
         assert_eq!(mob.allocate(), Some(0));
         assert_eq!(mob.allocate(), None);
-    }
-
-    #[test]
-    fn ids_are_self_balanced_in_the_long_run() {
-        let mut mob = MobAllocator::new(64);
-        for _ in 0..6400 {
-            let id = mob.allocate().unwrap();
-            mob.release(id);
-        }
-        // Every id used equally → every bit of the id field is balanced.
-        for bit in 0..6 {
-            let b = mob.id_residency().bias(bit).fraction();
-            assert!((0.45..=0.55).contains(&b), "bit {bit} bias {b}");
-        }
     }
 
     #[test]

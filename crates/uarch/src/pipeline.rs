@@ -345,12 +345,6 @@ impl RunResult {
         u
     }
 
-    /// Mean utilization over the four adder-bearing ports.
-    pub fn mean_adder_utilization(&self) -> f64 {
-        let u = self.adder_utilization();
-        (u[0] + u[1] + u[2] + u[3]) / 4.0
-    }
-
     /// Worst per-adder utilization (the §4.3 "allocated with priorities"
     /// case is judged by its most used adder).
     pub fn max_adder_utilization(&self) -> f64 {
@@ -565,11 +559,6 @@ impl Pipeline {
         self.now
     }
 
-    /// Uops retired over the pipeline's lifetime (across all runs).
-    pub fn uops_retired(&self) -> u64 {
-        self.uops_retired
-    }
-
     /// The configuration.
     pub fn config(&self) -> &PipelineConfig {
         &self.config
@@ -578,6 +567,11 @@ impl Pipeline {
     /// Runs a trace to completion (drains in-flight uops afterwards) and
     /// returns this run's statistics. May be called repeatedly; structures
     /// and the clock carry over, mimicking back-to-back trace execution.
+    ///
+    /// A run ends settled: the register files' and the scheduler's
+    /// residency is flushed up to the last cycle, so their
+    /// `residency`/`field_residency` reads are exact as soon as this
+    /// returns.
     ///
     /// This is the event-driven core: cycles in which nothing can happen —
     /// front-end bubbles with the window waiting on long misses, structural
@@ -711,6 +705,12 @@ impl Pipeline {
                 self.now = next - 1;
             }
         }
+        // Settle: residency is additive over adjacent spans, so flushing at
+        // the run boundary changes no count, and readers need no `sync`.
+        let now = self.now;
+        self.parts.int_rf.sync(now);
+        self.parts.fp_rf.sync(now);
+        self.parts.sched.sync(now);
         let mut port_issues = [0u64; 5];
         let mut adder_ops = [0u64; 5];
         for i in 0..5 {
@@ -1163,7 +1163,7 @@ mod tests {
 
     #[test]
     fn structures_report_occupancy_after_run() {
-        let (mut pipe, _) = run_trace(20_000);
+        let (pipe, _) = run_trace(20_000);
         let now = pipe.now();
         let sched_occ = pipe.parts.sched.occupancy(now);
         assert!(

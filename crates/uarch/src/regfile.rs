@@ -194,31 +194,27 @@ impl RegisterFile {
         self.entries() - self.free_count()
     }
 
-    /// Flushes residency accounting of every cell up to `now`. Call before
-    /// reading [`RegisterFile::residency`].
+    /// Flushes residency accounting of every cell up to `now`.
+    /// [`Pipeline::run`](crate::pipeline::Pipeline::run) calls it when a
+    /// run ends; only a reader sampling in the middle of a run (or a test
+    /// driving a bare register file) calls it itself.
     pub fn sync(&mut self, now: u64) {
         for cell in &mut self.cells {
             cell.flush(now, &mut self.residency);
         }
     }
 
-    /// Per-bit-position residency (aggregated over all registers). Only
-    /// accurate up to the last [`RegisterFile::sync`].
+    /// Per-bit-position residency (aggregated over all registers),
+    /// accurate up to the last [`RegisterFile::sync`]: after a pipeline
+    /// run, up to the run's last cycle.
     pub fn residency(&self) -> &BitResidency {
         &self.residency
     }
 
     /// Average fraction of registers free up to `now` (the paper's 54%/69%
-    /// numbers).
-    pub fn free_fraction(&mut self, now: u64) -> f64 {
+    /// numbers). A read only, so telemetry may sample it mid-run.
+    pub fn free_fraction(&self, now: u64) -> f64 {
         self.occupancy.free_fraction(now).fraction()
-    }
-
-    /// Non-mutating counterpart of [`RegisterFile::free_fraction`] for
-    /// telemetry sampling: reads the same integral without perturbing the
-    /// tracker's event clock.
-    pub fn free_fraction_at(&self, now: u64) -> f64 {
-        self.occupancy.free_fraction_at(now).fraction()
     }
 
     /// Fraction of releases that found a spare write port (92% INT / 86%

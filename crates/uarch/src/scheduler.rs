@@ -716,6 +716,9 @@ impl Scheduler {
 
     /// Flushes all residency accounting up to `now`, including the grouped
     /// allocation charges staged in the concatenation accumulators.
+    /// [`Pipeline::run`](crate::pipeline::Pipeline::run) calls it when a
+    /// run ends; only a reader sampling in the middle of a run (or a test
+    /// driving a bare scheduler) calls it itself.
     pub fn sync(&mut self, now: u64) {
         let Scheduler {
             slots,
@@ -769,34 +772,25 @@ impl Scheduler {
         }
     }
 
-    /// Residency of one field (aggregated over slots). Only accurate up to
-    /// the last [`Scheduler::sync`].
+    /// Residency of one field (aggregated over slots), accurate up to the
+    /// last [`Scheduler::sync`]: after a pipeline run, up to the run's last
+    /// cycle.
     pub fn field_residency(&self, field: Field) -> &BitResidency {
         &self.residency[field.index()]
     }
 
-    /// Average slot occupancy up to `now` (the paper's 63%).
-    pub fn occupancy(&mut self, now: u64) -> f64 {
+    /// Average slot occupancy up to `now` (the paper's 63%). A read only,
+    /// so telemetry may sample it mid-run.
+    pub fn occupancy(&self, now: u64) -> f64 {
         self.occupancy.occupancy(now).fraction()
-    }
-
-    /// Non-mutating counterpart of [`Scheduler::occupancy`] for telemetry
-    /// sampling.
-    pub fn occupancy_at(&self, now: u64) -> f64 {
-        self.occupancy.occupancy_at(now).fraction()
     }
 
     /// Average *data-field* occupancy up to `now` (the paper's 25–30%,
     /// i.e. SRC data/immediate fields available 70–75% of the time):
     /// a data field is busy from allocation to issue, and only when the uop
     /// actually uses it.
-    pub fn data_occupancy(&mut self, now: u64) -> f64 {
+    pub fn data_occupancy(&self, now: u64) -> f64 {
         self.data_occupancy.occupancy(now).fraction()
-    }
-
-    /// Non-mutating counterpart of [`Scheduler::data_occupancy`].
-    pub fn data_occupancy_at(&self, now: u64) -> f64 {
-        self.data_occupancy.occupancy_at(now).fraction()
     }
 
     /// Fraction of releases that found a spare port.

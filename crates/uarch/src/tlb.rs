@@ -5,8 +5,6 @@
 //! evaluates 32/64/128-entry DTLBs). Modeled as a thin wrapper over
 //! [`SetAssocCache`] with 4KB "lines".
 
-use nbti_model::duty::Duty;
-
 use crate::cache::{AccessOutcome, CacheConfig, CacheStats, SetAssocCache};
 
 /// Page size assumed by the DTLB.
@@ -56,12 +54,6 @@ impl Dtlb {
         self.cache.valid_fraction()
     }
 
-    /// Worst cell duty over the entry valid bits up to `now` (word-parallel
-    /// residency accounting in the underlying cache).
-    pub fn worst_valid_cell_duty(&mut self, now: u64) -> Duty {
-        self.cache.worst_valid_cell_duty(now)
-    }
-
     /// The underlying cache, for the NBTI inversion schemes.
     pub fn cache_mut(&mut self) -> &mut SetAssocCache {
         &mut self.cache
@@ -104,13 +96,5 @@ mod tests {
     #[test]
     fn entries_reported() {
         assert_eq!(Dtlb::new(128, 8).entries(), 128);
-    }
-
-    #[test]
-    fn valid_bit_duty_reads_through_the_wrapper() {
-        let mut tlb = Dtlb::new(32, 8);
-        tlb.translate(0, 0);
-        // 31 never-valid entries pin the worst cell duty at 1.
-        assert!((tlb.worst_valid_cell_duty(10).fraction() - 1.0).abs() < 1e-12);
     }
 }

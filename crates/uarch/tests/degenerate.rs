@@ -18,12 +18,8 @@ fn pipeline() -> Pipeline {
 
 /// Every duty readout a driver consumes after a run, asserted finite and
 /// in range.
-fn assert_finite_duties(pipe: &mut Pipeline, result: &RunResult) {
+fn assert_finite_duties(pipe: &Pipeline, result: &RunResult) {
     assert!(result.cpi().is_finite(), "cpi must be finite: {result:?}");
-    let now = pipe.now();
-    pipe.parts.int_rf.sync(now);
-    pipe.parts.fp_rf.sync(now);
-    pipe.parts.sched.sync(now);
     for (name, bias) in [
         ("int_rf", pipe.parts.int_rf.residency().biases()),
         ("fp_rf", pipe.parts.fp_rf.residency().biases()),
@@ -43,7 +39,7 @@ fn assert_finite_duties(pipe: &mut Pipeline, result: &RunResult) {
             "worst cell duty {worst} out of range"
         );
     }
-    let occupancy = pipe.parts.sched.occupancy_at(now);
+    let occupancy = pipe.parts.sched.occupancy(pipe.now());
     assert!(
         occupancy.is_finite() && (0.0..=1.0).contains(&occupancy),
         "scheduler occupancy {occupancy} out of range"
@@ -54,14 +50,12 @@ fn assert_finite_duties(pipe: &mut Pipeline, result: &RunResult) {
 fn a_fresh_pipeline_reports_zero_duty_not_nan() {
     // Zero observed span: no run at all. Every bias must be exactly 0.0
     // (the documented degenerate-window answer), never NaN from 0/0.
-    let mut pipe = pipeline();
-    let now = pipe.now();
-    pipe.parts.int_rf.sync(now);
+    let pipe = pipeline();
     assert_eq!(pipe.parts.int_rf.residency().total_time(), 0);
     for duty in pipe.parts.int_rf.residency().biases() {
         assert_eq!(duty.fraction(), 0.0, "zero-span bias must be 0.0");
     }
-    assert_eq!(pipe.parts.sched.occupancy_at(now), 0.0);
+    assert_eq!(pipe.parts.sched.occupancy(pipe.now()), 0.0);
 }
 
 #[test]
@@ -70,7 +64,7 @@ fn an_empty_trace_runs_cleanly_through_the_event_driven_loop() {
     let result = pipe.run(std::iter::empty(), &mut NoHooks);
     assert_eq!(result.uops, 0);
     assert_eq!(result.cpi(), 0.0, "cpi of an empty run is defined as 0.0");
-    assert_finite_duties(&mut pipe, &result);
+    assert_finite_duties(&pipe, &result);
 }
 
 #[test]
@@ -79,7 +73,7 @@ fn an_empty_trace_runs_cleanly_through_the_cycle_accurate_loop() {
     let result = pipe.run_cycle_accurate(std::iter::empty(), &mut NoHooks);
     assert_eq!(result.uops, 0);
     assert_eq!(result.cpi(), 0.0);
-    assert_finite_duties(&mut pipe, &result);
+    assert_finite_duties(&pipe, &result);
 }
 
 #[test]
@@ -88,12 +82,12 @@ fn a_single_uop_trace_runs_cleanly_through_both_loops() {
     let mut event = pipeline();
     let fast = event.run(trace.generate(1), &mut NoHooks);
     assert_eq!(fast.uops, 1);
-    assert_finite_duties(&mut event, &fast);
+    assert_finite_duties(&event, &fast);
 
     let mut reference = pipeline();
     let slow = reference.run_cycle_accurate(trace.generate(1), &mut NoHooks);
     assert_eq!(slow.uops, 1);
-    assert_finite_duties(&mut reference, &slow);
+    assert_finite_duties(&reference, &slow);
 
     // The event-driven loop is observably identical to the reference even
     // on a one-uop trace (all drain, no steady state).
@@ -113,7 +107,7 @@ fn a_64_entry_scheduler_runs_and_a_65_entry_one_is_refused() {
         &mut NoHooks,
     );
     assert_eq!(result.uops, 2_000);
-    assert_finite_duties(&mut pipe, &result);
+    assert_finite_duties(&pipe, &result);
 
     let over = PipelineConfig {
         sched_entries: 65,

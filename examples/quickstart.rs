@@ -53,8 +53,6 @@ fn main() {
         TraceSpec::new(Suite::Office, 0).generate(30_000),
         &mut hooks,
     );
-    let now = pipe.now();
-    pipe.parts.int_rf.sync(now);
     let worst = pipe.parts.int_rf.residency().worst_cell_duty();
     let rf_cost = BlockCost::new(1.0, 1.01, model.cell_guardband(worst).fraction());
     println!(

@@ -115,8 +115,6 @@ fn guardband_model_consumes_measured_biases() {
         TraceSpec::new(Suite::Office, 4).generate(10_000),
         &mut NoHooks,
     );
-    let now = pipe.now();
-    pipe.parts.int_rf.sync(now);
     let worst = pipe.parts.int_rf.residency().worst_cell_duty();
     let gb = model.cell_guardband(worst);
     assert!(gb.fraction() >= 0.02 && gb.fraction() <= 0.20);

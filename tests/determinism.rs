@@ -30,8 +30,6 @@ fn full_processor_runs_are_bit_identical() {
             TraceSpec::new(Suite::Encoder, 5).generate(20_000),
             &mut hooks,
         );
-        let now = pipe.now();
-        pipe.parts.int_rf.sync(now);
         (
             r.cycles,
             r.port_issues,

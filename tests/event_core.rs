@@ -51,10 +51,6 @@ fn observe<I: IntoIterator<Item = Uop>>(trace: I, event_driven: bool) -> Observe
     } else {
         pipe.run_cycle_accurate(trace, &mut NoHooks)
     };
-    let now = pipe.now();
-    pipe.parts.sched.sync(now);
-    pipe.parts.int_rf.sync(now);
-    pipe.parts.fp_rf.sync(now);
     Observed {
         cycles: result.cycles,
         uops: result.uops,
@@ -306,9 +302,6 @@ fn event_stream_digest(config: PipelineConfig) -> (u64, u64) {
         hooks.fnv.words(&r.adder_ops);
     }
     let now = pipe.now();
-    pipe.parts.sched.sync(now);
-    pipe.parts.int_rf.sync(now);
-    pipe.parts.fp_rf.sync(now);
     let mut fnv = hooks.fnv;
     for f in Field::ALL {
         let (total, zeros) = residency(pipe.parts.sched.field_residency(f));
