@@ -1,23 +1,20 @@
 //! The shared command-line front end for every `penelope-bench` binary.
 //!
 //! All eleven binaries funnel through [`run_main`]: flag parsing, the
-//! scale/fault environment variables, the panic supervisor and — when a
-//! report path is given — the telemetry recorder lifecycle. A binary's
-//! `main` is one call naming its slug, artifact and paper section plus a
-//! closure running the experiment.
+//! panic supervisor and — when a report path is given — the telemetry
+//! recorder lifecycle. A binary's `main` is one call naming its slug,
+//! artifact and paper section plus a closure running the experiment.
 //!
 //! Accepted flags (shared by every binary):
 //!
-//! - `--scale <quick|standard|thorough>` — experiment size; overrides the
-//!   `PENELOPE_SCALE` environment variable;
+//! - `--scale <quick|standard|thorough>` — experiment size (default
+//!   standard);
 //! - `--jobs <N>` — worker threads for the parallel sweep engine
-//!   (`penelope::par`); overrides `PENELOPE_JOBS`; defaults to the
-//!   machine's available parallelism;
+//!   (`penelope::par`); defaults to the machine's available parallelism;
 //! - `--json <path>` — write a machine-readable run report (schema in
-//!   `penelope-telemetry`); overrides `PENELOPE_METRICS`;
+//!   `penelope-telemetry`);
 //! - `--checkpoint <path>` — persist every completed sweep cell to a
-//!   crash-safe journal (`penelope::journal`); overrides
-//!   `PENELOPE_CHECKPOINT`;
+//!   crash-safe journal (`penelope::journal`);
 //! - `--resume` — restore completed cells from the `--checkpoint` journal
 //!   instead of re-executing them; refuses corrupt or mismatched journals
 //!   with a typed error;
@@ -30,16 +27,18 @@
 //!   finished run (implies the recorder, like `--json`);
 //! - `--progress` — live cells-done/total progress line on stderr;
 //!   auto-disabled when stderr is not a terminal so CI logs stay clean;
+//! - `--faults <seed>` — replace the experiment with a seeded
+//!   fault-injection run of the efficiency pipeline (always exits
+//!   nonzero);
 //! - `-h` / `--help` — print usage and exit successfully.
 //!
-//! Every flag describes one recorded execution: the experiment runs once
-//! per process. Repeated, spread-aware timing is the benchmark's job
-//! (`perfbench/`), not the CLI's.
+//! Flags are the only configuration channel, and every one is strict: a
+//! malformed value exits 1 naming the flag. Every flag describes one
+//! recorded execution: the experiment runs once per process. Repeated,
+//! spread-aware timing is the benchmark's job (`perfbench/`), not the
+//! CLI's.
 //!
-//! When a report path is active the recorder is installed before the
-//! environment variables are resolved — so a malformed `PENELOPE_SCALE`,
-//! `PENELOPE_JOBS` or `PENELOPE_FAULTS` lands in the report's `warnings`
-//! array, not just on stderr — drivers contribute phases/series through
+//! When a report path is active, drivers contribute phases/series through
 //! `penelope::obs`, and the finished report is validated and written even
 //! when the experiment fails (with `"status": "error"` in the manifest).
 //! A run whose sweeps quarantined cells (see `penelope::par`) writes the
@@ -112,19 +111,6 @@ fn degraded(message: String) {
     recorder::warning(message);
 }
 
-/// Reads the experiment scale from `PENELOPE_SCALE` (default: standard).
-/// Unrecognized values warn — on stderr and in the run report — and fall
-/// back to the default.
-pub fn scale_from_env() -> Scale {
-    match std::env::var("PENELOPE_SCALE") {
-        Ok(value) => parse_scale(&value).unwrap_or_else(|warning| {
-            degraded(format!("PENELOPE_SCALE: {warning}; using standard"));
-            Scale::standard()
-        }),
-        Err(_) => Scale::standard(),
-    }
-}
-
 /// Parses a worker count for the parallel sweep engine: a positive
 /// integer.
 ///
@@ -140,33 +126,6 @@ pub fn parse_jobs(value: &str) -> Result<usize, String> {
     }
 }
 
-/// Reads the worker count from `PENELOPE_JOBS`. Unset or empty means
-/// "use the machine's available parallelism"; unparseable values warn —
-/// on stderr and in the run report — and fall back the same way. `0` is
-/// special-cased: unlike garbage (where the user's intent is unknowable),
-/// a zero asks for "as little parallelism as possible", so it clamps to
-/// one worker with a warning instead of silently going wide.
-pub fn jobs_from_env() -> Option<usize> {
-    let raw = std::env::var("PENELOPE_JOBS").ok()?;
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return None;
-    }
-    if trimmed.parse::<usize>() == Ok(0) {
-        degraded("PENELOPE_JOBS: job count 0 clamped to 1 worker".to_string());
-        return Some(1);
-    }
-    match parse_jobs(trimmed) {
-        Ok(jobs) => Some(jobs),
-        Err(warning) => {
-            degraded(format!(
-                "PENELOPE_JOBS: {warning}; using available parallelism"
-            ));
-            None
-        }
-    }
-}
-
 /// Parses a fault-injection seed: a decimal `u64`.
 ///
 /// # Errors
@@ -177,85 +136,6 @@ pub fn parse_fault_seed(value: &str) -> Result<u64, String> {
         .trim()
         .parse::<u64>()
         .map_err(|_| format!("invalid fault seed {value:?} (expected a decimal u64 seed)"))
-}
-
-/// Reads a fault plan from `PENELOPE_FAULTS`: a `u64` seed expanding into
-/// a seeded random [`FaultPlan`]. Unset or empty means no faults;
-/// unparseable values warn — on stderr and in the run report, naming the
-/// accepted format — and disable injection rather than abort.
-pub fn fault_plan_from_env() -> Option<FaultPlan> {
-    let raw = std::env::var("PENELOPE_FAULTS").ok()?;
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return None;
-    }
-    match parse_fault_seed(trimmed) {
-        Ok(seed) => Some(FaultPlan::random(seed)),
-        Err(warning) => {
-            degraded(format!("PENELOPE_FAULTS: {warning}; faults disabled"));
-            None
-        }
-    }
-}
-
-/// Parses a supervisor retry count: a non-negative integer (0 disables
-/// retries; failing cells quarantine on their first attempt).
-///
-/// # Errors
-///
-/// Returns a human-readable description of the rejected value.
-pub fn parse_retries(value: &str) -> Result<u32, String> {
-    value
-        .trim()
-        .parse::<u32>()
-        .map_err(|_| format!("invalid retry count {value:?} (expected a non-negative integer)"))
-}
-
-/// Parses a per-cell cycle budget: a positive integer count of simulated
-/// cycles.
-///
-/// # Errors
-///
-/// Returns a human-readable description of the rejected value.
-pub fn parse_cell_budget(value: &str) -> Result<u64, String> {
-    match value.trim().parse::<u64>() {
-        Ok(0) | Err(_) => Err(format!(
-            "invalid cell budget {value:?} (expected a positive integer count of simulated cycles)"
-        )),
-        Ok(budget) => Ok(budget),
-    }
-}
-
-/// Builds the sweep supervisor policy from `PENELOPE_RETRIES` and
-/// `PENELOPE_CELL_BUDGET`. Unset or empty means the defaults (one retry,
-/// no cycle budget); unparseable values warn — on stderr and in the run
-/// report, naming the accepted format — and keep the default.
-pub fn supervisor_from_env() -> par::SupervisorPolicy {
-    let mut policy = par::SupervisorPolicy::default();
-    if let Ok(raw) = std::env::var("PENELOPE_RETRIES") {
-        let trimmed = raw.trim();
-        if !trimmed.is_empty() {
-            match parse_retries(trimmed) {
-                Ok(retries) => policy.retries = retries,
-                Err(warning) => degraded(format!(
-                    "PENELOPE_RETRIES: {warning}; using {}",
-                    policy.retries
-                )),
-            }
-        }
-    }
-    if let Ok(raw) = std::env::var("PENELOPE_CELL_BUDGET") {
-        let trimmed = raw.trim();
-        if !trimmed.is_empty() {
-            match parse_cell_budget(trimmed) {
-                Ok(budget) => policy.cycle_budget = Some(budget),
-                Err(warning) => degraded(format!(
-                    "PENELOPE_CELL_BUDGET: {warning}; watchdog disabled"
-                )),
-            }
-        }
-    }
-    policy
 }
 
 /// Prints a standard header naming the artifact being regenerated.
@@ -281,8 +161,7 @@ pub struct ExtraFlag {
     pub help: &'static str,
 }
 
-/// Command-line options shared by every bench binary, after merging flags
-/// with the environment.
+/// Command-line options shared by every bench binary.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 struct Args {
     scale: Option<Scale>,
@@ -293,6 +172,7 @@ struct Args {
     stream: Option<PathBuf>,
     trace: Option<PathBuf>,
     progress: bool,
+    faults: Option<u64>,
     help: bool,
     /// Registered experiment-specific flags, as `(flag, value)` pairs in
     /// the order they appeared (a repeated flag keeps the last value).
@@ -327,9 +207,11 @@ fn parse_args_with<I: IntoIterator<Item = String>>(
                 .ok_or_else(|| format!("{name} requires a value"))
         };
         match flag.as_str() {
-            "--scale" => parsed.scale = Some(parse_scale(&value("--scale")?)?),
-            "--jobs" => parsed.jobs = Some(parse_jobs(&value("--jobs")?)?),
-            "--json" => parsed.json = Some(PathBuf::from(value("--json")?)),
+            "--scale" => parsed.scale = Some(named("--scale", parse_scale(&value("--scale")?))?),
+            "--jobs" => parsed.jobs = Some(named("--jobs", parse_jobs(&value("--jobs")?))?),
+            "--json" => {
+                parsed.json = Some(named("--json", parse_report_path(&value("--json")?))?);
+            }
             "--checkpoint" => parsed.checkpoint = Some(PathBuf::from(value("--checkpoint")?)),
             "--resume" => {
                 if inline.is_some() {
@@ -345,6 +227,9 @@ fn parse_args_with<I: IntoIterator<Item = String>>(
                 }
                 parsed.progress = true;
             }
+            "--faults" => {
+                parsed.faults = Some(named("--faults", parse_fault_seed(&value("--faults")?))?);
+            }
             "-h" | "--help" => parsed.help = true,
             other => {
                 if let Some(extra) = extra_flags.iter().find(|e| e.flag == other) {
@@ -359,23 +244,34 @@ fn parse_args_with<I: IntoIterator<Item = String>>(
             }
         }
     }
+    if parsed.resume && parsed.checkpoint.is_none() && !parsed.help {
+        return Err(
+            "--resume requires a checkpoint journal path (--checkpoint <path>)".to_string(),
+        );
+    }
     Ok(parsed)
+}
+
+/// Prefixes a flag value's parse error with the flag, so the message names
+/// what to fix.
+fn named<T>(flag: &str, parsed: Result<T, String>) -> Result<T, String> {
+    parsed.map_err(|err| format!("{flag}: {err}"))
 }
 
 fn usage_with(slug: &str, extra_flags: &[ExtraFlag]) {
     println!(
         "USAGE: {slug} [--scale <quick|standard|thorough>] [--jobs <N>] [--json <path>]\n\
          \x20               [--checkpoint <path>] [--resume] [--stream <path|->]\n\
-         \x20               [--trace <path>] [--progress]\n\
+         \x20               [--trace <path>] [--progress] [--faults <seed>]\n\
          \n\
          Options:\n\
-         \x20 --scale <name>      experiment size (default: PENELOPE_SCALE or standard)\n\
-         \x20 --jobs <N>          worker threads for experiment sweeps (default:\n\
-         \x20                     PENELOPE_JOBS or the machine's available parallelism);\n\
-         \x20                     results are identical at any setting\n\
-         \x20 --json <path>       write a machine-readable run report (default: PENELOPE_METRICS)\n\
+         \x20 --scale <name>      experiment size (default: standard)\n\
+         \x20 --jobs <N>          worker threads for experiment sweeps (default: the\n\
+         \x20                     machine's available parallelism); results are\n\
+         \x20                     identical at any setting\n\
+         \x20 --json <path>       write a machine-readable run report\n\
          \x20 --checkpoint <path> journal every completed sweep cell to <path> so an\n\
-         \x20                     interrupted run can be resumed (default: PENELOPE_CHECKPOINT)\n\
+         \x20                     interrupted run can be resumed\n\
          \x20 --resume            restore completed cells from the checkpoint journal\n\
          \x20                     instead of re-running them (requires a checkpoint path;\n\
          \x20                     corrupt or mismatched journals are refused)\n\
@@ -386,18 +282,9 @@ fn usage_with(slug: &str, extra_flags: &[ExtraFlag]) {
          \x20 --trace <path>      write a chrome://tracing span timeline of the run\n\
          \x20 --progress          live cells-done/total line on stderr (auto-disabled\n\
          \x20                     when stderr is not a terminal)\n\
-         \x20 -h, --help          print this help\n\
-         \n\
-         Environment:\n\
-         \x20 PENELOPE_SCALE       scale when --scale is absent\n\
-         \x20 PENELOPE_JOBS        worker threads when --jobs is absent\n\
-         \x20 PENELOPE_METRICS     report path when --json is absent\n\
-         \x20 PENELOPE_CHECKPOINT  checkpoint journal path when --checkpoint is absent\n\
-         \x20 PENELOPE_FAULTS      u64 seed: replace the experiment with a seeded\n\
-         \x20                      fault-injection run (always exits nonzero)\n\
-         \x20 PENELOPE_RETRIES     supervisor retries per failing sweep cell (default 1)\n\
-         \x20 PENELOPE_CELL_BUDGET quarantine any sweep cell whose telemetry exceeds\n\
-         \x20                      this many simulated cycles"
+         \x20 --faults <seed>     replace the experiment with a seeded fault-injection\n\
+         \x20                     run (u64 seed; always exits nonzero)\n\
+         \x20 -h, --help          print this help"
     );
     if !extra_flags.is_empty() {
         println!("\nExperiment options ({slug}):");
@@ -430,46 +317,6 @@ pub fn parse_report_path(value: &str) -> Result<PathBuf, String> {
         ));
     }
     Ok(PathBuf::from(trimmed))
-}
-
-/// The report path after merging `--json` with `PENELOPE_METRICS`, plus a
-/// warning to surface once the recorder is up. The flag wins unparsed (a
-/// bad `--json` is impossible: any non-empty argument is a path). An
-/// unset or empty `PENELOPE_METRICS` silently disables the report; a
-/// malformed value warns — on stderr and in any later report — and
-/// disables it, matching the `PENELOPE_RETRIES` / `PENELOPE_CELL_BUDGET`
-/// treatment.
-fn report_path(flag: Option<PathBuf>) -> (Option<PathBuf>, Option<String>) {
-    if let Some(path) = flag {
-        return (Some(path), None);
-    }
-    let Ok(raw) = std::env::var("PENELOPE_METRICS") else {
-        return (None, None);
-    };
-    if raw.trim().is_empty() {
-        return (None, None);
-    }
-    match parse_report_path(&raw) {
-        Ok(path) => (Some(path), None),
-        Err(warning) => (
-            None,
-            Some(format!("PENELOPE_METRICS: {warning}; run report disabled")),
-        ),
-    }
-}
-
-/// The checkpoint journal path after merging `--checkpoint` with
-/// `PENELOPE_CHECKPOINT`.
-fn checkpoint_path(flag: Option<PathBuf>) -> Option<PathBuf> {
-    flag.or_else(|| {
-        let raw = std::env::var("PENELOPE_CHECKPOINT").ok()?;
-        let trimmed = raw.trim();
-        if trimmed.is_empty() {
-            None
-        } else {
-            Some(PathBuf::from(trimmed))
-        }
-    })
 }
 
 /// How a supervised run ended: cleanly, with quarantined cells (partial
@@ -509,19 +356,18 @@ impl Outcome {
 /// manifest), `what` the artifact being regenerated, `paper_ref` the paper
 /// section. The closure receives the chosen scale and returns the rendered
 /// report. Typed errors and panics are both reported to stderr with a
-/// partial-results note and mapped to a nonzero exit code. When
-/// `PENELOPE_FAULTS` is set the closure is bypassed: the seeded fault plan
-/// runs through the full pipeline instead, and the process always exits
-/// nonzero (see [`fault_plan_from_env`]).
+/// partial-results note and mapped to a nonzero exit code. With
+/// `--faults <seed>` the closure is bypassed: the seeded fault plan runs
+/// through the full pipeline instead, and the process always exits
+/// nonzero.
 ///
-/// With `--json <path>` (or `PENELOPE_METRICS=<path>`) the telemetry
-/// recorder is active for the whole run and a validated JSON run report is
-/// written to `path` on the way out — also on failure, with
-/// `"status": "error"` in its manifest.
+/// With `--json <path>` the telemetry recorder is active for the whole run
+/// and a validated JSON run report is written to `path` on the way out —
+/// also on failure, with `"status": "error"` in its manifest.
 ///
-/// `--jobs <N>` (or `PENELOPE_JOBS=<N>`) sets the worker count for the
-/// parallel sweep engine before the experiment starts; results and
-/// reports are byte-identical at any setting outside wall-clock fields.
+/// `--jobs <N>` sets the worker count for the parallel sweep engine
+/// before the experiment starts; results and reports are byte-identical
+/// at any setting outside wall-clock fields.
 pub fn run_main(
     slug: &str,
     what: &str,
@@ -555,39 +401,21 @@ pub fn run_main_with(
         usage_with(slug, extra_flags);
         return ExitCode::SUCCESS;
     }
-    let (report, metrics_warning) = report_path(args.json);
-    let recording = report.is_some() || args.trace.is_some();
-
-    // Install the recorder before resolving the environment so that a
-    // malformed PENELOPE_SCALE / PENELOPE_JOBS / PENELOPE_FAULTS fallback
-    // is recorded in the report's `warnings` array, not just on stderr.
+    let scale = args.scale.unwrap_or_else(Scale::standard);
     // `--trace` implies the recorder too: the chrome trace is rendered
     // from the same collector.
+    let recording = args.json.is_some() || args.trace.is_some();
     if recording {
         recorder::install(Settings::default());
         recorder::manifest_entry("binary", Json::from(slug));
         recorder::manifest_entry("artifact", Json::from(what));
         recorder::manifest_entry("paper_ref", Json::from(paper_ref));
-    }
-    if let Some(warning) = metrics_warning {
-        degraded(warning);
-    }
-    let scale = args.scale.unwrap_or_else(scale_from_env);
-    if recording {
         recorder::manifest_entry("scale_name", Json::from(scale_name(scale)));
     }
     // The jobs count steers wall-clock only — it is deliberately kept out
     // of the manifest so reports stay byte-identical across --jobs
     // settings (the determinism contract in `penelope::par`).
-    let jobs = args
-        .jobs
-        .or_else(jobs_from_env)
-        .unwrap_or_else(par::available_parallelism);
-    par::set_jobs(jobs);
-    // The supervisor policy likewise never enters the manifest: retries
-    // and budgets only matter when cells fail, and then the warnings
-    // array carries the structured record.
-    par::set_supervisor(supervisor_from_env());
+    par::set_jobs(args.jobs.unwrap_or_else(par::available_parallelism));
     // Progress is a terminal affordance: when stderr is a pipe (CI logs,
     // redirects) the flag silently stands down so logs stay clean.
     if args.progress && std::io::stderr().is_terminal() {
@@ -609,25 +437,13 @@ pub fn run_main_with(
         header(what, paper_ref, scale);
     }
 
-    // The fault plan resolves before the journal header is stamped: a
-    // checkpointed faulted run must refuse to resume into a fault-free
-    // one (and vice versa).
-    let plan = fault_plan_from_env();
-    let checkpoint = checkpoint_path(args.checkpoint);
-    if args.resume && checkpoint.is_none() {
-        eprintln!(
-            "{slug}: --resume requires a checkpoint journal path \
-             (--checkpoint <path> or PENELOPE_CHECKPOINT)"
-        );
-        let _ = recorder::finish();
-        return ExitCode::FAILURE;
-    }
-    if let Some(path) = &checkpoint {
-        // The supervisor policy is stamped into the header: a journal
-        // written under one retry/budget regime holds results another
-        // regime might never have produced (a cell that succeeded on its
-        // second attempt, a budget-truncated run), so resuming under a
-        // different policy must refuse rather than silently mix them.
+    let plan = args.faults.map(FaultPlan::random);
+    if let Some(path) = &args.checkpoint {
+        // The fault seed and the supervisor policy are stamped into the
+        // header: a journal written under one fault plan or retry/budget
+        // regime holds results another might never have produced, so
+        // resuming across them must refuse rather than silently mix them.
+        // The CLI always runs the default policy.
         let policy = par::supervisor();
         let journal_header = JournalHeader {
             binary: slug.to_string(),
@@ -746,7 +562,7 @@ pub fn run_main_with(
     if recording {
         match write_outputs(
             slug,
-            report.as_deref(),
+            args.json.as_deref(),
             args.trace.as_deref(),
             outcome.status(),
         ) {
@@ -902,6 +718,9 @@ mod tests {
         assert_eq!(parsed.scale, Some(Scale::thorough()));
         assert_eq!(parsed.jobs, Some(2));
         assert_eq!(parsed.json, Some(PathBuf::from("r/x.json")));
+
+        let parsed = parse_args(strings(&["--faults", "7"])).unwrap();
+        assert_eq!(parsed.faults, Some(7));
     }
 
     #[test]
@@ -919,23 +738,6 @@ mod tests {
     }
 
     #[test]
-    fn unparseable_jobs_env_warns_into_the_report() {
-        // Only this test touches PENELOPE_JOBS, so the process-global
-        // environment is not contended.
-        std::env::set_var("PENELOPE_JOBS", "not-a-number");
-        recorder::install(Settings::default());
-        assert_eq!(jobs_from_env(), None, "garbage falls back to the default");
-        let collector = recorder::finish().expect("installed above");
-        std::env::remove_var("PENELOPE_JOBS");
-        assert_eq!(collector.warnings.len(), 1);
-        assert!(
-            collector.warnings[0].contains("PENELOPE_JOBS"),
-            "{:?}",
-            collector.warnings
-        );
-    }
-
-    #[test]
     fn args_reject_unknown_flags_and_missing_values() {
         assert!(parse_args(strings(&["--frobnicate"]))
             .unwrap_err()
@@ -946,6 +748,18 @@ mod tests {
         assert!(parse_args(strings(&["--scale", "enormous"]))
             .unwrap_err()
             .contains("enormous"));
+        // Every rejected value names the flag it came from.
+        for (args, flag, detail) in [
+            (&["--faults", "banana"][..], "--faults", "decimal u64 seed"),
+            (&["--retries", "1"][..], "--retries", "unknown argument"),
+            (&["--json", "reports/"][..], "--json", "a directory"),
+        ] {
+            let err = parse_args(strings(args)).unwrap_err();
+            assert!(
+                err.contains(flag) && err.contains(detail),
+                "{args:?}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -969,6 +783,9 @@ mod tests {
         assert!(parse_args(strings(&["--checkpoint"]))
             .unwrap_err()
             .contains("requires a value"));
+        assert!(parse_args(strings(&["--resume"]))
+            .unwrap_err()
+            .contains("--resume requires a checkpoint journal path"));
     }
 
     #[test]
@@ -978,20 +795,6 @@ mod tests {
         for bad in ["-1", "five", "1.5", "", "0x10"] {
             let err = parse_fault_seed(bad).unwrap_err();
             assert!(err.contains("decimal u64 seed"), "{bad:?}: {err}");
-        }
-    }
-
-    #[test]
-    fn supervisor_knobs_parse_strictly() {
-        assert_eq!(parse_retries("0"), Ok(0));
-        assert_eq!(parse_retries(" 3 "), Ok(3));
-        assert!(parse_retries("-1")
-            .unwrap_err()
-            .contains("non-negative integer"));
-        assert_eq!(parse_cell_budget("1000"), Ok(1000));
-        for bad in ["0", "lots", ""] {
-            let err = parse_cell_budget(bad).unwrap_err();
-            assert!(err.contains("positive integer"), "{bad:?}: {err}");
         }
     }
 
@@ -1137,29 +940,6 @@ mod tests {
         assert!(parse_report_path("reports/")
             .unwrap_err()
             .contains("a directory"));
-    }
-
-    #[test]
-    fn unparseable_metrics_env_warns_and_disables_the_report() {
-        // Only this test touches PENELOPE_METRICS, so the process-global
-        // environment is not contended.
-        std::env::set_var("PENELOPE_METRICS", "reports/");
-        let (path, warning) = report_path(None);
-        assert_eq!(path, None, "a directory path disables the report");
-        let warning = warning.expect("malformed values warn");
-        assert!(warning.contains("PENELOPE_METRICS"), "{warning}");
-        assert!(warning.contains("run report disabled"), "{warning}");
-
-        // Empty is the documented way to disable the report: no warning.
-        std::env::set_var("PENELOPE_METRICS", "  ");
-        assert_eq!(report_path(None), (None, None));
-
-        // The flag wins over the environment, unparsed.
-        let (path, warning) = report_path(Some(PathBuf::from("out.json")));
-        assert_eq!(path, Some(PathBuf::from("out.json")));
-        assert_eq!(warning, None);
-        std::env::remove_var("PENELOPE_METRICS");
-        assert_eq!(report_path(None), (None, None));
     }
 
     #[test]

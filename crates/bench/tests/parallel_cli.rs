@@ -1,8 +1,7 @@
-//! End-to-end CLI tests for `--jobs` / `PENELOPE_JOBS`: the flag parses
-//! strictly, the env var degrades gracefully into the report's `warnings`
-//! array, reports stay byte-identical across jobs settings, and a
-//! fault-injected parallel run still exits nonzero with the fault
-//! reported. The `l2` binary's report credits every simulated run.
+//! End-to-end CLI tests for `--jobs`: the flag parses strictly, reports
+//! stay byte-identical across jobs settings, and a fault-injected parallel
+//! run still exits nonzero with the fault reported. The `l2` binary's
+//! report credits every simulated run.
 //!
 //! These drive the real binaries through `CARGO_BIN_EXE_*`, so they cover
 //! the full path: argument parsing → recorder install → engine jobs
@@ -14,23 +13,11 @@ use std::process::{Command, Output};
 use penelope_telemetry::{validate_report, Json};
 
 fn fig6() -> Command {
-    isolated(Command::new(env!("CARGO_BIN_EXE_fig6")))
+    Command::new(env!("CARGO_BIN_EXE_fig6"))
 }
 
 fn l2() -> Command {
-    isolated(Command::new(env!("CARGO_BIN_EXE_l2")))
-}
-
-fn isolated(mut cmd: Command) -> Command {
-    // Isolate from the ambient environment CI or a developer might have.
-    cmd.env_remove("PENELOPE_SCALE")
-        .env_remove("PENELOPE_JOBS")
-        .env_remove("PENELOPE_METRICS")
-        .env_remove("PENELOPE_FAULTS")
-        .env_remove("PENELOPE_CHECKPOINT")
-        .env_remove("PENELOPE_RETRIES")
-        .env_remove("PENELOPE_CELL_BUDGET");
-    cmd
+    Command::new(env!("CARGO_BIN_EXE_l2"))
 }
 
 fn tmp_path(name: &str) -> PathBuf {
@@ -120,35 +107,6 @@ fn bad_jobs_flag_is_a_hard_error() {
 }
 
 #[test]
-fn unparseable_jobs_env_degrades_into_report_warnings() {
-    let path = tmp_path("fig6-bad-jobs-env.json");
-    let output = fig6()
-        .env("PENELOPE_JOBS", "banana")
-        .args(["--scale", "quick", "--json"])
-        .arg(&path)
-        .output()
-        .expect("fig6 binary runs");
-    assert!(
-        output.status.success(),
-        "env degradation must not fail the run: {}",
-        stderr_of(&output)
-    );
-    assert!(stderr_of(&output).contains("PENELOPE_JOBS"));
-    let report = read_report(&path);
-    let warnings = report
-        .get("warnings")
-        .and_then(Json::as_array)
-        .expect("report carries a warnings array");
-    assert!(
-        warnings
-            .iter()
-            .filter_map(Json::as_str)
-            .any(|w| w.contains("PENELOPE_JOBS")),
-        "degradation missing from warnings: {warnings:?}"
-    );
-}
-
-#[test]
 fn jobs_flag_zero_is_a_hard_error() {
     let output = fig6()
         .args(["--scale", "quick", "--jobs", "0"])
@@ -163,42 +121,10 @@ fn jobs_flag_zero_is_a_hard_error() {
 }
 
 #[test]
-fn jobs_env_zero_clamps_to_one_worker_with_a_report_warning() {
-    // Unlike the strict flag, the env var degrades: a CI matrix exporting
-    // PENELOPE_JOBS=0 gets a serial run plus a warning, not a dead job.
-    let path = tmp_path("fig6-jobs-env-zero.json");
-    let output = fig6()
-        .env("PENELOPE_JOBS", "0")
-        .args(["--scale", "quick", "--json"])
-        .arg(&path)
-        .output()
-        .expect("fig6 binary runs");
-    assert!(
-        output.status.success(),
-        "PENELOPE_JOBS=0 must clamp, not fail: {}",
-        stderr_of(&output)
-    );
-    let report = read_report(&path);
-    let warnings = report
-        .get("warnings")
-        .and_then(Json::as_array)
-        .expect("report carries a warnings array");
-    assert!(
-        warnings
-            .iter()
-            .filter_map(Json::as_str)
-            .any(|w| w.contains("clamped")),
-        "clamp missing from warnings: {warnings:?}"
-    );
-}
-
-#[test]
 fn faulted_parallel_run_exits_nonzero_and_reports_the_faults() {
     let path = tmp_path("fig6-faulted-jobs4.json");
     let output = fig6()
-        .env("PENELOPE_FAULTS", "5")
-        .env("PENELOPE_JOBS", "4")
-        .args(["--scale", "quick", "--json"])
+        .args(["--faults", "5", "--jobs", "4", "--scale", "quick", "--json"])
         .arg(&path)
         .output()
         .expect("fig6 binary runs");

@@ -20,6 +20,7 @@
 //! in the error-handling stack — and the bench supervisor turns it into a
 //! partial-results report with a nonzero exit code.
 
+use penelope_telemetry::EventSource;
 use uarch::pipeline::{Hooks, Parts};
 
 use crate::error::Error;
@@ -89,11 +90,6 @@ impl<H> CheckedHooks<H> {
         &self.inner
     }
 
-    /// Mutable access to the wrapped hook set.
-    pub fn inner_mut(&mut self) -> &mut H {
-        &mut self.inner
-    }
-
     /// Total violations observed so far.
     pub fn violation_count(&self) -> u64 {
         self.count
@@ -151,7 +147,7 @@ impl<H> CheckedHooks<H> {
     }
 }
 
-impl<H: Hooks + RinvAccess> CheckedHooks<H> {
+impl<H: Hooks + RinvAccess + EventSource> CheckedHooks<H> {
     fn run_checks(&mut self, parts: &mut Parts, now: u64) {
         // Occupancies and free fractions.
         let occ = parts.sched.occupancy(now);
@@ -197,7 +193,7 @@ impl<H: Hooks + RinvAccess> CheckedHooks<H> {
         }
 
         // RINV freshness.
-        if let Some((age, period)) = self.inner.rinv_staleness(now) {
+        if let Some((age, period)) = self.inner.rinv_age(now) {
             let budget = STALENESS_PERIODS * period.max(1);
             // Grace: young runs have not had time to sample yet.
             if age > budget && now > budget {
@@ -219,7 +215,7 @@ impl<H: Hooks + RinvAccess> CheckedHooks<H> {
     }
 }
 
-impl<H: Hooks + RinvAccess> Hooks for CheckedHooks<H> {
+impl<H: Hooks + RinvAccess + EventSource> Hooks for CheckedHooks<H> {
     fn regfile_released(
         &mut self,
         rf: &mut uarch::regfile::RegisterFile,

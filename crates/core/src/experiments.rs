@@ -33,7 +33,7 @@ use nbti_model::duty::Duty;
 use nbti_model::guardband::GuardbandModel;
 use nbti_model::metric::{BlockCost, ProcessorAggregator};
 use nbti_model::rd::RdModel;
-use penelope_telemetry::{recorder, EventSource, Json};
+use penelope_telemetry::{recorder, EventSource};
 use tracegen::error::TraceError;
 use tracegen::fault::{faulted, TraceFault};
 use tracegen::trace::Workload;
@@ -47,7 +47,7 @@ use crate::cache_aware::SchemeKind;
 use crate::error::Error;
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::invert_mode::{full_guardband_baseline, InvertMode};
-use crate::journal::{cell_payload, CellPayload};
+use crate::journal::cell_payload;
 use crate::obs::{self, with_recording};
 use crate::par;
 use crate::processor::{build, PenelopeConfig, PenelopeHooks};
@@ -795,43 +795,18 @@ pub fn efficiency_summary(scale: Scale) -> Result<Vec<EfficiencyRow>, Error> {
         ),
     ];
 
-    // The four measured case studies are independent engine cells. The
-    // register-file and scheduler cells call [`fig6`]/[`fig8`], whose own
-    // engine grids nest under the cell's inherited recorder, so the
-    // merged phase stream matches the serial one.
-    enum Piece {
-        Adder(BlockCost),
-        Regfile(f64),
-        Scheduler(f64),
-        Dl0 { base: f64, line_fixed: f64 },
-    }
-    impl CellPayload for Piece {
-        fn to_payload(&self) -> Json {
-            let (tag, value) = match self {
-                Piece::Adder(cost) => ("adder", cost.to_payload()),
-                Piece::Regfile(worst) => ("regfile", worst.to_payload()),
-                Piece::Scheduler(worst) => ("scheduler", worst.to_payload()),
-                Piece::Dl0 { base, line_fixed } => ("dl0", (*base, *line_fixed).to_payload()),
-            };
-            Json::Array(vec![Json::Str(tag.into()), value])
-        }
-        fn from_payload(json: &Json) -> Result<Self, String> {
-            match json.as_array() {
-                Some([tag, value]) => match tag.as_str() {
-                    Some("adder") => Ok(Piece::Adder(BlockCost::from_payload(value)?)),
-                    Some("regfile") => Ok(Piece::Regfile(f64::from_payload(value)?)),
-                    Some("scheduler") => Ok(Piece::Scheduler(f64::from_payload(value)?)),
-                    Some("dl0") => {
-                        let (base, line_fixed) = <(f64, f64)>::from_payload(value)?;
-                        Ok(Piece::Dl0 { base, line_fixed })
-                    }
-                    other => Err(format!("unknown efficiency piece tag {other:?}")),
-                },
-                _ => Err("efficiency piece must be a [tag, value] pair".into()),
-            }
-        }
-    }
-    let pieces = par::try_cells_named("efficiency", 4, |cell| match cell.index {
+    // The four measured case studies are independent engine cells, each
+    // returning its finished cost. The register-file and scheduler cells
+    // call [`fig6`]/[`fig8`], whose own engine grids nest under the cell's
+    // inherited recorder, so the merged phase stream matches the serial
+    // one.
+    const MEASURED: [(&str, f64); 4] = [
+        ("Penelope adder (round-robin inputs)", 1.24),
+        ("Penelope register file (ISV at release)", 1.12),
+        ("Penelope scheduler (ALL1/ALL1-K%/ISV)", 1.24),
+        ("Penelope DL0 (LineFixed50%)", 1.09),
+    ];
+    let costs = par::try_cells_named("efficiency", MEASURED.len(), |cell| match cell.index {
         0 => {
             // Adder: measured utilization → guardband.
             let adder = LadnerFischerAdder::new(32);
@@ -841,19 +816,23 @@ pub fn efficiency_summary(scale: Scale) -> Result<Vec<EfficiencyRow>, Error> {
             })?;
             let util = run.max_adder_utilization().clamp(0.0, 1.0);
             let inputs = adder_sample(&scale.workload(), scale);
-            Ok(Piece::Adder(AdderProtection::block_cost(
+            Ok(AdderProtection::block_cost(
                 protection.guardband(&adder, util, inputs, &model),
-            )))
+            ))
         }
         1 => {
             // Register file: measured worst bias under ISV.
             let f6 = fig6(scale)?;
-            Ok(Piece::Regfile(f6.int_isv_worst().max(f6.fp_isv_worst())))
+            let worst = f6.int_isv_worst().max(f6.fp_isv_worst());
+            Ok(RegfileIsv::block_cost(Duty::saturating(worst), &model))
         }
         2 => {
             // Scheduler: measured worst residual bias.
             let f8 = fig8(scale)?;
-            Ok(Piece::Scheduler(f8.worst_protected))
+            Ok(SchedulerBalancer::block_cost(
+                Duty::saturating(f8.worst_protected),
+                &model,
+            ))
         }
         _ => {
             // DL0: LineFixed50% CPI loss on the 32KB 8-way geometry.
@@ -875,39 +854,19 @@ pub fn efficiency_summary(scale: Scale) -> Result<Vec<EfficiencyRow>, Error> {
                     )?,
                 ))
             })?;
-            Ok(Piece::Dl0 { base, line_fixed })
+            Ok(BlockCost::new(
+                (line_fixed / base).max(1.0),
+                1.01,
+                model.best_case().fraction(),
+            ))
         }
     })?;
-
-    for piece in pieces {
-        match piece {
-            Piece::Adder(cost) => rows.push(EfficiencyRow::new(
-                "Penelope adder (round-robin inputs)",
-                cost,
-                1.24,
-            )),
-            Piece::Regfile(worst) => rows.push(EfficiencyRow::new(
-                "Penelope register file (ISV at release)",
-                RegfileIsv::block_cost(Duty::saturating(worst), &model),
-                1.12,
-            )),
-            Piece::Scheduler(worst) => rows.push(EfficiencyRow::new(
-                "Penelope scheduler (ALL1/ALL1-K%/ISV)",
-                SchedulerBalancer::block_cost(Duty::saturating(worst), &model),
-                1.24,
-            )),
-            Piece::Dl0 { base, line_fixed } => rows.push(EfficiencyRow::new(
-                "Penelope DL0 (LineFixed50%)",
-                BlockCost::new(
-                    (line_fixed / base).max(1.0),
-                    1.01,
-                    model.best_case().fraction(),
-                ),
-                1.09,
-            )),
-        }
-    }
-
+    rows.extend(
+        MEASURED
+            .iter()
+            .zip(costs)
+            .map(|(&(name, paper), cost)| EfficiencyRow::new(name, cost, paper)),
+    );
     Ok(rows)
 }
 

@@ -295,17 +295,11 @@ impl FaultInjector {
 
 /// Access to a hook set's RINV state, so fault injection and invariant
 /// checks can reach the sampled images without knowing the concrete type.
-/// The defaults describe a hook set with no RINV (nothing to corrupt,
-/// nothing to go stale).
+/// The defaults describe a hook set with no RINV (nothing to corrupt).
+/// Staleness is read through `EventSource::rinv_age` instead.
 pub trait RinvAccess {
     /// XORs a mask into every RINV image the hook set holds.
     fn corrupt_rinv(&mut self, _mask: u128) {}
-
-    /// Worst `(staleness, period)` over the hook set's RINV images at
-    /// `now`, or `None` if it holds none.
-    fn rinv_staleness(&self, _now: u64) -> Option<(u64, u64)> {
-        None
-    }
 
     /// Whether every `ALL1-K%`/`ALL0-K%` fraction the hook set applies lies
     /// in `[0, 1]`. Hook sets without a scheduler policy are vacuously
@@ -324,15 +318,6 @@ impl RinvAccess for PenelopeHooks {
         self.sched.balancer.corrupt_rinv(mask);
     }
 
-    fn rinv_staleness(&self, now: u64) -> Option<(u64, u64)> {
-        let candidates = [
-            self.regfiles.int.rinv_staleness(now),
-            self.regfiles.fp.rinv_staleness(now),
-            self.sched.balancer.rinv_staleness(now),
-        ];
-        candidates.into_iter().max_by_key(|(age, _)| *age)
-    }
-
     fn k_budgets_valid(&self) -> bool {
         self.sched.balancer.policy().validate_k_budgets().is_ok()
     }
@@ -341,10 +326,6 @@ impl RinvAccess for PenelopeHooks {
 impl<H: RinvAccess> RinvAccess for FaultHooks<H> {
     fn corrupt_rinv(&mut self, mask: u128) {
         self.inner.corrupt_rinv(mask);
-    }
-
-    fn rinv_staleness(&self, now: u64) -> Option<(u64, u64)> {
-        self.inner.rinv_staleness(now)
     }
 
     fn k_budgets_valid(&self) -> bool {

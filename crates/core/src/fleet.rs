@@ -32,7 +32,7 @@
 
 use nbti_model::duty::Duty;
 use nbti_model::guardband::{GuardbandModel, VminModel};
-use nbti_model::variation::ProcessVariation;
+use nbti_model::variation::{mix64, ProcessVariation};
 use penelope_telemetry::{recorder, Json};
 use tracegen::suite::Suite;
 use tracegen::trace::Workload;
@@ -548,14 +548,6 @@ fn l2_adjusted_duties(profiles: &[SuiteAnchors]) -> Vec<f64> {
 }
 
 // -------------------------------------------------------------- phase 2
-
-/// One splitmix64 scramble for the deterministic suite assignment.
-fn mix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// The workload suite instance `index` runs, as a deterministic function
 /// of the fleet seed.

@@ -29,6 +29,7 @@ use gatesim::stress::PackedCampaign;
 use nbti_model::duty::Duty;
 use nbti_model::guardband::GuardbandModel;
 use nbti_model::lifetime::LifetimeModel;
+use nbti_model::variation::mix64;
 use penelope_telemetry::{recorder, Json};
 
 use crate::error::Error;
@@ -152,14 +153,6 @@ impl NetlistConfig {
 }
 
 // -------------------------------------------------------------- stimulus
-
-/// Splitmix-style finalizer (the repo's standard scramble).
-fn mix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Value of primary input `input` in vector `vector` of the campaign
 /// seeded `seed`: vector 0 is all-zero, vector 1 all-one (the worst

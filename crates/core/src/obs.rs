@@ -19,14 +19,20 @@ use uarch::pipeline::Hooks;
 
 use crate::checked::CheckedHooks;
 use crate::experiments::Scale;
-use crate::fault::{FaultHooks, RinvAccess};
+use crate::fault::FaultHooks;
 use crate::processor::{PenelopeConfig, PenelopeHooks};
 use crate::regfile_aware::RegfileIsvHooks;
 use crate::sched_aware::SchedulerHooks;
 
 impl EventSource for PenelopeHooks {
     fn rinv_age(&self, now: u64) -> Option<(u64, u64)> {
-        self.rinv_staleness(now)
+        [
+            self.regfiles.int.rinv_staleness(now),
+            self.regfiles.fp.rinv_staleness(now),
+            self.sched.balancer.rinv_staleness(now),
+        ]
+        .into_iter()
+        .max_by_key(|(age, _)| *age)
     }
 }
 

@@ -77,8 +77,8 @@ use crate::obs::panic_message;
 /// parallelism.
 static JOBS: AtomicUsize = AtomicUsize::new(0);
 
-/// Sets the process-wide worker count (the bench CLI wires `--jobs` /
-/// `PENELOPE_JOBS` here). 0 resets to "available parallelism".
+/// Sets the process-wide worker count (the bench CLI wires `--jobs`
+/// here). 0 resets to "available parallelism".
 pub fn set_jobs(jobs: usize) {
     JOBS.store(jobs, Ordering::Relaxed);
 }
@@ -113,8 +113,8 @@ fn progress_enabled() -> bool {
 }
 
 /// How the supervisor treats failing or runaway cells. Process-wide, like
-/// the worker count: the bench CLI arms it from `PENELOPE_RETRIES` /
-/// `PENELOPE_CELL_BUDGET` before dispatching a sweep.
+/// the worker count: the bench CLI always runs the default policy, and
+/// library callers set another through [`set_supervisor`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisorPolicy {
     /// Re-executions granted after a failed attempt (so a cell runs at

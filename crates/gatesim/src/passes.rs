@@ -17,6 +17,7 @@ use crate::netlist::{Netlist, NetlistBuilder};
 use crate::pmos::PmosTable;
 use crate::stress::{self, PackedCampaign};
 use nbti_model::duty::Duty;
+use nbti_model::variation::mix64;
 
 /// Default seed of the partitioner's placement scramble.
 pub const DEFAULT_PARTITION_SEED: u64 = 0x5EED_B11F;
@@ -225,14 +226,6 @@ impl Partition {
             .filter(move |&(_, &p)| p as usize == part)
             .map(|(gi, _)| GateId(gi as u32))
     }
-}
-
-/// Splitmix-style finalizer (the repo's standard scramble).
-fn mix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// The fully compiled artifact of the pass pipeline.

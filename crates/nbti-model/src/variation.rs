@@ -33,14 +33,24 @@ use crate::{Error, Result};
 /// modeling manufacturing spread and starts modeling broken silicon.
 pub const MAX_SIGMA: f64 = 0.5;
 
-/// splitmix64: the standard 64-bit state scrambler. Good enough spectral
-/// quality for Monte Carlo draws, trivially seekable by instance index.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
+/// The splitmix64 finalizer: one stateless 64-bit scramble of `x` (the
+/// golden-gamma step, then the two xor-shift-multiply rounds). Also the
+/// seeded scramble of the fleet's suite assignment, the netlist stimulus
+/// and gatesim's partition order, whose pinned outputs depend on it.
+#[inline]
+pub fn mix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
+}
+
+/// splitmix64: the standard 64-bit state scrambler. Good enough spectral
+/// quality for Monte Carlo draws, trivially seekable by instance index.
+fn splitmix64(state: &mut u64) -> u64 {
+    let z = mix64(*state);
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z
 }
 
 /// A uniform in (0, 1]: 53 mantissa bits, never exactly 0 so `ln` below

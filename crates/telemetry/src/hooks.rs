@@ -165,11 +165,6 @@ impl<H: Hooks + EventSource> TelemetryHooks<H> {
         &self.inner
     }
 
-    /// The wrapped hooks, mutably.
-    pub fn inner_mut(&mut self) -> &mut H {
-        &mut self.inner
-    }
-
     /// Consumes the wrapper, returning the inner hooks and the telemetry.
     pub fn into_parts(self) -> (H, TelemetryOutput) {
         (self.inner, self.output)

@@ -9,7 +9,7 @@
 //! {
 //!   "schema_version": 1,
 //!   "manifest":  { "binary": "...", "seed": 123, ... },
-//!   "warnings":  [ "unparseable PENELOPE_SCALE ...", ... ],
+//!   "warnings":  [ "quarantined: fig6 cell 1 ...", ... ],
 //!   "phases":    [ { "name", "wall_seconds", "cycles", "uops",
 //!                    "cycles_per_sec" }, ... ],
 //!   "spans":     [ { "name", "parent", "cycles", "uops",
@@ -528,7 +528,7 @@ mod tests {
         let mut collector = Collector {
             settings: Settings::default(),
             manifest: vec![("binary".to_string(), Json::from("fig6"))],
-            warnings: vec!["PENELOPE_SCALE fell back to standard".to_string()],
+            warnings: vec!["quarantined: fig6 cell 1 after 2 attempts".to_string()],
             total_cycles: 1_000,
             total_uops: 400,
             wall_seconds: 0.6,
@@ -623,7 +623,7 @@ mod tests {
         assert_eq!(warnings.len(), 1);
         assert_eq!(
             warnings[0].as_str(),
-            Some("PENELOPE_SCALE fell back to standard")
+            Some("quarantined: fig6 cell 1 after 2 attempts")
         );
 
         // Reports without warnings (older schema) still validate...

@@ -189,11 +189,6 @@ impl RegisterFile {
         usize::from(self.config.entries)
     }
 
-    /// Number of currently allocated registers.
-    pub fn busy_count(&self) -> usize {
-        self.entries() - self.free_count()
-    }
-
     /// Flushes residency accounting of every cell up to `now`.
     /// [`Pipeline::run`](crate::pipeline::Pipeline::run) calls it when a
     /// run ends; only a reader sampling in the middle of a run (or a test

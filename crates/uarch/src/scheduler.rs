@@ -700,11 +700,6 @@ impl Scheduler {
         self.slots[slot].busy
     }
 
-    /// Number of slots currently busy.
-    pub fn busy_count(&self) -> usize {
-        self.slots.iter().filter(|s| s.busy).count()
-    }
-
     /// Slots currently free (candidates for balancing writes).
     pub fn free_slots(&self) -> impl Iterator<Item = SlotId> + '_ {
         self.slots

@@ -13,6 +13,7 @@ use penelope::experiments::{self, efficiency_summary, efficiency_summary_faulted
 use penelope::fault::FaultPlan;
 use penelope::fleet::{self, FleetConfig};
 use penelope::par;
+use penelope::report::{render_fig6, render_table3};
 use penelope_telemetry::recorder::{self, Settings};
 use penelope_telemetry::{build_report, Json};
 
@@ -238,6 +239,36 @@ fn fleet_report_matches_the_golden_hash() {
              got {hash:#018x}, pinned {FLEET_REPORT_FNV1A:#018x}"
         );
     }
+}
+
+/// Every hash above is taken with a recorder installed, and the
+/// recorder's final telemetry sample syncs every structure on its own. The
+/// bare path has only the run's own end-of-run settle, so the rendered
+/// tables are compared across the two paths here.
+#[test]
+fn rendered_tables_do_not_depend_on_the_recorder() {
+    let _guard = jobs_lock();
+    let render = || {
+        let scale = Scale::quick();
+        let fig6 = experiments::fig6(scale).expect("quick fig6 runs");
+        let table3 = experiments::table3(scale).expect("quick table3 runs");
+        (render_fig6(&fig6), render_table3(&table3))
+    };
+    par::set_jobs(1);
+    let _ = recorder::finish();
+    let bare = render();
+    recorder::install(Settings::default());
+    let recorded = render();
+    recorder::finish().expect("recorder was installed");
+    par::set_jobs(0);
+    assert_eq!(
+        bare.0, recorded.0,
+        "fig6 renders differently without a recorder"
+    );
+    assert_eq!(
+        bare.1, recorded.1,
+        "table3 renders differently without a recorder"
+    );
 }
 
 #[test]
