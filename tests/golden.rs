@@ -120,6 +120,19 @@ const TABLE3_REPORT_FNV1A: u64 = 0x8d45_eff3_f2ab_9f57;
 const PRE_TRACING_FIG6_REPORT_FNV1A: u64 = 0x8e66_90d8_63a2_c3c1;
 const PRE_TRACING_TABLE3_REPORT_FNV1A: u64 = 0xd27c_cdd1_79e7_4a55;
 const FLEET_REPORT_FNV1A: u64 = 0x96be_d56e_a86d_88b3;
+/// The quick table3 report with its spans and [`NON_CACHE_SERIES`]
+/// dropped, captured before Table 3 ran on the cache schemes alone.
+const TABLE3_CACHE_REPORT_FNV1A: u64 = 0xcb56_7379_0a66_bfa7;
+
+/// Series that describe the register files, the scheduler and their
+/// RINVs. Table 3 (§4.6) evaluates only the DL0/DTLB inversion schemes,
+/// so these series never described it.
+const NON_CACHE_SERIES: [&str; 4] = [
+    "rf.int.worst_cell_duty",
+    "rf.fp.worst_cell_duty",
+    "sched.worst_cell_duty",
+    "rinv.staleness",
+];
 
 /// FNV-1a 64-bit, the same hash everywhere so pins are easy to regenerate
 /// (print `canonical_report_hash(...)` and paste).
@@ -164,10 +177,20 @@ fn strip_spans(json: &mut Json) {
     }
 }
 
+/// Drops the named entries of the report's `series` object.
+fn strip_series(json: &mut Json, names: &[&str]) {
+    if let Json::Object(fields) = json {
+        for (key, value) in fields.iter_mut() {
+            if let (true, Json::Object(series)) = (key == "series", value) {
+                series.retain(|(name, _)| !names.contains(&name.as_str()));
+            }
+        }
+    }
+}
+
 /// Runs `driver` under a fresh recorder at the given jobs setting and
-/// hashes the canonicalized report encoding, with and without the span
-/// tree.
-fn canonical_report_hashes<T>(jobs: usize, driver: impl Fn() -> Result<T, Error>) -> (u64, u64) {
+/// returns its report with the wall-clock fields stripped.
+fn canonical_report<T>(jobs: usize, driver: impl Fn() -> Result<T, Error>) -> Json {
     par::set_jobs(jobs);
     recorder::install(Settings {
         sample_period: 256,
@@ -178,10 +201,20 @@ fn canonical_report_hashes<T>(jobs: usize, driver: impl Fn() -> Result<T, Error>
     par::set_jobs(0);
     let mut report = build_report(&collector);
     strip_wall_clock(&mut report);
-    let full = fnv1a(report.encode().as_bytes());
+    report
+}
+
+fn report_hash(report: &Json) -> u64 {
+    fnv1a(report.encode().as_bytes())
+}
+
+/// Hashes the canonicalized report encoding of `driver`, with and without
+/// the span tree.
+fn canonical_report_hashes<T>(jobs: usize, driver: impl Fn() -> Result<T, Error>) -> (u64, u64) {
+    let mut report = canonical_report(jobs, driver);
+    let full = report_hash(&report);
     strip_spans(&mut report);
-    let sans_spans = fnv1a(report.encode().as_bytes());
-    (full, sans_spans)
+    (full, report_hash(&report))
 }
 
 #[test]
@@ -219,6 +252,65 @@ fn table3_report_matches_the_golden_hashes() {
             "table3 report drifted from the golden at jobs={jobs}: \
              got {hash:#018x}, pinned {TABLE3_REPORT_FNV1A:#018x}"
         );
+    }
+}
+
+/// The dual-generation proof for Table 3's hook set. Table 3 runs the
+/// cache schemes alone; the report this produces must equal the one the
+/// full Penelope hook set produced once the spans and the
+/// [`NON_CACHE_SERIES`] are dropped from both.
+#[test]
+fn table3_report_differs_from_the_full_hook_set_only_in_non_cache_series() {
+    let _guard = jobs_lock();
+    for jobs in [1, 4] {
+        let mut report = canonical_report(jobs, || experiments::table3(Scale::quick()));
+        strip_spans(&mut report);
+        strip_series(&mut report, &NON_CACHE_SERIES);
+        let hash = report_hash(&report);
+        assert_eq!(
+            hash, TABLE3_CACHE_REPORT_FNV1A,
+            "table3 report (spans and non-cache series dropped) drifted at jobs={jobs}: \
+             got {hash:#018x}, pinned {TABLE3_CACHE_REPORT_FNV1A:#018x}"
+        );
+    }
+}
+
+// --- Table 3 numbers ----------------------------------------------------
+//
+// The quick-scale Table 3 rows, the per-program tail and the BTB
+// extension, pinned by the FNV-1a of their `Debug` text. `Debug` prints
+// every f64 so that it parses back to the same bits, so these pins hold
+// exactly when every CPI-derived number is bit-identical, independent of
+// any change to the run report.
+
+const TABLE3_ROWS_FNV1A: u64 = 0x8511_4c83_12b7_ba5c;
+const TABLE3_TAIL_FNV1A: u64 = 0x74dc_e3d1_a387_5dad;
+const BTB_EXTENSION_FNV1A: u64 = 0x6111_887b_9f4b_3a64;
+
+fn debug_hash(value: &impl std::fmt::Debug) -> u64 {
+    fnv1a(format!("{value:?}").as_bytes())
+}
+
+#[test]
+fn table3_numbers_match_the_pinned_rows() {
+    let _guard = jobs_lock();
+    let scale = Scale::quick();
+    for jobs in [1, 4] {
+        par::set_jobs(jobs);
+        let rows = debug_hash(&experiments::table3(scale).expect("quick table3 runs").rows);
+        let tail = debug_hash(&experiments::table3_tail(scale).expect("quick tail runs"));
+        let btb = debug_hash(&experiments::btb_extension(scale).expect("quick btb runs"));
+        par::set_jobs(0);
+        for (what, got, pinned) in [
+            ("table3 rows", rows, TABLE3_ROWS_FNV1A),
+            ("table3 tail", tail, TABLE3_TAIL_FNV1A),
+            ("btb extension", btb, BTB_EXTENSION_FNV1A),
+        ] {
+            assert_eq!(
+                got, pinned,
+                "{what} drifted at jobs={jobs}: got {got:#018x}, pinned {pinned:#018x}"
+            );
+        }
     }
 }
 
