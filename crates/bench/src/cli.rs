@@ -46,7 +46,7 @@
 //! partial results and the structured `quarantined: …` warnings are
 //! preserved instead of aborting the whole reproduction.
 
-use std::io::IsTerminal;
+use std::io::{self, IsTerminal, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe, UnwindSafe};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -138,13 +138,18 @@ pub fn parse_fault_seed(value: &str) -> Result<u64, String> {
         .map_err(|_| format!("invalid fault seed {value:?} (expected a decimal u64 seed)"))
 }
 
-/// Prints a standard header naming the artifact being regenerated.
-pub fn header(what: &str, paper_ref: &str, scale: Scale) {
-    println!("=== Penelope reproduction: {what} ({paper_ref}) ===");
-    println!(
+/// Writes the standard header naming the artifact being regenerated.
+///
+/// # Errors
+///
+/// Returns the stream's write error.
+pub fn header(out: &mut dyn Write, what: &str, paper_ref: &str, scale: Scale) -> io::Result<()> {
+    writeln!(out, "=== Penelope reproduction: {what} ({paper_ref}) ===")?;
+    writeln!(
+        out,
         "scale: {} traces/suite x {} uops, time/{}\n",
         scale.traces_per_suite, scale.uops_per_trace, scale.time_scale
-    );
+    )
 }
 
 /// An experiment-specific flag a binary registers on top of the shared
@@ -427,14 +432,14 @@ pub fn run_main_with(
         .stream
         .as_ref()
         .is_some_and(|path| path.as_os_str() == "-");
-    if stream_to_stdout {
-        eprintln!("=== Penelope reproduction: {what} ({paper_ref}) ===");
-        eprintln!(
-            "scale: {} traces/suite x {} uops, time/{}\n",
-            scale.traces_per_suite, scale.uops_per_trace, scale.time_scale
-        );
+    let written = if stream_to_stdout {
+        header(&mut io::stderr(), what, paper_ref, scale)
     } else {
-        header(what, paper_ref, scale);
+        header(&mut io::stdout(), what, paper_ref, scale)
+    };
+    if let Err(err) = written {
+        eprintln!("error: cannot write the header: {err}");
+        return ExitCode::FAILURE;
     }
 
     let plan = args.faults.map(FaultPlan::random);

@@ -27,6 +27,8 @@
 //! | §4.2–4.6 efficiencies | [`efficiency_summary`] |
 //! | §4.7 whole processor | [`table4`] |
 
+use std::borrow::BorrowMut;
+
 use gatesim::adder::LadnerFischerAdder;
 use gatesim::vectors::{evaluate_all_pairs, PairStress};
 use nbti_model::duty::Duty;
@@ -37,7 +39,7 @@ use penelope_telemetry::{recorder, EventSource};
 use tracegen::error::TraceError;
 use tracegen::fault::{faulted, TraceFault};
 use tracegen::trace::Workload;
-use tracegen::uop::UopClass;
+use tracegen::uop::{Uop, UopClass};
 use uarch::cache::CacheConfig;
 use uarch::pipeline::{AdderPolicy, Hooks, NoHooks, Pipeline, PipelineConfig, RunResult};
 use uarch::scheduler::Field;
@@ -48,9 +50,9 @@ use crate::error::Error;
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::invert_mode::{full_guardband_baseline, InvertMode};
 use crate::journal::cell_payload;
-use crate::obs::{self, with_recording};
+use crate::obs::{self, with_recording_each};
 use crate::par;
-use crate::processor::{build, PenelopeConfig, PenelopeHooks};
+use crate::processor::{build, build_cache_schemes, CacheSchemes, PenelopeConfig};
 use crate::regfile_aware::{RegfileIsv, RegfileIsvHooks};
 use crate::sched_aware::{worst_figure8_bias, SchedulerBalancer, SchedulerHooks, SchedulerPolicy};
 
@@ -101,19 +103,11 @@ impl Scale {
 }
 
 /// Feeds every trace of `workload` through `pipe` and returns each trace's
-/// result in workload order. This is the one loop every driver runs its
-/// workload through.
+/// result in workload order: the one-arm form of [`feed_arms`], the one
+/// loop every driver runs its workload through.
 ///
-/// The hook chain is wrapped in [`with_recording`] once: with a telemetry
-/// recorder installed (see [`penelope_telemetry::recorder::install`]) the
-/// run is sampled and each trace's cycles/uops are credited to the
-/// collector; with none the loop is exactly the uninstrumented one.
-///
-/// With an `injector`, each trace stream passes through the fault drawn
-/// from [`FaultInjector::trace_fault`], one draw per trace in workload
-/// order; without one the fault is the identity, so clean and faulted
-/// runs share this path. Workload- and hook-level faults stay with the
-/// caller: perturb the workload and wrap the hooks before feeding.
+/// One arm streams each trace straight from its generator into the
+/// pipeline; nothing is buffered.
 ///
 /// # Errors
 ///
@@ -123,27 +117,78 @@ pub fn feed<H: Hooks + EventSource>(
     workload: &Workload,
     uops: usize,
     hooks: &mut H,
-    mut injector: Option<&mut FaultInjector>,
+    injector: Option<&mut FaultInjector>,
 ) -> Result<Vec<RunResult>, Error> {
-    let runs: Vec<RunResult> = with_recording(hooks, |mut h| {
-        workload
-            .specs()
-            .iter()
-            .map(|spec| {
-                let fault = injector
-                    .as_deref_mut()
-                    .map_or_else(TraceFault::none, |i| i.trace_fault(uops));
-                pipe.run(faulted(spec.generate(uops), fault), &mut h)
-            })
-            .collect()
+    let mut per_arm = feed_arms(&mut [(pipe, hooks)], workload, uops, injector)?;
+    Ok(per_arm.swap_remove(0))
+}
+
+/// Feeds every trace of `workload` through each arm — a pipeline and the
+/// hooks it runs under — and returns, per arm in arm order, each trace's
+/// result in workload order.
+///
+/// Each trace is generated once. A single arm streams it from the
+/// generator; several arms share one buffer holding that one trace (never
+/// the whole workload), which every arm runs in arm order before the next
+/// trace is generated. Each arm keeps its own pipeline and hooks across
+/// traces, so its results equal those of a [`feed`] of that arm alone.
+///
+/// The hook chains are wrapped in [`with_recording_each`] once: with a
+/// telemetry recorder installed (see
+/// [`penelope_telemetry::recorder::install`]) every arm is sampled by its
+/// own wrapper across all traces, the wrappers' telemetry is absorbed in
+/// arm order, and each (arm, trace) run's cycles/uops are credited to the
+/// collector — the series and totals of one [`feed`] per arm, made in arm
+/// order. With none the loop is exactly the uninstrumented one.
+///
+/// With an `injector`, each trace stream passes through the fault drawn
+/// from [`FaultInjector::trace_fault`], one draw per trace in workload
+/// order, shared by every arm; without one the fault is the identity, so
+/// clean and faulted runs share this path. Workload- and hook-level faults
+/// stay with the caller: perturb the workload and wrap the hooks before
+/// feeding.
+///
+/// # Errors
+///
+/// Returns [`Error::Trace`] when the workload holds no traces.
+pub fn feed_arms<P: BorrowMut<Pipeline>, H: Hooks + EventSource>(
+    arms: &mut [(P, H)],
+    workload: &Workload,
+    uops: usize,
+    mut injector: Option<&mut FaultInjector>,
+) -> Result<Vec<Vec<RunResult>>, Error> {
+    let (mut pipes, mut hooks): (Vec<&mut Pipeline>, Vec<&mut H>) = arms
+        .iter_mut()
+        .map(|(pipe, hooks)| (pipe.borrow_mut(), hooks))
+        .unzip();
+    let runs = with_recording_each(&mut hooks, |chains| {
+        let mut runs = vec![Vec::with_capacity(workload.len()); chains.len()];
+        let mut buffer: Vec<Uop> = Vec::new();
+        for spec in workload.specs() {
+            let fault = injector
+                .as_deref_mut()
+                .map_or_else(TraceFault::none, |i| i.trace_fault(uops));
+            let trace = faulted(spec.generate(uops), fault);
+            if let ([pipe], [h]) = (&mut pipes[..], &mut chains[..]) {
+                runs[0].push(pipe.run(trace, h));
+                continue;
+            }
+            buffer.clear();
+            buffer.reserve_exact(uops);
+            buffer.extend(trace);
+            for ((pipe, h), arm_runs) in pipes.iter_mut().zip(chains.iter_mut()).zip(&mut runs) {
+                arm_runs.push(pipe.run(buffer.iter().copied(), h));
+            }
+        }
+        runs
     });
-    if runs.is_empty() {
+    if workload.specs().is_empty() {
         return Err(TraceError::EmptyWorkload.into());
     }
-    // Credited once the telemetry wrapper has closed: its
+    // Credited once the telemetry wrappers have closed: their
     // `obs.with_recording` span covers sampling, not simulated cycles, and
     // the golden report hashes pin that split.
-    for run in &runs {
+    for run in runs.iter().flatten() {
         recorder::record_run(run.cycles, run.uops);
     }
     Ok(runs)
@@ -608,78 +653,110 @@ fn rotation_period(scale: Scale) -> u64 {
     (10_000_000 / scale.time_scale).max(2_000)
 }
 
-/// The one cache-scheme run behind Table 3 and its extensions: the
-/// composed processor over `pipeline` with the `[dl0, dtlb, btb]` schemes
-/// and the regfile/scheduler RINVs frozen after their first sample, fed
-/// the workload (under the recorder phase `phase`, if any). Returns the
+/// The `[dl0, dtlb, btb]` schemes of one cache-scheme arm and the seed of
+/// their deterministic randomness.
+type SchemeArm = ([SchemeKind; 3], u64);
+
+/// The one cache-scheme run behind Table 3 and its extensions: per arm, a
+/// pipeline with the arm's scheme-adjusted geometry over `pipeline` and
+/// the arm's [`CacheSchemes`], all fed the workload together (each trace
+/// generated once, see [`feed_arms`]). Returns, per arm in arm order, the
 /// pipeline, its hooks and each trace's result.
 ///
-/// Only the cache schemes matter here, but `build` assembles the full
-/// `PenelopeHooks`: register-file and scheduler balancing still run on
-/// every uop. No caller reads their residency.
+/// Only the cache schemes run. Table 3 (§4.6) evaluates the DL0/DTLB
+/// inversion schemes alone, and no caller reads register-file or
+/// scheduler residency, so neither mechanism is built; the
+/// `table3_timing_ignores_the_register_file_and_scheduler_hooks` test
+/// checks that leaving them out moves no cycle.
 fn cache_scheme_run(
+    pipeline: PipelineConfig,
+    arms: &[SchemeArm],
+    scale: Scale,
+) -> Result<Vec<(Pipeline, CacheSchemes, Vec<RunResult>)>, Error> {
+    let mut built = arms
+        .iter()
+        .map(|&(schemes, seed)| build_cache_schemes(&cache_scheme_config(pipeline, schemes, seed)))
+        .collect::<Result<Vec<_>, Error>>()?;
+    let runs = feed_arms(&mut built, &scale.workload(), scale.uops_per_trace, None)?;
+    Ok(built
+        .into_iter()
+        .zip(runs)
+        .map(|((pipe, hooks), runs)| (pipe, hooks, runs))
+        .collect())
+}
+
+/// Workload CPI of each arm of a [`cache_scheme_run`], in arm order.
+fn scheme_cpis(
+    pipeline: PipelineConfig,
+    arms: &[SchemeArm],
+    scale: Scale,
+) -> Result<Vec<f64>, Error> {
+    let arms = cache_scheme_run(pipeline, arms, scale)?;
+    Ok(arms
+        .iter()
+        .map(|(_, _, runs)| sum_runs(runs).cpi())
+        .collect())
+}
+
+/// The processor configuration of one cache-scheme arm.
+fn cache_scheme_config(
     pipeline: PipelineConfig,
     [dl0_scheme, dtlb_scheme, btb_scheme]: [SchemeKind; 3],
     seed: u64,
-    scale: Scale,
-    phase: Option<&str>,
-) -> Result<(Pipeline, PenelopeHooks, Vec<RunResult>), Error> {
-    let config = PenelopeConfig {
+) -> PenelopeConfig {
+    PenelopeConfig {
         pipeline,
         dl0_scheme,
         dtlb_scheme,
         btb_scheme,
-        sample_period: u64::MAX / 2,
         seed,
         ..PenelopeConfig::default()
-    };
-    let (mut pipe, mut hooks) = build(&config)?;
-    let workload = scale.workload();
-    let mut run = || feed(&mut pipe, &workload, scale.uops_per_trace, &mut hooks, None);
-    let runs = match phase {
-        Some(name) => recorder::phase(name, run),
-        None => run(),
-    }?;
-    Ok((pipe, hooks, runs))
-}
-
-/// Workload CPI of one DL0/DTLB scheme pair (BTB unprotected).
-fn scheme_cpi(
-    base_config: PipelineConfig,
-    dl0_scheme: SchemeKind,
-    dtlb_scheme: SchemeKind,
-    scale: Scale,
-    seed: u64,
-) -> Result<f64, Error> {
-    let schemes = [dl0_scheme, dtlb_scheme, SchemeKind::Baseline];
-    let (_, _, runs) = cache_scheme_run(base_config, schemes, seed, scale, None)?;
-    Ok(sum_runs(&runs).cpi())
-}
-
-/// Runs the full Table 3 sweep. This is the most expensive experiment:
-/// (6 DL0 + 3 DTLB geometries) × (baseline + 3 schemes) workload runs.
-/// Every geometry is an independent engine cell — its four runs carry the
-/// same seeds (1–4 for DL0 rows, 5–8 for DTLB rows) the serial sweep
-/// used, so the rows are identical at any `--jobs` setting.
-pub fn table3(scale: Scale) -> Result<Table3, Error> {
-    let _span = penelope_telemetry::span!("driver: table3");
-    let rotation = rotation_period(scale);
-
-    /// One Table 3 geometry: the structure the schemes protect, its
-    /// LineDynamic threshold and the first of its four seeds.
-    struct Geometry {
-        phase: String,
-        label: String,
-        config: PipelineConfig,
-        dtlb: bool,
-        threshold: f64,
-        first_seed: u64,
     }
+}
+
+/// One Table 3 geometry: the structure the schemes protect, its
+/// LineDynamic threshold and the first of its four seeds.
+struct Table3Geometry {
+    phase: String,
+    label: String,
+    config: PipelineConfig,
+    dtlb: bool,
+    threshold: f64,
+    first_seed: u64,
+}
+
+impl Table3Geometry {
+    /// The geometry's four arms — baseline, SetFixed50%, LineFixed50% and
+    /// LineDynamic60% on the protected structure — with their seeds.
+    fn arms(&self, scale: Scale) -> Vec<SchemeArm> {
+        let schemes = [
+            SchemeKind::Baseline,
+            SchemeKind::set_fixed_50(rotation_period(scale)),
+            SchemeKind::line_fixed_50(),
+            SchemeKind::line_dynamic_60(self.threshold, scale.time_scale),
+        ];
+        (self.first_seed..)
+            .zip(schemes)
+            .map(|(seed, scheme)| {
+                let unprotected = SchemeKind::Baseline;
+                let schemes = if self.dtlb {
+                    [unprotected, scheme, unprotected]
+                } else {
+                    [scheme, unprotected, unprotected]
+                };
+                (schemes, seed)
+            })
+            .collect()
+    }
+}
+
+/// Table 3's geometries: 6 DL0 (8-way then 4-way, by size), then 3 DTLB.
+fn table3_grid() -> Vec<Table3Geometry> {
     let mut grid = Vec::new();
     for ways in [8u16, 4] {
         for kb in [32u32, 16, 8] {
             let name = format!("DL0 {ways}-way {kb}KB");
-            grid.push(Geometry {
+            grid.push(Table3Geometry {
                 phase: format!("table3: {name}"),
                 label: name,
                 config: PipelineConfig {
@@ -693,7 +770,7 @@ pub fn table3(scale: Scale) -> Result<Table3, Error> {
         }
     }
     for entries in [128u32, 64, 32] {
-        grid.push(Geometry {
+        grid.push(Table3Geometry {
             phase: format!("table3: DTLB {entries} ent."),
             label: format!("DTLB 8-way {entries} ent."),
             config: PipelineConfig {
@@ -705,27 +782,22 @@ pub fn table3(scale: Scale) -> Result<Table3, Error> {
             first_seed: 5,
         });
     }
+    grid
+}
 
+/// Runs the full Table 3 sweep. This is the most expensive experiment:
+/// (6 DL0 + 3 DTLB geometries) × (baseline + 3 schemes) workload runs.
+/// Every geometry is an independent engine cell that generates each trace
+/// once and runs it through its four scheme arms. The arms carry the same
+/// seeds (1–4 for DL0 rows, 5–8 for DTLB rows) the serial sweep used, so
+/// the rows are identical at any `--jobs` setting.
+pub fn table3(scale: Scale) -> Result<Table3, Error> {
+    let _span = penelope_telemetry::span!("driver: table3");
+    let grid = table3_grid();
     let rows = par::try_cells_named("table3", grid.len(), |cell| {
         let geometry = &grid[cell.index];
-        let schemes = [
-            SchemeKind::Baseline,
-            SchemeKind::set_fixed_50(rotation),
-            SchemeKind::line_fixed_50(),
-            SchemeKind::line_dynamic_60(geometry.threshold, scale.time_scale),
-        ];
         let cpis = recorder::phase(&geometry.phase, || {
-            (geometry.first_seed..)
-                .zip(schemes)
-                .map(|(seed, scheme)| {
-                    let (dl0, dtlb) = if geometry.dtlb {
-                        (SchemeKind::Baseline, scheme)
-                    } else {
-                        (scheme, SchemeKind::Baseline)
-                    };
-                    scheme_cpi(geometry.config, dl0, dtlb, scale, seed)
-                })
-                .collect::<Result<Vec<_>, Error>>()
+            scheme_cpis(geometry.config, &geometry.arms(scale), scale)
         })?;
         let loss = |cpi: f64| (cpi / cpis[0] - 1.0).max(0.0);
         Ok(Table3Row {
@@ -836,24 +908,15 @@ pub fn efficiency_summary(scale: Scale) -> Result<Vec<EfficiencyRow>, Error> {
         }
         _ => {
             // DL0: LineFixed50% CPI loss on the 32KB 8-way geometry.
-            let (base, line_fixed) = recorder::phase("efficiency: dl0", || {
-                Ok::<_, Error>((
-                    scheme_cpi(
-                        PipelineConfig::default(),
-                        SchemeKind::Baseline,
-                        SchemeKind::Baseline,
-                        scale,
-                        11,
-                    )?,
-                    scheme_cpi(
-                        PipelineConfig::default(),
-                        SchemeKind::line_fixed_50(),
-                        SchemeKind::Baseline,
-                        scale,
-                        12,
-                    )?,
-                ))
+            let unprotected = SchemeKind::Baseline;
+            let arms = [
+                ([unprotected; 3], 11),
+                ([SchemeKind::line_fixed_50(), unprotected, unprotected], 12),
+            ];
+            let cpis = recorder::phase("efficiency: dl0", || {
+                scheme_cpis(PipelineConfig::default(), &arms, scale)
             })?;
+            let (base, line_fixed) = (cpis[0], cpis[1]);
             Ok(BlockCost::new(
                 (line_fixed / base).max(1.0),
                 1.01,
@@ -1164,8 +1227,8 @@ pub fn table3_tail(scale: Scale) -> Result<Vec<TailRow>, Error> {
     // Per-trace baseline CPIs.
     let per_trace = |dl0_scheme: SchemeKind, seed: u64| -> Result<Vec<f64>, Error> {
         let schemes = [dl0_scheme, SchemeKind::Baseline, SchemeKind::Baseline];
-        let (_, _, runs) = cache_scheme_run(base_config, schemes, seed, scale, None)?;
-        Ok(runs.iter().map(RunResult::cpi).collect())
+        let arms = cache_scheme_run(base_config, &[(schemes, seed)], scale)?;
+        Ok(arms[0].2.iter().map(RunResult::cpi).collect())
     };
     let rotation = rotation_period(scale);
     let schemes = [
@@ -1234,13 +1297,14 @@ pub fn btb_extension(scale: Scale) -> Result<Vec<BtbRow>, Error> {
     // losses are relative to.
     let cells = par::try_cells_named("btb", schemes.len(), |cell| {
         let scheme = schemes[cell.index];
-        let (pipe, hooks, runs) = cache_scheme_run(
-            PipelineConfig::default(),
+        let arm = (
             [SchemeKind::Baseline, SchemeKind::Baseline, scheme],
             PenelopeConfig::default().seed,
-            scale,
-            Some(&format!("btb: {}", scheme.label())),
-        )?;
+        );
+        let mut arms = recorder::phase(&format!("btb: {}", scheme.label()), || {
+            cache_scheme_run(PipelineConfig::default(), &[arm], scale)
+        })?;
+        let (pipe, hooks, runs) = arms.swap_remove(0);
         let total = sum_runs(&runs);
         let now = pipe.now();
         Ok((
@@ -1384,23 +1448,13 @@ pub fn ablation(scale: Scale) -> Result<Vec<AblationRow>, Error> {
     // flush more often. Cell 0 is the unprotected baseline (seed 21); the
     // rotation cells reuse seed 22 like the serial loop did.
     let rotations = [5_000u64, 20_000, 100_000];
-    let cpis = par::try_cells_named("ablation:rotation", 1 + rotations.len(), |cell| match cell
-        .index
-    {
-        0 => scheme_cpi(
-            PipelineConfig::default(),
-            SchemeKind::Baseline,
-            SchemeKind::Baseline,
-            scale,
-            21,
-        ),
-        i => scheme_cpi(
-            PipelineConfig::default(),
-            SchemeKind::set_fixed_50(rotations[i - 1]),
-            SchemeKind::Baseline,
-            scale,
-            22,
-        ),
+    let cpis = par::try_cells_named("ablation:rotation", 1 + rotations.len(), |cell| {
+        let (dl0, seed) = match cell.index {
+            0 => (SchemeKind::Baseline, 21),
+            i => (SchemeKind::set_fixed_50(rotations[i - 1]), 22),
+        };
+        let arm = ([dl0, SchemeKind::Baseline, SchemeKind::Baseline], seed);
+        Ok(scheme_cpis(PipelineConfig::default(), &[arm], scale)?[0])
     })?;
     let baseline = cpis
         .first()
@@ -1449,6 +1503,37 @@ mod tests {
         let rises = series.windows(2).filter(|w| w[1].1 > w[0].1).count();
         let falls = series.windows(2).filter(|w| w[1].1 < w[0].1).count();
         assert!(rises > 10 && falls > 10);
+    }
+
+    /// Table 3 runs the cache schemes alone. The register-file and
+    /// scheduler hooks get `&mut` access to their structures, so whether
+    /// leaving them out moves timing is checked here, not assumed: every
+    /// arm of every geometry must produce the same per-trace results under
+    /// the full `PenelopeHooks`, configured as Table 3 once ran them (RINVs
+    /// frozen after their first sample), as under `CacheSchemes`.
+    #[test]
+    fn table3_timing_ignores_the_register_file_and_scheduler_hooks() {
+        let scale = Scale::quick();
+        let workload = scale.workload();
+        for geometry in table3_grid() {
+            let arms = geometry.arms(scale);
+            let cache_only =
+                cache_scheme_run(geometry.config, &arms, scale).expect("valid geometry");
+            for ((schemes, seed), (_, _, runs)) in arms.into_iter().zip(cache_only) {
+                let config = PenelopeConfig {
+                    sample_period: u64::MAX / 2,
+                    ..cache_scheme_config(geometry.config, schemes, seed)
+                };
+                let (mut pipe, mut hooks) = build(&config).expect("valid geometry");
+                let full = feed(&mut pipe, &workload, scale.uops_per_trace, &mut hooks, None)
+                    .expect("quick workload is not empty");
+                assert_eq!(
+                    full, runs,
+                    "{}: seed {seed}, schemes {schemes:?}",
+                    geometry.label
+                );
+            }
+        }
     }
 
     #[test]

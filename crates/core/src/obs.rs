@@ -6,12 +6,13 @@
 //! invariant violations and RINV freshness from whatever hook chain it
 //! wraps. This module implements it for every hook type this crate
 //! composes — mechanism hooks, [`FaultHooks`] and [`CheckedHooks`] — and
-//! provides [`with_recording`], the one place experiment loops consult the
+//! provides [`with_recording_each`] (and its one-hook form
+//! [`with_recording`]), the one place experiment loops consult the
 //! thread-local recorder. It also encodes [`Scale`] and [`PenelopeConfig`]
 //! as JSON for the run manifest.
 //!
-//! When no recorder is installed, [`with_recording`] runs the body with
-//! the hooks untouched: no wrapper, no sampling, no allocation — the
+//! When no recorder is installed, [`with_recording_each`] runs the body
+//! with the hooks untouched: no wrapper and no sampling — the
 //! zero-cost-when-disabled contract.
 
 use penelope_telemetry::{recorder, EventSource, Json, TelemetryHooks};
@@ -20,7 +21,7 @@ use uarch::pipeline::Hooks;
 use crate::checked::CheckedHooks;
 use crate::experiments::Scale;
 use crate::fault::FaultHooks;
-use crate::processor::{PenelopeConfig, PenelopeHooks};
+use crate::processor::{CacheSchemes, PenelopeConfig, PenelopeHooks};
 use crate::regfile_aware::RegfileIsvHooks;
 use crate::sched_aware::SchedulerHooks;
 
@@ -35,6 +36,9 @@ impl EventSource for PenelopeHooks {
         .max_by_key(|(age, _)| *age)
     }
 }
+
+/// The cache schemes carry no RINV and no fault or checker state.
+impl EventSource for CacheSchemes {}
 
 impl EventSource for RegfileIsvHooks {
     fn rinv_age(&self, now: u64) -> Option<(u64, u64)> {
@@ -79,38 +83,64 @@ impl<H: EventSource> EventSource for CheckedHooks<H> {
 }
 
 /// Runs `body` with telemetry wrapped around `hooks` when a recorder is
-/// installed on this thread, and with the bare hooks otherwise.
+/// installed on this thread, and with the bare hooks otherwise: the
+/// one-hook form of [`with_recording_each`].
 ///
 /// The body receives the hook chain as `&mut dyn Hooks` so the same loop
 /// serves both paths; pass it to `Pipeline::run` by reference
-/// (`pipe.run(trace, &mut h)`). Collected telemetry is absorbed into the
-/// recorder before returning — also when the body unwinds, so a panic
-/// caught by the bench supervisor still reports whatever the run
-/// collected up to the point of failure instead of a blank stream.
+/// (`pipe.run(trace, &mut h)`).
 pub fn with_recording<T>(
     hooks: &mut (impl Hooks + EventSource),
     body: impl FnOnce(&mut dyn Hooks) -> T,
+) -> T {
+    with_recording_each(std::slice::from_mut(hooks), |chains| body(&mut *chains[0]))
+}
+
+/// Runs `body` with one telemetry wrapper around each of `hooks` when a
+/// recorder is installed on this thread, and with the bare hooks
+/// otherwise.
+///
+/// The body receives one `&mut dyn Hooks` per element of `hooks`, in the
+/// same order. Each wrapper lives for the whole body, so a hook set that
+/// runs several traces keeps one sampling clock across them. When the
+/// body returns, the wrappers' telemetry is absorbed into the recorder in
+/// slice order — exactly what one [`with_recording`] call per hook set,
+/// made in that order, would absorb. That also happens when the body
+/// unwinds, so a panic caught by the bench supervisor still reports
+/// whatever the run collected up to the point of failure instead of a
+/// blank stream.
+pub fn with_recording_each<H: Hooks + EventSource, T>(
+    hooks: &mut [H],
+    body: impl FnOnce(&mut [&mut dyn Hooks]) -> T,
 ) -> T {
     use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
     match recorder::settings() {
         Some(settings) => {
             let _span = penelope_telemetry::span!("obs.with_recording");
-            let mut telemetry = TelemetryHooks::new(
-                &mut *hooks,
-                settings.sample_period,
-                settings.series_capacity,
-            );
+            let mut telemetry: Vec<TelemetryHooks<&mut H>> = hooks
+                .iter_mut()
+                .map(|h| TelemetryHooks::new(h, settings.sample_period, settings.series_capacity))
+                .collect();
+            let mut chains: Vec<&mut dyn Hooks> =
+                telemetry.iter_mut().map(|t| t as &mut dyn Hooks).collect();
             // AssertUnwindSafe: on unwind the hooks/pipeline state is
             // discarded by the supervisor, never observed half-mutated.
-            let result = catch_unwind(AssertUnwindSafe(|| body(&mut telemetry)));
-            recorder::absorb(telemetry.output());
+            let result = catch_unwind(AssertUnwindSafe(|| body(&mut chains)));
+            drop(chains);
+            for wrapper in &telemetry {
+                recorder::absorb(wrapper.output());
+            }
             match result {
                 Ok(result) => result,
                 Err(payload) => resume_unwind(payload),
             }
         }
-        None => body(hooks),
+        None => {
+            let mut chains: Vec<&mut dyn Hooks> =
+                hooks.iter_mut().map(|h| h as &mut dyn Hooks).collect();
+            body(&mut chains)
+        }
     }
 }
 

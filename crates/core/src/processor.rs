@@ -76,15 +76,61 @@ pub struct PenelopeHooks {
 impl PenelopeHooks {
     /// Builds the hook set for a configuration.
     pub fn new(config: &PenelopeConfig) -> Self {
+        let CacheSchemes { dl0, dtlb, btb } = CacheSchemes::new(config);
         PenelopeHooks {
             regfiles: RegfileIsvHooks::new(config.sample_period),
             sched: SchedulerHooks {
                 balancer: SchedulerBalancer::new(config.sched_policy.clone(), config.sample_period),
             },
+            dl0,
+            dtlb,
+            btb,
+        }
+    }
+}
+
+/// The cache-like part of [`PenelopeHooks`]: the DL0, DTLB and BTB
+/// inversion schemes alone, with no register-file or scheduler mechanism.
+/// This is the hook set Table 3 (§4.6) evaluates.
+#[derive(Debug, Clone)]
+pub struct CacheSchemes {
+    /// DL0 inversion scheme.
+    pub dl0: SchemeRuntime,
+    /// DTLB inversion scheme.
+    pub dtlb: SchemeRuntime,
+    /// BTB inversion scheme.
+    pub btb: SchemeRuntime,
+}
+
+impl CacheSchemes {
+    /// Builds the three scheme runtimes a configuration selects, seeded
+    /// exactly as [`PenelopeHooks::new`] seeds them.
+    pub fn new(config: &PenelopeConfig) -> Self {
+        CacheSchemes {
             dl0: SchemeRuntime::new(config.dl0_scheme, config.seed),
             dtlb: SchemeRuntime::new(config.dtlb_scheme, config.seed ^ 0xD71B),
             btb: SchemeRuntime::new(config.btb_scheme, config.seed ^ 0xB7B),
         }
+    }
+}
+
+impl Hooks for CacheSchemes {
+    fn dl0_accessed(&mut self, dl0: &mut SetAssocCache, outcome: &AccessOutcome, now: u64) {
+        self.dl0.on_access(dl0, outcome, now);
+    }
+
+    fn dtlb_accessed(&mut self, dtlb: &mut Dtlb, outcome: &AccessOutcome, now: u64) {
+        self.dtlb.on_access(dtlb.cache_mut(), outcome, now);
+    }
+
+    fn btb_accessed(&mut self, btb: &mut Btb, outcome: &AccessOutcome, now: u64) {
+        self.btb.on_access(btb.cache_mut(), outcome, now);
+    }
+
+    fn cycle_end(&mut self, parts: &mut Parts, now: u64) {
+        self.dl0.on_cycle(&mut parts.dl0, now);
+        self.dtlb.on_cycle(parts.dtlb.cache_mut(), now);
+        self.btb.on_cycle(parts.btb.cache_mut(), now);
     }
 }
 
@@ -157,6 +203,25 @@ pub fn build(config: &PenelopeConfig) -> Result<(Pipeline, PenelopeHooks), Error
         return Err(Error::config("sample_period must be positive"));
     }
     config.sched_policy.validate_k_budgets()?;
+    Ok((scheme_pipeline(config)?, PenelopeHooks::new(config)))
+}
+
+/// Builds the pipeline (with scheme-adjusted cache geometry) and the
+/// cache schemes alone. The configuration's sampling period and scheduler
+/// policy are not read: no register-file or scheduler mechanism is built.
+///
+/// # Errors
+///
+/// Returns [`Error::Pipeline`] for a pipeline geometry that cannot be
+/// instantiated, including one whose caches the schemes shrank to
+/// nothing.
+pub fn build_cache_schemes(config: &PenelopeConfig) -> Result<(Pipeline, CacheSchemes), Error> {
+    Ok((scheme_pipeline(config)?, CacheSchemes::new(config)))
+}
+
+/// The pipeline whose DL0, DTLB and BTB geometries are what the
+/// configured schemes leave usable (set/way parking shrinks them).
+fn scheme_pipeline(config: &PenelopeConfig) -> Result<Pipeline, Error> {
     let mut pipeline_config = config.pipeline;
     pipeline_config.dl0 = config.dl0_scheme.effective_cache(pipeline_config.dl0);
     let dtlb_base =
@@ -172,8 +237,7 @@ pub fn build(config: &PenelopeConfig) -> Result<(Pipeline, PenelopeHooks), Error
     let btb_eff = config.btb_scheme.effective_cache(btb_base);
     pipeline_config.btb_entries = btb_eff.lines() as u32;
     pipeline_config.btb_ways = btb_eff.ways;
-    let pipeline = Pipeline::try_new(pipeline_config)?;
-    Ok((pipeline, PenelopeHooks::new(config)))
+    Ok(Pipeline::try_new(pipeline_config)?)
 }
 
 #[cfg(test)]

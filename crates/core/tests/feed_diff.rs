@@ -7,11 +7,18 @@
 //! fresh processor; after `sync` their per-trace results, landed strikes,
 //! register-file and scheduler residency integrals, and the injector's
 //! position in its random stream must all agree.
+//!
+//! `experiments::feed_arms` over several arms must reproduce one `feed`
+//! per arm, made in arm order: the same per-arm, per-trace results, and
+//! with a recorder installed the same absorbed telemetry and totals.
 
+use penelope::cache_aware::SchemeKind;
 use penelope::error::Error;
-use penelope::experiments::{feed, Scale};
+use penelope::experiments::{feed, feed_arms, Scale};
 use penelope::fault::{FaultInjector, FaultKind, FaultPlan};
 use penelope::processor::{build, PenelopeConfig};
+use penelope_telemetry::recorder::{self, Settings};
+use penelope_telemetry::TelemetryOutput;
 use tracegen::error::TraceError;
 use tracegen::fault::{faulted, TraceFault};
 use uarch::bitstats::BitResidency;
@@ -171,4 +178,110 @@ fn an_emptied_workload_draws_no_trace_fault() {
     let got = fed(&plan);
     assert!(got.runs.is_err(), "an empty workload is a typed error");
     assert_same(plan);
+}
+
+/// Three arms that differ in pipeline geometry (set parking halves the
+/// DL0), schemes and seed, so an arm that ran on another arm's pipeline or
+/// hooks would show.
+fn arm_configs() -> Vec<PenelopeConfig> {
+    vec![
+        config(),
+        PenelopeConfig {
+            dl0_scheme: SchemeKind::set_fixed_50(5_000),
+            seed: 2,
+            ..config()
+        },
+        PenelopeConfig {
+            dtlb_scheme: SchemeKind::line_dynamic_60(0.02, SCALE.time_scale),
+            btb_scheme: SchemeKind::Baseline,
+            seed: 3,
+            ..config()
+        },
+    ]
+}
+
+/// What a recorder collected, minus spans and wall time: fewer
+/// `obs.with_recording` spans is the one difference arms may make.
+type Recorded = (TelemetryOutput, u64, u64);
+
+/// Runs `body` under a fresh recorder when `record` is set.
+fn recorded<T>(record: bool, body: impl FnOnce() -> T) -> (T, Option<Recorded>) {
+    let _ = recorder::finish();
+    if record {
+        recorder::install(Settings {
+            sample_period: 128,
+            series_capacity: 4_096,
+        });
+    }
+    let result = body();
+    let collected = recorder::finish().map(|c| (c.output, c.total_cycles, c.total_uops));
+    (result, collected)
+}
+
+/// One `feed` per arm, in arm order, each with a fresh injector of `plan`.
+fn sequential_feeds(plan: &FaultPlan, record: bool) -> (Vec<Vec<RunResult>>, Option<Recorded>) {
+    recorded(record, || {
+        arm_configs()
+            .iter()
+            .map(|config| {
+                let (mut pipe, mut hooks) = build(config).expect("valid config");
+                let mut injector = FaultInjector::new(plan);
+                let workload = injector.perturb_workload(SCALE.workload());
+                let uops = SCALE.uops_per_trace;
+                feed(&mut pipe, &workload, uops, &mut hooks, Some(&mut injector))
+                    .expect("workload is not empty")
+            })
+            .collect()
+    })
+}
+
+/// All arms fed together, drawing each trace fault once from one injector.
+fn arms_fed_together(plan: &FaultPlan, record: bool) -> (Vec<Vec<RunResult>>, Option<Recorded>) {
+    recorded(record, || {
+        let mut arms: Vec<_> = arm_configs()
+            .iter()
+            .map(|config| build(config).expect("valid config"))
+            .collect();
+        let mut injector = FaultInjector::new(plan);
+        let workload = injector.perturb_workload(SCALE.workload());
+        let uops = SCALE.uops_per_trace;
+        feed_arms(&mut arms, &workload, uops, Some(&mut injector)).expect("workload is not empty")
+    })
+}
+
+fn assert_arms_match_sequential_feeds(plan: FaultPlan) {
+    for record in [false, true] {
+        let (want, want_recorded) = sequential_feeds(&plan, record);
+        let (got, got_recorded) = arms_fed_together(&plan, record);
+        assert_eq!(want.len(), 3);
+        assert_eq!(
+            got, want,
+            "arms diverged from sequential feeds for {plan:?} (recorder: {record})"
+        );
+        if let Some((output, cycles, _)) = &got_recorded {
+            assert!(
+                !output.series.is_empty() && *cycles > 0,
+                "the recorder sampled"
+            );
+        }
+        assert_eq!(got_recorded.is_some(), record);
+        assert!(
+            got_recorded == want_recorded,
+            "arms recorded different telemetry or totals for {plan:?}"
+        );
+    }
+}
+
+#[test]
+fn arms_fed_together_match_one_feed_per_arm() {
+    assert_arms_match_sequential_feeds(FaultPlan::none());
+}
+
+#[test]
+fn truncated_and_flipped_traces_reach_every_arm_alike() {
+    assert_arms_match_sequential_feeds(FaultPlan::new(17).with(FaultKind::FlipTraceValues).with(
+        FaultKind::TruncateTraces {
+            keep_per_mille: 400,
+        },
+    ));
 }
