@@ -162,7 +162,10 @@ pub fn feed_arms<P: BorrowMut<Pipeline>, H: Hooks + EventSource>(
         .map(|(pipe, hooks)| (pipe.borrow_mut(), hooks))
         .unzip();
     let runs = with_recording_each(&mut hooks, |chains| {
-        let mut runs = vec![Vec::with_capacity(workload.len()); chains.len()];
+        let mut runs: Vec<Vec<RunResult>> = chains
+            .iter()
+            .map(|_| Vec::with_capacity(workload.len()))
+            .collect();
         let mut buffer: Vec<Uop> = Vec::new();
         for spec in workload.specs() {
             let fault = injector

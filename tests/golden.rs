@@ -242,12 +242,25 @@ fn fig6_report_matches_the_golden_hashes() {
     }
 }
 
+/// Also the dual-generation proof for Table 3's hook set: Table 3 runs
+/// the cache schemes alone, and its report must equal the one the full
+/// Penelope hook set produced once the spans and the [`NON_CACHE_SERIES`]
+/// are dropped from both.
 #[test]
 fn table3_report_matches_the_golden_hashes() {
     let _guard = jobs_lock();
     for jobs in [1, 4] {
-        let (hash, sans_spans) =
-            canonical_report_hashes(jobs, || experiments::table3(Scale::quick()));
+        let mut report = canonical_report(jobs, || experiments::table3(Scale::quick()));
+        let hash = report_hash(&report);
+        strip_spans(&mut report);
+        let sans_spans = report_hash(&report);
+        strip_series(&mut report, &NON_CACHE_SERIES);
+        let cache_only = report_hash(&report);
+        assert_eq!(
+            cache_only, TABLE3_CACHE_REPORT_FNV1A,
+            "table3 report (spans and non-cache series dropped) drifted at jobs={jobs}: \
+             got {cache_only:#018x}, pinned {TABLE3_CACHE_REPORT_FNV1A:#018x}"
+        );
         assert_eq!(
             sans_spans, PRE_TRACING_TABLE3_REPORT_FNV1A,
             "table3 report (spans dropped) drifted from the pre-tracing golden at jobs={jobs}: \
@@ -257,26 +270,6 @@ fn table3_report_matches_the_golden_hashes() {
             hash, TABLE3_REPORT_FNV1A,
             "table3 report drifted from the golden at jobs={jobs}: \
              got {hash:#018x}, pinned {TABLE3_REPORT_FNV1A:#018x}"
-        );
-    }
-}
-
-/// The dual-generation proof for Table 3's hook set. Table 3 runs the
-/// cache schemes alone; the report this produces must equal the one the
-/// full Penelope hook set produced once the spans and the
-/// [`NON_CACHE_SERIES`] are dropped from both.
-#[test]
-fn table3_report_differs_from_the_full_hook_set_only_in_non_cache_series() {
-    let _guard = jobs_lock();
-    for jobs in [1, 4] {
-        let mut report = canonical_report(jobs, || experiments::table3(Scale::quick()));
-        strip_spans(&mut report);
-        strip_series(&mut report, &NON_CACHE_SERIES);
-        let hash = report_hash(&report);
-        assert_eq!(
-            hash, TABLE3_CACHE_REPORT_FNV1A,
-            "table3 report (spans and non-cache series dropped) drifted at jobs={jobs}: \
-             got {hash:#018x}, pinned {TABLE3_CACHE_REPORT_FNV1A:#018x}"
         );
     }
 }
