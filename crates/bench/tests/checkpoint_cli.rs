@@ -311,6 +311,71 @@ fn resuming_under_a_different_fault_seed_is_refused() {
     );
 }
 
+/// Runs a copied binary, retrying while the kernel still reports it busy:
+/// a test thread that forks while another holds the copy open for
+/// writing leaves the file busy for a moment.
+fn run_copy(binary: &std::path::Path, args: &[&str], journal: &std::path::Path) -> Output {
+    for _ in 0..50 {
+        match Command::new(binary).args(args).arg(journal).output() {
+            Err(err) if err.raw_os_error() == Some(26) => {
+                std::thread::sleep(Duration::from_millis(100));
+            }
+            result => return result.expect("copied binary runs"),
+        }
+    }
+    panic!("{} stayed busy", binary.display());
+}
+
+/// A journal resumes only under the build that wrote it: the header
+/// stamps the FNV-1a of the executable's bytes, so a copy of the binary
+/// with one byte appended refuses to resume a journal the unmodified
+/// copy wrote, and the unmodified copy still resumes it.
+#[test]
+fn resuming_under_another_executable_is_refused() {
+    let dir = std::env::temp_dir()
+        .join("penelope-checkpoint-cli")
+        .join("executables");
+    std::fs::create_dir_all(&dir).expect("temp dir is writable");
+    let original = dir.join("fig6");
+    let modified = dir.join("fig6-modified");
+    for copy in [&original, &modified] {
+        std::fs::copy(env!("CARGO_BIN_EXE_fig6"), copy).expect("binary copies");
+    }
+    {
+        use std::io::Write as _;
+        let mut file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&modified)
+            .expect("copy is writable");
+        file.write_all(&[0]).expect("one byte appends");
+    }
+    let journal = tmp_path("fig6-executable.jsonl");
+    let output = run_copy(&original, &["--scale", "quick", "--checkpoint"], &journal);
+    assert!(output.status.success(), "{}", stderr_of(&output));
+    truncate_journal(&journal);
+
+    let resume = ["--scale", "quick", "--resume", "--checkpoint"];
+    let output = run_copy(&modified, &resume, &journal);
+    assert!(
+        !output.status.success(),
+        "a journal must not resume under another executable"
+    );
+    let stderr = stderr_of(&output);
+    assert!(
+        stderr.contains("resume refused") && stderr.contains("executable"),
+        "stderr: {stderr}"
+    );
+
+    let output = run_copy(&original, &resume, &journal);
+    assert!(output.status.success(), "{}", stderr_of(&output));
+    assert!(
+        stderr_of(&output).contains("1 completed cell(s) restored"),
+        "stderr: {}",
+        stderr_of(&output)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Extra flags change what every cell computes, so they are part of the
 /// journal's run identity: resuming under different values must refuse
 /// instead of reporting the new flags over the old cells, while resuming

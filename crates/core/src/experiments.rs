@@ -668,9 +668,12 @@ type SchemeArm = ([SchemeKind; 3], u64);
 ///
 /// Only the cache schemes run. Table 3 (§4.6) evaluates the DL0/DTLB
 /// inversion schemes alone, and no caller reads register-file or
-/// scheduler residency, so neither mechanism is built; the
-/// `table3_timing_ignores_the_register_file_and_scheduler_hooks` test
-/// checks that leaving them out moves no cycle.
+/// scheduler residency, so neither mechanism is built and the pipelines
+/// are timing-only ([`build_cache_schemes`]). The
+/// `table3_timing_ignores_the_register_file_and_scheduler_hooks` and
+/// `untracked_cache_scheme_runs_time_exactly_like_tracked_ones` tests
+/// check that leaving the mechanisms and the residency out moves no
+/// cycle.
 fn cache_scheme_run(
     pipeline: PipelineConfig,
     arms: &[SchemeArm],
@@ -1220,35 +1223,40 @@ pub struct TailRow {
     pub mean_loss: f64,
 }
 
-/// Measures the per-program loss distribution on the 16KB 8-way DL0.
-pub fn table3_tail(scale: Scale) -> Result<Vec<TailRow>, Error> {
-    let _span = penelope_telemetry::span!("driver: table3_tail");
-    let base_config = PipelineConfig {
+/// The pipeline the Table 3 tail runs on: the 16KB 8-way DL0.
+fn table3_tail_config() -> PipelineConfig {
+    PipelineConfig {
         dl0: CacheConfig::dl0(16, 8),
         ..PipelineConfig::default()
-    };
-    // Per-trace baseline CPIs.
-    let per_trace = |dl0_scheme: SchemeKind, seed: u64| -> Result<Vec<f64>, Error> {
-        let schemes = [dl0_scheme, SchemeKind::Baseline, SchemeKind::Baseline];
-        let arms = cache_scheme_run(base_config, &[(schemes, seed)], scale)?;
-        Ok(arms[0].2.iter().map(RunResult::cpi).collect())
-    };
-    let rotation = rotation_period(scale);
+    }
+}
+
+/// The Table 3 tail's arms, each on the DL0: arm 0 is the shared baseline
+/// (seed 31); the three scheme arms reuse seed 32 like the serial loop
+/// did.
+fn table3_tail_arms(scale: Scale) -> Vec<SchemeArm> {
+    let dl0 = |scheme| [scheme, SchemeKind::Baseline, SchemeKind::Baseline];
     let schemes = [
-        SchemeKind::set_fixed_50(rotation),
+        SchemeKind::set_fixed_50(rotation_period(scale)),
         SchemeKind::line_fixed_50(),
         SchemeKind::line_dynamic_60(SchemeKind::dl0_threshold(16), scale.time_scale),
     ];
-    // Cell 0 is the shared baseline (seed 31); the scheme cells reuse
-    // seed 32 like the serial loop did.
-    let mut per_cell =
-        par::try_cells_named("table3_tail", 1 + schemes.len(), |cell| match cell.index {
-            0 => per_trace(SchemeKind::Baseline, 31),
-            i => per_trace(schemes[i - 1], 32),
-        })?;
+    std::iter::once((dl0(SchemeKind::Baseline), 31))
+        .chain(schemes.into_iter().map(|scheme| (dl0(scheme), 32)))
+        .collect()
+}
+
+/// Measures the per-program loss distribution on the 16KB 8-way DL0.
+pub fn table3_tail(scale: Scale) -> Result<Vec<TailRow>, Error> {
+    let _span = penelope_telemetry::span!("driver: table3_tail");
+    let arms = table3_tail_arms(scale);
+    let mut per_cell = par::try_cells_named("table3_tail", arms.len(), |cell| {
+        let runs = cache_scheme_run(table3_tail_config(), &arms[cell.index..=cell.index], scale)?;
+        Ok(runs[0].2.iter().map(RunResult::cpi).collect::<Vec<f64>>())
+    })?;
     let baseline = per_cell.remove(0);
     let mut rows = Vec::new();
-    for (scheme, cpis) in schemes.into_iter().zip(per_cell) {
+    for (([scheme, _, _], _), cpis) in arms.into_iter().skip(1).zip(per_cell) {
         let losses: Vec<f64> = cpis
             .iter()
             .zip(&baseline)
@@ -1280,13 +1288,11 @@ pub struct BtbRow {
     pub inverted_fraction: f64,
 }
 
-/// Extension: the §3.2.1 schemes applied to the branch target buffer (the
-/// paper names the branch predictor as cache-like but evaluates only the
-/// DL0 and DTLB).
-pub fn btb_extension(scale: Scale) -> Result<Vec<BtbRow>, Error> {
-    let _span = penelope_telemetry::span!("driver: btb_extension");
+/// The BTB extension's arms, each on the BTB with the default seed: arm
+/// 0 is the unprotected baseline the losses are relative to.
+fn btb_arms(scale: Scale) -> Vec<SchemeArm> {
     let rotation = rotation_period(scale);
-    let schemes = [
+    [
         SchemeKind::Baseline,
         SchemeKind::set_fixed_50(rotation),
         SchemeKind::WayFixed {
@@ -1295,19 +1301,29 @@ pub fn btb_extension(scale: Scale) -> Result<Vec<BtbRow>, Error> {
         },
         SchemeKind::line_fixed_50(),
         SchemeKind::line_dynamic_60(0.02, scale.time_scale),
-    ];
-    // One engine cell per scheme; cell 0 is the unprotected baseline the
-    // losses are relative to.
-    let cells = par::try_cells_named("btb", schemes.len(), |cell| {
-        let scheme = schemes[cell.index];
-        let arm = (
+    ]
+    .into_iter()
+    .map(|scheme| {
+        (
             [SchemeKind::Baseline, SchemeKind::Baseline, scheme],
             PenelopeConfig::default().seed,
-        );
-        let mut arms = recorder::phase(&format!("btb: {}", scheme.label()), || {
+        )
+    })
+    .collect()
+}
+
+/// Extension: the §3.2.1 schemes applied to the branch target buffer (the
+/// paper names the branch predictor as cache-like but evaluates only the
+/// DL0 and DTLB).
+pub fn btb_extension(scale: Scale) -> Result<Vec<BtbRow>, Error> {
+    let _span = penelope_telemetry::span!("driver: btb_extension");
+    let arms = btb_arms(scale);
+    let cells = par::try_cells_named("btb", arms.len(), |cell| {
+        let arm = arms[cell.index];
+        let mut built = recorder::phase(&format!("btb: {}", arm.0[2].label()), || {
             cache_scheme_run(PipelineConfig::default(), &[arm], scale)
         })?;
-        let (pipe, hooks, runs) = arms.swap_remove(0);
+        let (pipe, hooks, runs) = built.swap_remove(0);
         let total = sum_runs(&runs);
         let now = pipe.now();
         Ok((
@@ -1320,15 +1336,17 @@ pub fn btb_extension(scale: Scale) -> Result<Vec<BtbRow>, Error> {
         .first()
         .map(|(cpi, _, _)| *cpi)
         .ok_or_else(|| Error::config("btb sweep produced no cells"))?;
-    Ok(schemes
+    Ok(arms
         .into_iter()
         .zip(cells)
-        .map(|(scheme, (cpi, miss_ratio, inverted_fraction))| BtbRow {
-            scheme: scheme.label(),
-            cpi_loss: (cpi / baseline - 1.0).max(0.0),
-            miss_ratio,
-            inverted_fraction,
-        })
+        .map(
+            |(([_, _, scheme], _), (cpi, miss_ratio, inverted_fraction))| BtbRow {
+                scheme: scheme.label(),
+                cpi_loss: (cpi / baseline - 1.0).max(0.0),
+                miss_ratio,
+                inverted_fraction,
+            },
+        )
         .collect())
 }
 
@@ -1534,6 +1552,60 @@ mod tests {
                     full, runs,
                     "{}: seed {seed}, schemes {schemes:?}",
                     geometry.label
+                );
+            }
+        }
+    }
+
+    /// Table 3 and its extensions run timing-only pipelines
+    /// ([`build_cache_schemes`]). That skipping the register-file and
+    /// scheduler residency moves nothing they read is checked here, not
+    /// assumed: for every arm of every Table 3 geometry, of the tail and of
+    /// the BTB extension, a tracked pipeline under the same
+    /// `CacheSchemes` gives the same per-trace results, the same DL0, DTLB
+    /// and BTB statistics and the same scheme inverted fractions.
+    #[test]
+    fn untracked_cache_scheme_runs_time_exactly_like_tracked_ones() {
+        let scale = Scale::quick();
+        let workload = scale.workload();
+        let mut cases: Vec<(String, PipelineConfig, Vec<SchemeArm>)> = table3_grid()
+            .into_iter()
+            .map(|geometry| {
+                let arms = geometry.arms(scale);
+                (geometry.label, geometry.config, arms)
+            })
+            .collect();
+        cases.push((
+            "table3 tail".into(),
+            table3_tail_config(),
+            table3_tail_arms(scale),
+        ));
+        cases.push(("btb".into(), PipelineConfig::default(), btb_arms(scale)));
+        for (label, pipeline, arms) in cases {
+            let untracked = cache_scheme_run(pipeline, &arms, scale).expect("valid geometry");
+            for ((schemes, seed), (u_pipe, u_hooks, u_runs)) in arms.into_iter().zip(untracked) {
+                let what = format!("{label}: seed {seed}, schemes {schemes:?}");
+                let config = cache_scheme_config(pipeline, schemes, seed);
+                let (mut pipe, _) = build(&config).expect("valid geometry");
+                let mut hooks = CacheSchemes::new(&config);
+                let runs = feed(&mut pipe, &workload, scale.uops_per_trace, &mut hooks, None)
+                    .expect("quick workload is not empty");
+                assert_eq!(runs, u_runs, "{what}");
+                assert_eq!(pipe.parts.dl0.stats(), u_pipe.parts.dl0.stats(), "{what}");
+                assert_eq!(pipe.parts.dtlb.stats(), u_pipe.parts.dtlb.stats(), "{what}");
+                assert_eq!(pipe.parts.btb.stats(), u_pipe.parts.btb.stats(), "{what}");
+                let now = pipe.now();
+                let inverted = |h: &CacheSchemes, p: &Pipeline| {
+                    [
+                        h.dl0.inverted_fraction(&p.parts.dl0, now),
+                        h.dtlb.inverted_fraction(p.parts.dtlb.cache(), now),
+                        h.btb.inverted_fraction(p.parts.btb.cache(), now),
+                    ]
+                };
+                assert_eq!(
+                    inverted(&hooks, &pipe),
+                    inverted(&u_hooks, &u_pipe),
+                    "{what}"
                 );
             }
         }

@@ -19,7 +19,8 @@
 //!
 //! ```text
 //! {"body":{"journal_schema":2,"report_schema":1,"binary":"fig6",
-//!          "scale":{...},"fault_seed":0,"jobs_independent":true},"hash":"…"}
+//!          "executable":"…","scale":{...},"fault_seed":0,
+//!          "jobs_independent":true},"hash":"…"}
 //! {"body":{"sweep":"fig6","cell":0,"payload":…,"snapshot":…},"hash":"…"}
 //! ```
 //!
@@ -56,9 +57,17 @@
 //! # Trust policy
 //!
 //! The loader is strict: unparseable lines, hash mismatches, schema or
-//! run-identity (binary / scale / fault seed) mismatches, and duplicate
-//! cell keys all produce a typed [`Error::Journal`] whose message starts
-//! with `resume refused:`. Write failures *during* a run degrade instead:
+//! run-identity (binary / executable / scale / fault seed) mismatches, and
+//! duplicate cell keys all produce a typed [`Error::Journal`] whose
+//! message starts with `resume refused:`.
+//!
+//! The header's `executable` is the FNV-1a of the running executable's
+//! bytes, so a journal resumes only under the build that wrote it: cell
+//! payloads and snapshots are whatever that build computed, and splicing
+//! them into another build's report would mix two generations of the
+//! code. A rebuild of the same source with another toolchain or profile
+//! is refused too. A process that cannot read its own executable stamps
+//! `null` and refuses every resume. Write failures *during* a run degrade instead:
 //! the writer goes quiet, the sweep continues uncheckpointed, and one
 //! warning lands in the report.
 //!
@@ -70,9 +79,9 @@
 
 use std::collections::HashMap;
 use std::fs;
-use std::io::{self, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use penelope_telemetry::recorder::Snapshot;
 use penelope_telemetry::{decode_snapshot, encode_snapshot, span, Json, SCHEMA_VERSION};
@@ -91,12 +100,39 @@ pub const JOURNAL_SCHEMA: u64 = 2;
 /// FNV-1a 64-bit over the canonical record body bytes. Not cryptographic —
 /// it detects torn writes and bit rot, not adversaries.
 fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues an FNV-1a 64-bit hash over more bytes.
+fn fnv1a64_extend(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+/// The header's `executable` stamp: the FNV-1a of the running
+/// executable's bytes as 16 hex digits, or `None` when the file cannot be
+/// read. Computed once per process, streaming the file through a 64 KiB
+/// buffer so the binary is never held in memory.
+fn executable_stamp() -> Option<&'static str> {
+    static STAMP: OnceLock<Option<String>> = OnceLock::new();
+    STAMP
+        .get_or_init(|| {
+            let mut file = fs::File::open(std::env::current_exe().ok()?).ok()?;
+            let mut buf = vec![0u8; 1 << 16];
+            let mut hash = fnv1a64(&[]);
+            loop {
+                match file.read(&mut buf) {
+                    Ok(0) => return Some(format!("{hash:016x}")),
+                    Ok(n) => hash = fnv1a64_extend(hash, &buf[..n]),
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(_) => return None,
+                }
+            }
+        })
+        .as_deref()
 }
 
 /// Wraps a record body into a hashed journal line. The body is encoded
@@ -144,8 +180,9 @@ fn malformed(number: usize, what: &str) -> Error {
 }
 
 /// The run identity stamped into a journal's header. Resume compares every
-/// field; any mismatch means the journal belongs to a different experiment
-/// and is refused.
+/// field, and the executable stamp the header record carries beside them;
+/// any mismatch means the journal belongs to a different experiment or
+/// build and is refused.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JournalHeader {
     /// The bench binary (e.g. `"fig6"`).
@@ -170,6 +207,10 @@ impl JournalHeader {
         obj.set("journal_schema", Json::UInt(JOURNAL_SCHEMA));
         obj.set("report_schema", Json::UInt(SCHEMA_VERSION));
         obj.set("binary", Json::Str(self.binary.clone()));
+        obj.set(
+            "executable",
+            executable_stamp().map_or(Json::Null, Json::from),
+        );
         obj.set("scale", self.scale.clone());
         obj.set("fault_seed", Json::UInt(self.fault_seed));
         obj.set("retries", Json::UInt(u64::from(self.retries)));
@@ -207,6 +248,16 @@ impl JournalHeader {
             return Err(refuse(format!(
                 "journal belongs to binary {binary:?}, this run is {:?}",
                 self.binary
+            )));
+        }
+        let written = loaded.get("executable").and_then(Json::as_str);
+        let this = executable_stamp();
+        if written.is_none() || written != this {
+            return Err(refuse(format!(
+                "journal was written by executable {}, this run is executable {}; \
+                 a journal resumes only under the build that wrote it",
+                written.unwrap_or("(unstamped)"),
+                this.unwrap_or("(unreadable)")
             )));
         }
         if field("scale")? != &self.scale {
@@ -870,6 +921,29 @@ mod tests {
                 other => panic!("schema {schema} must be refused, got {other:?}"),
             }
         }
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn resume_refuses_another_executable() {
+        let path = tmp_path("executable");
+        let stamp = executable_stamp().expect("the test binary is readable");
+        let other = format!("{:016x}", fnv1a64(stamp.as_bytes()));
+        for written in [Some(other.as_str()), None] {
+            let mut body = header().to_json();
+            body.set("executable", written.map_or(Json::Null, Json::from));
+            fs::write(&path, seal(&body) + "\n").expect("write");
+            match CheckpointContext::resume(&path, &header()) {
+                Err(Error::Journal { message }) => {
+                    assert!(message.starts_with("resume refused:"), "{message}");
+                    assert!(message.contains(stamp), "{message}");
+                }
+                other => panic!("executable {written:?} must be refused, got {other:?}"),
+            }
+        }
+        // The header this process writes names this process's executable.
+        fs::write(&path, seal(&header().to_json()) + "\n").expect("write");
+        assert!(CheckpointContext::resume(&path, &header()).is_ok());
         let _ = fs::remove_file(&path);
     }
 

@@ -203,12 +203,23 @@ pub fn build(config: &PenelopeConfig) -> Result<(Pipeline, PenelopeHooks), Error
         return Err(Error::config("sample_period must be positive"));
     }
     config.sched_policy.validate_k_budgets()?;
-    Ok((scheme_pipeline(config)?, PenelopeHooks::new(config)))
+    let pipeline = Pipeline::try_new(scheme_pipeline_config(config))?;
+    Ok((pipeline, PenelopeHooks::new(config)))
 }
 
-/// Builds the pipeline (with scheme-adjusted cache geometry) and the
-/// cache schemes alone. The configuration's sampling period and scheduler
-/// policy are not read: no register-file or scheduler mechanism is built.
+/// Builds a timing-only pipeline (with scheme-adjusted cache geometry)
+/// and the cache schemes alone. The configuration's sampling period and
+/// scheduler policy are not read: no register-file or scheduler mechanism
+/// is built.
+///
+/// This is the constructor behind Table 3, its tail, the BTB extension,
+/// the efficiency DL0 row and the rotation ablation, and none of them
+/// reads register-file or scheduler residency. So the pipeline is built
+/// with [`Pipeline::try_untracked`]: its register files and scheduler
+/// charge no bit residency and their residency reads stay empty, while
+/// every cycle, hook call and cache, DTLB and BTB state is that of a
+/// tracked pipeline. The choice is made here, once, before the first
+/// cycle.
 ///
 /// # Errors
 ///
@@ -216,12 +227,13 @@ pub fn build(config: &PenelopeConfig) -> Result<(Pipeline, PenelopeHooks), Error
 /// instantiated, including one whose caches the schemes shrank to
 /// nothing.
 pub fn build_cache_schemes(config: &PenelopeConfig) -> Result<(Pipeline, CacheSchemes), Error> {
-    Ok((scheme_pipeline(config)?, CacheSchemes::new(config)))
+    let pipeline = Pipeline::try_untracked(scheme_pipeline_config(config))?;
+    Ok((pipeline, CacheSchemes::new(config)))
 }
 
-/// The pipeline whose DL0, DTLB and BTB geometries are what the
-/// configured schemes leave usable (set/way parking shrinks them).
-fn scheme_pipeline(config: &PenelopeConfig) -> Result<Pipeline, Error> {
+/// The pipeline configuration whose DL0, DTLB and BTB geometries are what
+/// the configured schemes leave usable (set/way parking shrinks them).
+fn scheme_pipeline_config(config: &PenelopeConfig) -> PipelineConfig {
     let mut pipeline_config = config.pipeline;
     pipeline_config.dl0 = config.dl0_scheme.effective_cache(pipeline_config.dl0);
     let dtlb_base =
@@ -237,7 +249,7 @@ fn scheme_pipeline(config: &PenelopeConfig) -> Result<Pipeline, Error> {
     let btb_eff = config.btb_scheme.effective_cache(btb_base);
     pipeline_config.btb_entries = btb_eff.lines() as u32;
     pipeline_config.btb_ways = btb_eff.ways;
-    Ok(Pipeline::try_new(pipeline_config)?)
+    pipeline_config
 }
 
 #[cfg(test)]
@@ -270,6 +282,18 @@ mod tests {
         let (pipe, _) = build(&config).expect("halved caches are still valid");
         assert_eq!(pipe.parts.dl0.config().size_bytes, 16 * 1024);
         assert_eq!(pipe.parts.dtlb.entries(), 64);
+    }
+
+    #[test]
+    fn only_cache_scheme_pipelines_are_untracked() {
+        let config = PenelopeConfig::default();
+        let (tracked, _) = build(&config).expect("default config is valid");
+        let (untracked, _) = build_cache_schemes(&config).expect("default config is valid");
+        for (pipe, want) in [(&tracked, true), (&untracked, false)] {
+            assert_eq!(pipe.parts.int_rf.is_tracked(), want);
+            assert_eq!(pipe.parts.fp_rf.is_tracked(), want);
+            assert_eq!(pipe.parts.sched.is_tracked(), want);
+        }
     }
 
     #[test]

@@ -218,25 +218,24 @@ impl<H: Hooks + EventSource> TelemetryHooks<H> {
             .histogram("sched.occupancy", &FRACTION_BUCKETS);
         self.output.registry.observe(h, occ);
 
-        // Register files: free fraction plus worst-cell duty. A sample lands
-        // mid-run, before the run settles its residency, so sync flushes
-        // the event-driven accounting up to `now` first.
-        parts.int_rf.sync(now);
-        parts.fp_rf.sync(now);
+        // Register files: free fraction plus, when tracked, worst-cell
+        // duty. A sample lands mid-run, before the run settles its
+        // residency, so sync flushes the event-driven accounting up to
+        // `now` first. An untracked structure has no duty to report, so its
+        // series is left out rather than filled with zeros.
         let int_free = parts.int_rf.free_fraction(now);
         let fp_free = parts.fp_rf.free_fraction(now);
         self.push("rf.int.free_fraction", now, int_free);
         self.push("rf.fp.free_fraction", now, fp_free);
-        self.push(
-            "rf.int.worst_cell_duty",
-            now,
-            parts.int_rf.residency().worst_cell_duty().fraction(),
-        );
-        self.push(
-            "rf.fp.worst_cell_duty",
-            now,
-            parts.fp_rf.residency().worst_cell_duty().fraction(),
-        );
+        for (name, rf) in [
+            ("rf.int.worst_cell_duty", &mut parts.int_rf),
+            ("rf.fp.worst_cell_duty", &mut parts.fp_rf),
+        ] {
+            if rf.is_tracked() {
+                rf.sync(now);
+                self.push(name, now, rf.residency().worst_cell_duty().fraction());
+            }
+        }
         let h = self
             .output
             .registry
@@ -244,12 +243,14 @@ impl<H: Hooks + EventSource> TelemetryHooks<H> {
         self.output.registry.observe(h, int_free);
 
         // Scheduler worst-cell duty over all Table 2 fields.
-        parts.sched.sync(now);
-        let sched_duty = Field::ALL
-            .iter()
-            .map(|&f| parts.sched.field_residency(f).worst_cell_duty().fraction())
-            .fold(0.0_f64, f64::max);
-        self.push("sched.worst_cell_duty", now, sched_duty);
+        if parts.sched.is_tracked() {
+            parts.sched.sync(now);
+            let sched_duty = Field::ALL
+                .iter()
+                .map(|&f| parts.sched.field_residency(f).worst_cell_duty().fraction())
+                .fold(0.0_f64, f64::max);
+            self.push("sched.worst_cell_duty", now, sched_duty);
+        }
 
         // Caches: line-state fractions (the inversion schemes' footprint)
         // and miss ratios.
@@ -517,6 +518,37 @@ mod tests {
             .map(|(_, s)| s)
             .expect("fault series sampled");
         assert!(faults.iter().all(|(_, v)| (v - 7.0).abs() < 1e-12));
+    }
+
+    /// Worst-cell duty series exist only for tracked structures: a
+    /// timing-only pipeline has no residency to report, and sampling it
+    /// must leave those series out rather than push zeros. Every other
+    /// series keeps its name and order.
+    #[test]
+    fn duty_series_follow_residency_tracking() {
+        const DUTY: [&str; 3] = [
+            "rf.int.worst_cell_duty",
+            "rf.fp.worst_cell_duty",
+            "sched.worst_cell_duty",
+        ];
+        let sample = |mut pipe: Pipeline| {
+            let mut hooks = TelemetryHooks::new(NoHooks, 64, 64);
+            pipe.run(TraceSpec::new(Suite::Server, 2).generate(1_000), &mut hooks);
+            let now = pipe.now();
+            hooks.sample(&mut pipe.parts, now);
+            let output = hooks.into_parts().1;
+            output.series.iter().map(|(n, _)| *n).collect::<Vec<_>>()
+        };
+        let tracked = sample(Pipeline::new(PipelineConfig::default()));
+        let untracked = sample(
+            Pipeline::try_untracked(PipelineConfig::default()).expect("default config is valid"),
+        );
+        for name in DUTY {
+            assert!(tracked.contains(&name), "tracked pipeline lacks {name}");
+            assert!(!untracked.contains(&name), "untracked pipeline has {name}");
+        }
+        let rest: Vec<_> = tracked.into_iter().filter(|n| !DUTY.contains(n)).collect();
+        assert_eq!(rest, untracked);
     }
 
     #[test]

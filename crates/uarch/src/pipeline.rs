@@ -495,11 +495,33 @@ impl Pipeline {
 
     /// Builds a pipeline, rejecting degenerate configurations with a typed
     /// error instead of panicking (or hanging) mid-run.
-    #[allow(clippy::expect_used)] // arch-state allocations validated below
     pub fn try_new(config: PipelineConfig) -> Result<Self, PipelineError> {
+        Pipeline::build(config, true)
+    }
+
+    /// Builds a timing-only pipeline: its register files and scheduler are
+    /// untracked ([`RegisterFile::untracked`], [`Scheduler::untracked`]),
+    /// so a run charges no bit residency there. Every [`RunResult`], every
+    /// hook call and the caches, DTLB and BTB are those of
+    /// [`Pipeline::try_new`]; only the register-file and scheduler
+    /// residency (and the scheduler's field contents) read empty. The
+    /// choice lasts for the pipeline's life.
+    pub fn try_untracked(config: PipelineConfig) -> Result<Self, PipelineError> {
+        Pipeline::build(config, false)
+    }
+
+    #[allow(clippy::expect_used)] // arch-state allocations validated below
+    fn build(config: PipelineConfig, tracked: bool) -> Result<Self, PipelineError> {
         Pipeline::validate(&config)?;
-        let mut int_rf = RegisterFile::new(config.int_rf);
-        let mut fp_rf = RegisterFile::new(config.fp_rf);
+        let regfile = |config| {
+            if tracked {
+                RegisterFile::new(config)
+            } else {
+                RegisterFile::untracked(config)
+            }
+        };
+        let mut int_rf = regfile(config.int_rf);
+        let mut fp_rf = regfile(config.fp_rf);
         let mut int_map = [0; 16];
         let mut fp_map = [0; 8];
         // validate() guarantees both files exceed the architectural state,
@@ -520,7 +542,11 @@ impl Pipeline {
             parts: Parts {
                 int_rf,
                 fp_rf,
-                sched: Scheduler::new(config.sched_entries, config.sched_ports),
+                sched: if tracked {
+                    Scheduler::new(config.sched_entries, config.sched_ports)
+                } else {
+                    Scheduler::untracked(config.sched_entries, config.sched_ports)
+                },
                 dl0: SetAssocCache::new(config.dl0),
                 l2: config.l2.map(SetAssocCache::new),
                 dtlb: Dtlb::new(config.dtlb_entries, config.dtlb_ways),

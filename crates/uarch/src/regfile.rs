@@ -58,9 +58,17 @@ struct PortState {
 
 /// A physical register file with free-list allocation, port contention and
 /// per-bit residency accounting.
+///
+/// A register file is built *tracked* ([`RegisterFile::new`]) or
+/// *untracked* ([`RegisterFile::untracked`]), once, for its whole life. An
+/// untracked file keeps everything timing depends on — the free list,
+/// busy flags, write ports, occupancy and the register values — and skips
+/// only the bit-residency charges: its [`residency`](Self::residency)
+/// stays empty (zero total time).
 #[derive(Debug, Clone)]
 pub struct RegisterFile {
     config: RegFileConfig,
+    tracked: bool,
     cells: Vec<TrackedWord>,
     busy: Vec<bool>,
     free_list: VecDeque<PhysReg>,
@@ -72,13 +80,24 @@ pub struct RegisterFile {
 }
 
 impl RegisterFile {
-    /// Creates a register file; all registers start free and hold zero
-    /// (a freshly powered structure), at time 0.
+    /// Creates a tracked register file; all registers start free and hold
+    /// zero (a freshly powered structure), at time 0.
     pub fn new(config: RegFileConfig) -> Self {
+        RegisterFile::build(config, true)
+    }
+
+    /// Creates an untracked register file: the same timing and values as
+    /// [`RegisterFile::new`], no residency accounting.
+    pub fn untracked(config: RegFileConfig) -> Self {
+        RegisterFile::build(config, false)
+    }
+
+    fn build(config: RegFileConfig, tracked: bool) -> Self {
         assert!(config.entries > 0, "need at least one register");
         assert!((1..=128).contains(&config.width), "width must be 1..=128");
         assert!(config.write_ports > 0, "need at least one write port");
         RegisterFile {
+            tracked,
             cells: vec![TrackedWord::new(0, 0); usize::from(config.entries)],
             busy: vec![false; usize::from(config.entries)],
             free_list: (0..config.entries).collect(),
@@ -94,6 +113,22 @@ impl RegisterFile {
     /// The configuration.
     pub fn config(&self) -> &RegFileConfig {
         &self.config
+    }
+
+    /// Whether the file charges bit residency.
+    pub fn is_tracked(&self) -> bool {
+        self.tracked
+    }
+
+    /// Stores `value` into a cell, charging the old value's residency when
+    /// the file is tracked.
+    fn store(&mut self, idx: usize, value: u128, now: u64) {
+        let cell = &mut self.cells[idx];
+        if self.tracked {
+            cell.write(value, now, &mut self.residency);
+        } else {
+            *cell = TrackedWord::new(value, now);
+        }
     }
 
     fn roll_cycle(&mut self, now: u64) {
@@ -132,7 +167,7 @@ impl RegisterFile {
     pub fn write(&mut self, preg: PhysReg, value: u128, now: u64) {
         self.roll_cycle(now);
         self.ports.used = self.ports.used.saturating_add(1);
-        self.cells[usize::from(preg)].write(value, now, &mut self.residency);
+        self.store(usize::from(preg), value, now);
     }
 
     /// Releases a register back to the free list at time `now`. The cell
@@ -165,7 +200,7 @@ impl RegisterFile {
             return false;
         }
         self.ports.used += 1;
-        self.cells[idx].write(value, now, &mut self.residency);
+        self.store(idx, value, now);
         true
     }
 
@@ -192,8 +227,12 @@ impl RegisterFile {
     /// Flushes residency accounting of every cell up to `now`.
     /// [`Pipeline::run`](crate::pipeline::Pipeline::run) calls it when a
     /// run ends; only a reader sampling in the middle of a run (or a test
-    /// driving a bare register file) calls it itself.
+    /// driving a bare register file) calls it itself. Does nothing on an
+    /// untracked file.
     pub fn sync(&mut self, now: u64) {
+        if !self.tracked {
+            return;
+        }
         for cell in &mut self.cells {
             cell.flush(now, &mut self.residency);
         }
@@ -201,7 +240,7 @@ impl RegisterFile {
 
     /// Per-bit-position residency (aggregated over all registers),
     /// accurate up to the last [`RegisterFile::sync`]: after a pipeline
-    /// run, up to the run's last cycle.
+    /// run, up to the run's last cycle. Empty on an untracked file.
     pub fn residency(&self) -> &BitResidency {
         &self.residency
     }
@@ -314,6 +353,28 @@ mod tests {
         // Both ports used by real writes → release finds no port.
         assert!(!rf.try_write_free(a, 3, 7));
         assert!((rf.release_port_availability() - 0.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn untracked_file_keeps_values_and_ports_but_charges_nothing() {
+        let config = RegFileConfig {
+            entries: 4,
+            width: 8,
+            write_ports: 2,
+        };
+        let mut rf = RegisterFile::untracked(config);
+        assert!(!rf.is_tracked() && RegisterFile::new(config).is_tracked());
+        let a = rf.allocate(0).unwrap();
+        rf.write(a, 0xAB, 1);
+        assert!(rf.release(a, 2));
+        assert_eq!(rf.value_of(a), 0xAB);
+        assert!(rf.try_write_free(a, 0xCD, 3));
+        assert!(rf.try_write_free(a, 0xEF, 3));
+        assert!(!rf.try_write_free(a, 0x01, 3), "two ports per cycle");
+        assert_eq!(rf.value_of(a), 0xEF);
+        rf.sync(10);
+        assert_eq!(rf.residency().total_time(), 0);
+        assert!((rf.free_fraction(4) - (1.0 - 2.0 / 16.0)).abs() < 1e-12);
     }
 
     #[test]

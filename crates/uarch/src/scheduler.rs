@@ -435,8 +435,17 @@ struct Slot {
 pub type SlotId = usize;
 
 /// The 32-entry scheduler.
+///
+/// A scheduler is built *tracked* ([`Scheduler::new`]) or *untracked*
+/// ([`Scheduler::untracked`]), once, for its whole life. An untracked
+/// scheduler keeps everything timing depends on — busy and issued flags,
+/// the ports and both occupancy trackers — and skips the bit-residency
+/// work: it stores no field contents (every [`field_value`](Self::field_value)
+/// reads 0), charges nothing, and its
+/// [`field_residency`](Self::field_residency) stays empty.
 #[derive(Debug, Clone)]
 pub struct Scheduler {
+    tracked: bool,
     slots: Vec<Slot>,
     residency: [BitResidency; 18],
     /// Staging accumulators for the grouped charges: when a group word
@@ -460,16 +469,31 @@ impl Scheduler {
     /// Scheduler size used throughout the paper.
     pub const PAPER_ENTRIES: usize = 32;
 
-    /// Creates a scheduler with `entries` slots and `alloc_ports` write
-    /// ports shared by allocation and balancing writes.
+    /// Creates a tracked scheduler with `entries` slots and `alloc_ports`
+    /// write ports shared by allocation and balancing writes.
     ///
     /// # Panics
     ///
     /// Panics if `entries` or `alloc_ports` is zero.
     pub fn new(entries: usize, alloc_ports: u8) -> Self {
+        Scheduler::build(entries, alloc_ports, true)
+    }
+
+    /// Creates an untracked scheduler: the same timing as
+    /// [`Scheduler::new`], no field contents and no residency accounting.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entries` or `alloc_ports` is zero.
+    pub fn untracked(entries: usize, alloc_ports: u8) -> Self {
+        Scheduler::build(entries, alloc_ports, false)
+    }
+
+    fn build(entries: usize, alloc_ports: u8, tracked: bool) -> Self {
         assert!(entries > 0, "need at least one slot");
         assert!(alloc_ports > 0, "need at least one allocation port");
         Scheduler {
+            tracked,
             slots: vec![
                 Slot {
                     group_val: [0; 2],
@@ -500,6 +524,11 @@ impl Scheduler {
     /// A paper-configured scheduler: 32 entries, 4 allocation ports.
     pub fn paper_default() -> Self {
         Scheduler::new(Self::PAPER_ENTRIES, 4)
+    }
+
+    /// Whether the scheduler charges bit residency.
+    pub fn is_tracked(&self) -> bool {
+        self.tracked
     }
 
     /// Number of slots.
@@ -550,10 +579,12 @@ impl Scheduler {
         slot.busy = true;
         slot.issued = false;
         slot.data_held = usage.count();
-        // Valid always drives to 1, whatever the entry holds.
-        let mut entry = *values;
-        entry.set(Field::Valid, 1);
-        self.write_driven(id, &entry, now);
+        if self.tracked {
+            // Valid always drives to 1, whatever the entry holds.
+            let mut entry = *values;
+            entry.set(Field::Valid, 1);
+            self.write_driven(id, &entry, now);
+        }
         self.occupancy.acquire(now);
         self.data_occupancy.acquire_n(usage.count(), now);
     }
@@ -596,8 +627,10 @@ impl Scheduler {
         }
         // The valid bit drops to 0 the moment the entry frees — that write
         // is architectural, not a balancing write.
-        let vi = Field::Valid.index();
-        self.slots[slot].singles[0].write(0, now, &mut self.residency[vi]);
+        if self.tracked {
+            let vi = Field::Valid.index();
+            self.slots[slot].singles[0].write(0, now, &mut self.residency[vi]);
+        }
         self.occupancy.release(now);
         self.releases += 1;
         let port_free = self.port_available(now);
@@ -613,8 +646,12 @@ impl Scheduler {
     ///
     /// The individually tracked 1-bit fields (`Valid`, `Ready1`, `Ready2`)
     /// write their word directly — the same charge a one-field
-    /// [`Scheduler::write_driven`] makes, without the merge.
+    /// [`Scheduler::write_driven`] makes, without the merge. Does nothing
+    /// on an untracked scheduler.
     pub fn write_field(&mut self, slot: SlotId, field: Field, value: u128, now: u64) {
+        if !self.tracked {
+            return;
+        }
         let i = field.index();
         if let Some(k) = single_slot(i) {
             let single = &mut self.slots[slot].singles[k];
@@ -642,8 +679,12 @@ impl Scheduler {
     /// accruing from the original write and settles at the next real
     /// change or [`Scheduler::sync`] (residency is additive over adjacent
     /// spans). Balancing writes mostly re-assert the stored pattern, so
-    /// the hot path reduces to comparisons.
+    /// the hot path reduces to comparisons. Does nothing on an untracked
+    /// scheduler.
     pub fn write_driven(&mut self, slot: SlotId, values: &EntryValues, now: u64) {
+        if !self.tracked {
+            return;
+        }
         let Scheduler {
             slots,
             residency,
@@ -713,8 +754,12 @@ impl Scheduler {
     /// allocation charges staged in the concatenation accumulators.
     /// [`Pipeline::run`](crate::pipeline::Pipeline::run) calls it when a
     /// run ends; only a reader sampling in the middle of a run (or a test
-    /// driving a bare scheduler) calls it itself.
+    /// driving a bare scheduler) calls it itself. Does nothing on an
+    /// untracked scheduler.
     pub fn sync(&mut self, now: u64) {
+        if !self.tracked {
+            return;
+        }
         let Scheduler {
             slots,
             residency,
@@ -769,7 +814,7 @@ impl Scheduler {
 
     /// Residency of one field (aggregated over slots), accurate up to the
     /// last [`Scheduler::sync`]: after a pipeline run, up to the run's last
-    /// cycle.
+    /// cycle. Empty on an untracked scheduler.
     pub fn field_residency(&self, field: Field) -> &BitResidency {
         &self.residency[field.index()]
     }
@@ -947,6 +992,32 @@ mod tests {
         assert!((s.occupancy(20) - 0.5).abs() < 1e-12);
         // One of six data-field units busy for 10 of 20 cycles → 1/12.
         assert!((s.data_occupancy(20) - 10.0 / 120.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn untracked_scheduler_keeps_timing_state_but_stores_and_charges_nothing() {
+        let mut s = Scheduler::untracked(2, 1);
+        assert!(!s.is_tracked() && Scheduler::new(2, 1).is_tracked());
+        let usage = DataUsage {
+            src1: true,
+            src2: false,
+            imm: false,
+        };
+        let slot = s.allocate(&entry(), usage, 0).unwrap();
+        assert!(s.is_busy(slot));
+        assert!(!s.port_available(0), "allocation took the one port");
+        s.write_field(slot, Field::Ready2, 1, 5);
+        s.issue(slot, 10);
+        assert!(s.is_issued(slot));
+        s.release(slot, 20);
+        assert!(!s.is_busy(slot));
+        assert!((s.occupancy(20) - 0.5).abs() < 1e-12);
+        assert!((s.data_occupancy(20) - 10.0 / 120.0).abs() < 1e-12);
+        s.sync(30);
+        for field in Field::ALL {
+            assert_eq!(s.field_value(slot, field), 0, "{field}");
+            assert_eq!(s.field_residency(field).total_time(), 0, "{field}");
+        }
     }
 
     #[test]

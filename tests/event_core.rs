@@ -8,7 +8,9 @@
 //! maximally-stalled dependency chain where skip-ahead does all the work.
 //! Both cores share allocation, issue and retire, so a pinned digest of
 //! the hook stream across scheduler sizes and miss-heavy geometries
-//! guards the order those stages produce.
+//! guards the order those stages produce. A timing-only pipeline
+//! ([`Pipeline::try_untracked`]) must produce that same hook stream and
+//! the same results as a tracked one under random configurations.
 
 use penelope::sched_aware::SchedulerHooks;
 use penelope_telemetry::{TelemetryHooks, TelemetryOutput};
@@ -18,8 +20,10 @@ use tracegen::trace::TraceSpec;
 use tracegen::uop::{Uop, UopClass};
 use uarch::btb::Btb;
 use uarch::cache::{AccessOutcome, CacheConfig, SetAssocCache};
-use uarch::pipeline::{AdderPolicy, Hooks, NoHooks, Parts, Pipeline, PipelineConfig, RegClass};
-use uarch::regfile::{PhysReg, RegisterFile};
+use uarch::pipeline::{
+    AdderPolicy, Hooks, NoHooks, Parts, Pipeline, PipelineConfig, RegClass, RunResult,
+};
+use uarch::regfile::{PhysReg, RegFileConfig, RegisterFile};
 use uarch::scheduler::{EntryValues, Field, Scheduler, SlotId};
 use uarch::tlb::Dtlb;
 
@@ -196,12 +200,13 @@ impl Fnv {
 
 /// Folds every hook call — its kind, the slot/register/way it names and
 /// the cycle it fires in — into one digest, and forwards the scheduler
-/// events to the paper's balancer so its writes land in the residency
-/// pinned alongside. Idle spans are digested as `(start, end)` without a
-/// per-cycle replay, so long-miss configurations stay cheap.
+/// events to the paper's balancer, when one is given, so its writes land
+/// in the residency pinned alongside. Idle spans are digested as
+/// `(start, end)` without a per-cycle replay, so long-miss configurations
+/// stay cheap.
 struct StreamDigest {
     fnv: Fnv,
-    balancer: SchedulerHooks,
+    balancer: Option<SchedulerHooks>,
 }
 
 impl Hooks for StreamDigest {
@@ -237,7 +242,9 @@ impl Hooks for StreamDigest {
 
     fn scheduler_released(&mut self, sched: &mut Scheduler, slot: SlotId, now: u64) {
         self.fnv.words(&[3, slot as u64, now]);
-        self.balancer.scheduler_released(sched, slot, now);
+        if let Some(balancer) = &mut self.balancer {
+            balancer.scheduler_released(sched, slot, now);
+        }
     }
 
     fn scheduler_allocated(
@@ -253,7 +260,9 @@ impl Hooks for StreamDigest {
             self.fnv
                 .words(&[u64::from(values.is_driven(f)), v as u64, (v >> 64) as u64]);
         }
-        self.balancer.scheduler_allocated(sched, slot, values, now);
+        if let Some(balancer) = &mut self.balancer {
+            balancer.scheduler_allocated(sched, slot, values, now);
+        }
     }
 
     fn dl0_accessed(&mut self, _dl0: &mut SetAssocCache, out: &AccessOutcome, now: u64) {
@@ -293,7 +302,7 @@ fn event_stream_digest(config: PipelineConfig) -> (u64, u64) {
     let mut pipe = Pipeline::try_new(config).expect("valid configuration");
     let mut hooks = StreamDigest {
         fnv: Fnv::new(),
-        balancer: SchedulerHooks::paper_default(64),
+        balancer: Some(SchedulerHooks::paper_default(64)),
     };
     for (suite, seed, len) in [(Suite::Server, 0, 3_000), (Suite::SpecInt2000, 1, 2_000)] {
         let r = pipe.run(TraceSpec::new(suite, seed).generate(len), &mut hooks);
@@ -414,4 +423,67 @@ fn event_stream_matches_pinned_digests() {
         }
     }
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
+/// Runs `trace` through a tracked or a timing-only pipeline under
+/// `config`, digesting every hook call, and returns the digest with the
+/// run's result.
+fn hook_stream(config: PipelineConfig, trace: &[Uop], tracked: bool) -> (u64, RunResult) {
+    let mut pipe = if tracked {
+        Pipeline::try_new(config)
+    } else {
+        Pipeline::try_untracked(config)
+    }
+    .expect("valid configuration");
+    assert_eq!(pipe.parts.int_rf.is_tracked(), tracked);
+    assert_eq!(pipe.parts.sched.is_tracked(), tracked);
+    let mut hooks = StreamDigest {
+        fnv: Fnv::new(),
+        balancer: None,
+    };
+    let result = pipe.run(trace.iter().cloned(), &mut hooks);
+    (hooks.fnv.0, result)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Leaving out the register-file and scheduler residency moves no
+    /// cycle and no hook call, including on register files small enough
+    /// to run out and schedulers that fill and stall allocation.
+    #[test]
+    fn untracked_pipelines_match_tracked_ones(
+        suite in 0usize..Suite::ALL.len(),
+        seed in 0usize..1024,
+        len in 0usize..1200,
+        alloc_width in 1u8..=4,
+        sched_entries in 1usize..=40,
+        sched_ports in 1u8..=4,
+        int_entries in 17u16..=48,
+        int_ports in 1u8..=4,
+        fp_entries in 9u16..=24,
+        fp_ports in 1u8..=2,
+        dl0_kb in 0usize..3,
+        dtlb_entries in 0usize..3,
+        release_delay in 0u64..=32,
+    ) {
+        let config = PipelineConfig {
+            alloc_width,
+            sched_entries,
+            sched_ports,
+            int_rf: RegFileConfig { entries: int_entries, write_ports: int_ports, ..RegFileConfig::integer() },
+            fp_rf: RegFileConfig { entries: fp_entries, write_ports: fp_ports, ..RegFileConfig::floating_point() },
+            dl0: CacheConfig::dl0([8, 16, 32][dl0_kb], 8),
+            dtlb_entries: [32, 64, 128][dtlb_entries],
+            release_delay,
+            ..PipelineConfig::default()
+        };
+        let suite = Suite::ALL[suite];
+        let trace: Vec<Uop> = TraceSpec::new(suite, seed % suite.trace_count())
+            .generate(len)
+            .collect();
+        let tracked = hook_stream(config, &trace, true);
+        let untracked = hook_stream(config, &trace, false);
+        prop_assert_eq!(tracked, untracked);
+    }
 }
