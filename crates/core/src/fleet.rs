@@ -41,7 +41,7 @@ use uarch::pipeline::{NoHooks, Pipeline, PipelineConfig};
 
 use crate::error::Error;
 use crate::experiments::{feed, sum_runs, Scale};
-use crate::journal::{cell_payload, payload_f64, payload_field, CellPayload};
+use crate::journal::{cell_payload, CellPayload};
 use crate::par;
 use crate::sched_aware::worst_figure8_bias;
 
@@ -66,22 +66,24 @@ const L2_DUTY_SHIFT_CAP: f64 = 0.05;
 
 // ------------------------------------------------------------- sketches
 
-/// Welford/Chan streaming moments: count, mean and M2 (sum of squared
-/// deviations), plus running min/max. Merging two sketches gives exactly
-/// the moments of the union stream (up to float associativity, which the
-/// fixed cell-index merge order makes deterministic).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MomentSketch {
-    /// Observations absorbed.
-    pub count: u64,
-    /// Running mean.
-    pub mean: f64,
-    /// Sum of squared deviations from the mean.
-    pub m2: f64,
-    /// Smallest observation (+inf when empty).
-    pub min: f64,
-    /// Largest observation (-inf when empty).
-    pub max: f64,
+cell_payload! {
+    /// Welford/Chan streaming moments: count, mean and M2 (sum of squared
+    /// deviations), plus running min/max. Merging two sketches gives exactly
+    /// the moments of the union stream (up to float associativity, which the
+    /// fixed cell-index merge order makes deterministic).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct MomentSketch {
+        /// Observations absorbed.
+        pub count: u64,
+        /// Running mean.
+        pub mean: f64,
+        /// Sum of squared deviations from the mean.
+        pub m2: f64,
+        /// Smallest observation (+inf when empty).
+        pub min: f64,
+        /// Largest observation (-inf when empty).
+        pub max: f64,
+    }
 }
 
 impl MomentSketch {
@@ -193,13 +195,39 @@ impl HistogramSketch {
     }
 }
 
-/// Moments + quantile histogram for one fleet metric.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricSketch {
-    /// Streaming moments.
-    pub moments: MomentSketch,
-    /// Fixed-bucket quantile histogram.
-    pub histogram: HistogramSketch,
+/// The payload is `[lo, hi, counts]`; decode refuses any bucket count but
+/// [`HISTOGRAM_BUCKETS`].
+impl CellPayload for HistogramSketch {
+    fn to_payload(&self) -> Json {
+        Json::Array(vec![
+            self.lo.to_payload(),
+            self.hi.to_payload(),
+            self.counts.to_payload(),
+        ])
+    }
+
+    fn from_payload(json: &Json) -> Result<Self, String> {
+        let (lo, hi, counts) = <(f64, f64, Vec<u64>)>::from_payload(json)
+            .map_err(|e| format!("histogram [lo, hi, counts]: {e}"))?;
+        if counts.len() != HISTOGRAM_BUCKETS {
+            return Err(format!(
+                "expected {HISTOGRAM_BUCKETS} buckets, found {}",
+                counts.len()
+            ));
+        }
+        Ok(HistogramSketch { lo, hi, counts })
+    }
+}
+
+cell_payload! {
+    /// Moments + quantile histogram for one fleet metric.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct MetricSketch {
+        /// Streaming moments.
+        pub moments: MomentSketch,
+        /// Fixed-bucket quantile histogram.
+        pub histogram: HistogramSketch,
+    }
 }
 
 impl MetricSketch {
@@ -236,71 +264,20 @@ impl MetricSketch {
         block.set("p99", Json::Float(self.histogram.quantile(0.99)));
         block
     }
-
-    fn to_payload(&self) -> Json {
-        let mut obj = Json::object();
-        obj.set("count", Json::UInt(self.moments.count));
-        obj.set("mean", Json::Float(self.moments.mean));
-        obj.set("m2", Json::Float(self.moments.m2));
-        obj.set("min", Json::Float(self.moments.min));
-        obj.set("max", Json::Float(self.moments.max));
-        obj.set("lo", Json::Float(self.histogram.lo));
-        obj.set("hi", Json::Float(self.histogram.hi));
-        obj.set(
-            "buckets",
-            Json::Array(
-                self.histogram
-                    .counts
-                    .iter()
-                    .map(|&c| Json::UInt(c))
-                    .collect(),
-            ),
-        );
-        obj
-    }
-
-    fn from_payload(json: &Json) -> Result<Self, String> {
-        let counts = payload_field(json, "buckets")?
-            .as_array()
-            .ok_or("buckets must be an array")?
-            .iter()
-            .map(|c| c.as_u64().ok_or("bucket counts must be unsigned integers"))
-            .collect::<Result<Vec<u64>, _>>()?;
-        if counts.len() != HISTOGRAM_BUCKETS {
-            return Err(format!(
-                "expected {HISTOGRAM_BUCKETS} buckets, found {}",
-                counts.len()
-            ));
-        }
-        Ok(MetricSketch {
-            moments: MomentSketch {
-                count: payload_field(json, "count")?
-                    .as_u64()
-                    .ok_or("count must be an unsigned integer")?,
-                mean: payload_f64(json, "mean")?,
-                m2: payload_f64(json, "m2")?,
-                min: payload_f64(json, "min")?,
-                max: payload_f64(json, "max")?,
-            },
-            histogram: HistogramSketch {
-                lo: payload_f64(json, "lo")?,
-                hi: payload_f64(json, "hi")?,
-                counts,
-            },
-        })
-    }
 }
 
-/// The worst core seen so far: highest Vmin increase, ties broken towards
-/// the lowest instance index so the merge is order-independent.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WorstCore {
-    /// Fleet-wide instance index.
-    pub index: u64,
-    /// Its required Vmin increase.
-    pub vmin_increase: f64,
-    /// Its cycle-time guardband.
-    pub guardband: f64,
+cell_payload! {
+    /// The worst core seen so far: highest Vmin increase, ties broken towards
+    /// the lowest instance index so the merge is order-independent.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct WorstCore {
+        /// Fleet-wide instance index.
+        pub index: u64,
+        /// Its required Vmin increase.
+        pub vmin_increase: f64,
+        /// Its cycle-time guardband.
+        pub guardband: f64,
+    }
 }
 
 impl WorstCore {
@@ -313,21 +290,23 @@ impl WorstCore {
     }
 }
 
-/// The complete per-cell (and, after merging, fleet-wide) summary: one
-/// [`MetricSketch`] per metric plus the worst-core argmax. Memory is
-/// O(buckets) regardless of how many instances were observed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetSketch {
-    /// Instances observed.
-    pub instances: u64,
-    /// Cycle-time guardband fraction per instance.
-    pub guardband: MetricSketch,
-    /// Worst-cell duty per instance.
-    pub duty: MetricSketch,
-    /// Required Vmin increase per instance.
-    pub vmin: MetricSketch,
-    /// The argmax instance (`None` while empty).
-    pub worst: Option<WorstCore>,
+cell_payload! {
+    /// The complete per-cell (and, after merging, fleet-wide) summary: one
+    /// [`MetricSketch`] per metric plus the worst-core argmax. Memory is
+    /// O(buckets) regardless of how many instances were observed.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct FleetSketch {
+        /// Instances observed.
+        pub instances: u64,
+        /// Cycle-time guardband fraction per instance.
+        pub guardband: MetricSketch,
+        /// Worst-cell duty per instance.
+        pub duty: MetricSketch,
+        /// Required Vmin increase per instance.
+        pub vmin: MetricSketch,
+        /// The argmax instance (`None` while empty).
+        pub worst: Option<WorstCore>,
+    }
 }
 
 impl FleetSketch {
@@ -376,51 +355,6 @@ impl FleetSketch {
                 None => self.worst = Some(*theirs),
             }
         }
-    }
-}
-
-impl CellPayload for FleetSketch {
-    fn to_payload(&self) -> Json {
-        let mut obj = Json::object();
-        obj.set("instances", Json::UInt(self.instances));
-        obj.set("guardband", self.guardband.to_payload());
-        obj.set("duty", self.duty.to_payload());
-        obj.set("vmin", self.vmin.to_payload());
-        match &self.worst {
-            Some(w) => {
-                let mut worst = Json::object();
-                worst.set("index", Json::UInt(w.index));
-                worst.set("vmin_increase", Json::Float(w.vmin_increase));
-                worst.set("guardband", Json::Float(w.guardband));
-                obj.set("worst", worst);
-            }
-            None => {
-                obj.set("worst", Json::Null);
-            }
-        }
-        obj
-    }
-
-    fn from_payload(json: &Json) -> Result<Self, String> {
-        let worst = match payload_field(json, "worst")? {
-            Json::Null => None,
-            w => Some(WorstCore {
-                index: payload_field(w, "index")?
-                    .as_u64()
-                    .ok_or("worst.index must be an unsigned integer")?,
-                vmin_increase: payload_f64(w, "vmin_increase")?,
-                guardband: payload_f64(w, "guardband")?,
-            }),
-        };
-        Ok(FleetSketch {
-            instances: payload_field(json, "instances")?
-                .as_u64()
-                .ok_or("instances must be an unsigned integer")?,
-            guardband: MetricSketch::from_payload(payload_field(json, "guardband")?)?,
-            duty: MetricSketch::from_payload(payload_field(json, "duty")?)?,
-            vmin: MetricSketch::from_payload(payload_field(json, "vmin")?)?,
-            worst,
-        })
     }
 }
 
@@ -780,8 +714,37 @@ mod tests {
         for (i, x) in stream(4, 100).into_iter().enumerate() {
             sketch.observe(i as u64, x / 4.0, 0.5 + x / 2.0, x / 10.0);
         }
-        let decoded = FleetSketch::from_payload(&sketch.to_payload()).expect("round trip");
+        let text = sketch.to_payload().encode();
+        let parsed = penelope_telemetry::json::parse(&text).expect("parses");
+        let decoded = FleetSketch::from_payload(&parsed).expect("round trip");
         assert_eq!(decoded, sketch);
+
+        // A histogram of the wrong bucket count, and a sketch of the wrong
+        // arity, are refused.
+        let mut short = parsed.clone();
+        if let Json::Array(fields) = &mut short {
+            fields[1] = MetricSketch {
+                histogram: HistogramSketch {
+                    counts: vec![0; HISTOGRAM_BUCKETS - 1],
+                    ..sketch.guardband.histogram.clone()
+                },
+                ..sketch.guardband.clone()
+            }
+            .to_payload();
+        }
+        let err = FleetSketch::from_payload(&short).expect_err("63 buckets");
+        assert!(err.contains("expected 64 buckets, found 63"), "{err}");
+        let mut truncated = parsed;
+        if let Json::Array(fields) = &mut truncated {
+            fields.pop();
+        }
+        assert_eq!(
+            FleetSketch::from_payload(&truncated),
+            Err("FleetSketch must be a 5-element array".into())
+        );
+
+        // The empty sketch's ±inf min/max encode as null, so it round-trips
+        // only in memory; a journaled fleet cell always holds instances.
         let empty = FleetSketch::empty();
         let decoded = FleetSketch::from_payload(&empty.to_payload()).expect("empty round trip");
         assert_eq!(decoded, empty);

@@ -73,9 +73,11 @@
 //!
 //! # Payloads
 //!
-//! A cell's result crosses the journal through [`CellPayload`]. A row
-//! struct gets its codec from `cell_payload!` (one positional array); only
-//! a tagged enum or a keyed object implements the trait by hand.
+//! A cell's result crosses the journal through [`CellPayload`], always as
+//! positional JSON: a struct gets its codec from `cell_payload!` (one array
+//! of its fields' payloads), and the few hand-written impls (a tagged enum,
+//! a type with private fields or checked construction, a type from another
+//! crate) build theirs from the primitive, container and tuple impls here.
 
 use std::collections::HashMap;
 use std::fs;
@@ -87,7 +89,6 @@ use penelope_telemetry::recorder::Snapshot;
 use penelope_telemetry::{decode_snapshot, encode_snapshot, span, Json, SCHEMA_VERSION};
 
 use crate::error::Error;
-use crate::sched_aware::SchedulerPolicy;
 use nbti_model::duty::Duty;
 use nbti_model::metric::BlockCost;
 use uarch::scheduler::Field;
@@ -615,18 +616,6 @@ macro_rules! cell_payload {
 }
 pub(crate) use cell_payload;
 
-/// Fetches a required field from an object payload — shared by the
-/// keyed-object codecs in [`crate::fleet`] and [`crate::netlist_study`].
-pub fn payload_field<'a>(json: &'a Json, key: &str) -> Result<&'a Json, String> {
-    json.get(key).ok_or_else(|| format!("missing key: {key}"))
-}
-
-/// Fetches a required `f64` field (JSON `null` decodes to NaN, matching
-/// the encoder's treatment of non-finite floats).
-pub fn payload_f64(json: &Json, key: &str) -> Result<f64, String> {
-    number(payload_field(json, key)?).ok_or_else(|| format!("{key} must be a number"))
-}
-
 fn number(json: &Json) -> Option<f64> {
     match json {
         Json::Null => Some(f64::NAN),
@@ -748,15 +737,6 @@ impl CellPayload for BlockCost {
         let (delay, tdp, guardband) = <(f64, f64, f64)>::from_payload(json)
             .map_err(|e| format!("block cost [delay, tdp, guardband]: {e}"))?;
         BlockCost::try_new(delay, tdp, guardband).map_err(|e| format!("block cost: {e}"))
-    }
-}
-
-impl CellPayload for SchedulerPolicy {
-    fn to_payload(&self) -> Json {
-        self.to_json()
-    }
-    fn from_payload(json: &Json) -> Result<Self, String> {
-        SchedulerPolicy::from_json(json).map_err(|e| e.to_string())
     }
 }
 

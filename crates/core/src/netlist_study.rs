@@ -34,7 +34,7 @@ use penelope_telemetry::{recorder, Json};
 
 use crate::error::Error;
 use crate::experiments::Scale;
-use crate::journal::{payload_field, CellPayload};
+use crate::journal::CellPayload;
 use crate::par;
 
 /// Default seed of the stimulus campaign (and, through
@@ -202,38 +202,21 @@ pub fn packed_stimulus(inputs: usize, vectors: usize, seed: u64) -> PackedCampai
 
 // --------------------------------------------------------- cell payload
 
+/// The payload is `[part, zero_time, total_time]`.
 impl CellPayload for PartitionStress {
     fn to_payload(&self) -> Json {
-        let mut obj = Json::object();
-        obj.set("part", Json::UInt(self.part as u64));
-        obj.set("total_time", Json::UInt(self.total_time));
-        obj.set(
-            "zero_time",
-            Json::Array(self.zero_time.iter().map(|&z| Json::UInt(z)).collect()),
-        );
-        obj
+        Json::Array(vec![
+            (self.part as u64).to_payload(),
+            self.zero_time.to_payload(),
+            self.total_time.to_payload(),
+        ])
     }
 
     fn from_payload(json: &Json) -> Result<Self, String> {
-        let part = payload_field(json, "part")?
-            .as_u64()
-            .ok_or("part must be an unsigned integer")? as usize;
-        let total_time = payload_field(json, "total_time")?
-            .as_u64()
-            .ok_or("total_time must be an unsigned integer")?;
-        let counters = payload_field(json, "zero_time")?
-            .as_array()
-            .ok_or("zero_time must be an array")?;
-        let mut zero_time = Vec::with_capacity(counters.len());
-        for (i, counter) in counters.iter().enumerate() {
-            zero_time.push(
-                counter
-                    .as_u64()
-                    .ok_or_else(|| format!("zero_time[{i}] must be an unsigned integer"))?,
-            );
-        }
+        let (part, zero_time, total_time) = <(u64, Vec<u64>, u64)>::from_payload(json)
+            .map_err(|e| format!("partition stress [part, zero_time, total_time]: {e}"))?;
         Ok(PartitionStress {
-            part,
+            part: part as usize,
             zero_time,
             total_time,
         })
@@ -605,13 +588,21 @@ mod tests {
             zero_time: vec![0, 7, 19],
             total_time: 40,
         };
-        let back = PartitionStress::from_payload(&cell.to_payload()).expect("decodes");
+        let text = cell.to_payload().encode();
+        assert_eq!(text, "[3,[0,7,19],40]");
+        let parsed = penelope_telemetry::json::parse(&text).expect("parses");
+        let back = PartitionStress::from_payload(&parsed).expect("decodes");
         assert_eq!(back, cell);
         assert!(PartitionStress::from_payload(&Json::object()).is_err());
-        let mut bad = cell.to_payload();
-        bad.set("zero_time", Json::from("nope"));
+        let mut bad = parsed;
+        if let Json::Array(fields) = &mut bad {
+            fields[1] = Json::from("nope");
+        }
         let err = PartitionStress::from_payload(&bad).expect_err("rejected");
-        assert!(err.contains("zero_time"), "{err}");
+        assert!(
+            err.contains("zero_time") && err.contains("got string"),
+            "{err}"
+        );
     }
 
     /// The driver's merged duties equal a single global tracker's,

@@ -662,7 +662,7 @@ fn backoff(seed: u64, sweep: &str, index: usize, attempt: u32) -> u64 {
 // The result slots hold a `CellOutcome<T>` shared across the scope's
 // workers; the error and snapshot halves must stay `Send` for any cell
 // payload to be. Pinned here so a non-`Send` member added to either type
-// fails in this file rather than at every driver's `try_cells` call.
+// fails in this file rather than at every driver's `try_cells_named` call.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<Error>();

@@ -19,9 +19,11 @@
 use nbti_model::duty::Duty;
 use nbti_model::guardband::GuardbandModel;
 use nbti_model::metric::BlockCost;
+use penelope_telemetry::Json;
 use uarch::pipeline::Hooks;
 use uarch::scheduler::{EntryValues, Field, Scheduler, SlotId};
 
+use crate::journal::CellPayload;
 use crate::rinv::Rinv;
 use crate::technique::{choose_technique, KCounter, Technique, TechniqueError};
 
@@ -164,141 +166,78 @@ impl SchedulerPolicy {
             .iter()
             .any(|t| !matches!(t, Technique::None))
     }
+}
 
-    /// Encodes the policy for the sweep engine's checkpoint journal: one
-    /// array per field in [`Field::ALL`] order, one entry per bit —
-    /// `"all1"`, `"all0"`, `"isv"`, `"none"`, or `["all1k", k]` /
-    /// `["all0k", k]`.
-    pub fn to_json(&self) -> penelope_telemetry::Json {
-        use penelope_telemetry::Json;
-        Json::Array(
-            self.bits
-                .iter()
-                .map(|field_bits| {
-                    Json::Array(
-                        field_bits
-                            .iter()
-                            .map(|t| match t {
-                                Technique::All1 => Json::Str("all1".into()),
-                                Technique::All0 => Json::Str("all0".into()),
-                                Technique::Isv => Json::Str("isv".into()),
-                                Technique::None => Json::Str("none".into()),
-                                Technique::All1K(k) => {
-                                    Json::Array(vec![Json::Str("all1k".into()), Json::Float(*k)])
-                                }
-                                Technique::All0K(k) => {
-                                    Json::Array(vec![Json::Str("all0k".into()), Json::Float(*k)])
-                                }
-                            })
-                            .collect(),
-                    )
-                })
-                .collect(),
-        )
+/// A technique's journal payload: `"all1"`, `"all0"`, `"isv"`, `"none"`,
+/// or `["all1k", k]` / `["all0k", k]`.
+impl CellPayload for Technique {
+    fn to_payload(&self) -> Json {
+        let tag = |name: &str| Json::Str(name.into());
+        match *self {
+            Technique::All1 => tag("all1"),
+            Technique::All0 => tag("all0"),
+            Technique::Isv => tag("isv"),
+            Technique::None => tag("none"),
+            Technique::All1K(k) => Json::Array(vec![tag("all1k"), k.to_payload()]),
+            Technique::All0K(k) => Json::Array(vec![tag("all0k"), k.to_payload()]),
+        }
     }
 
-    /// Decodes a [`SchedulerPolicy::to_json`] encoding.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`PolicyDecodeError`] for the first malformed field or
-    /// technique, including a field whose array does not hold exactly one
-    /// technique per bit.
-    pub fn from_json(json: &penelope_telemetry::Json) -> Result<Self, PolicyDecodeError> {
-        use penelope_telemetry::Json;
-        let fields = json.as_array().ok_or(PolicyDecodeError::NotAnArray)?;
+    fn from_payload(json: &Json) -> Result<Self, String> {
+        if let Some(name) = json.as_str() {
+            return match name {
+                "all1" => Ok(Technique::All1),
+                "all0" => Ok(Technique::All0),
+                "isv" => Ok(Technique::Isv),
+                "none" => Ok(Technique::None),
+                other => Err(format!("unknown technique {other:?}")),
+            };
+        }
+        let (tag, k) = <(String, f64)>::from_payload(json)
+            .map_err(|e| format!("technique must be a tag or a [tag, k] pair: {e}"))?;
+        match tag.as_str() {
+            "all1k" => Ok(Technique::All1K(k)),
+            "all0k" => Ok(Technique::All0K(k)),
+            other => Err(format!("unknown K-technique {other:?}")),
+        }
+    }
+}
+
+/// The policy's journal payload: one array per field in [`Field::ALL`]
+/// order, one technique per bit. Decode refuses any other field count and
+/// any field whose array does not hold exactly one technique per bit.
+impl CellPayload for SchedulerPolicy {
+    fn to_payload(&self) -> Json {
+        Json::Array(self.bits.iter().map(CellPayload::to_payload).collect())
+    }
+
+    fn from_payload(json: &Json) -> Result<Self, String> {
+        let fields = json
+            .as_array()
+            .ok_or("scheduler policy must be an array of per-field arrays")?;
         if fields.len() != Field::ALL.len() {
-            return Err(PolicyDecodeError::FieldCount(fields.len()));
+            return Err(format!(
+                "scheduler policy has {} fields, expected {}",
+                fields.len(),
+                Field::ALL.len()
+            ));
         }
         let mut bits: [Vec<Technique>; 18] = std::array::from_fn(|_| Vec::new());
         for (field, field_bits) in Field::ALL.into_iter().zip(fields) {
-            let malformed = |message: String| PolicyDecodeError::Technique { field, message };
-            let field_bits = field_bits
-                .as_array()
-                .ok_or_else(|| malformed("must be an array".into()))?;
-            if field_bits.len() != field.width() {
-                return Err(PolicyDecodeError::Width {
-                    field,
-                    bits: field_bits.len(),
-                });
+            let techniques = Vec::<Technique>::from_payload(field_bits)
+                .map_err(|e| format!("policy field {field}: {e}"))?;
+            if techniques.len() != field.width() {
+                return Err(format!(
+                    "policy field {field} has {} techniques, expected one per bit ({})",
+                    techniques.len(),
+                    field.width()
+                ));
             }
-            bits[field.index()] = field_bits
-                .iter()
-                .map(|t| match t {
-                    Json::Str(name) => match name.as_str() {
-                        "all1" => Ok(Technique::All1),
-                        "all0" => Ok(Technique::All0),
-                        "isv" => Ok(Technique::Isv),
-                        "none" => Ok(Technique::None),
-                        other => Err(format!("unknown technique {other:?}")),
-                    },
-                    Json::Array(pair) if pair.len() == 2 => {
-                        let k = pair[1].as_f64().ok_or("technique K must be a number")?;
-                        match pair[0].as_str() {
-                            Some("all1k") => Ok(Technique::All1K(k)),
-                            Some("all0k") => Ok(Technique::All0K(k)),
-                            _ => Err("K-technique tag must be \"all1k\" or \"all0k\"".into()),
-                        }
-                    }
-                    other => Err(format!(
-                        "technique must be a string or [tag, k] pair, got {}",
-                        other.type_name()
-                    )),
-                })
-                .collect::<Result<Vec<_>, String>>()
-                .map_err(malformed)?;
+            bits[field.index()] = techniques;
         }
         Ok(SchedulerPolicy { bits })
     }
 }
-
-/// Why a [`SchedulerPolicy::to_json`] encoding failed to decode.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PolicyDecodeError {
-    /// The encoding is not an array of per-field arrays.
-    NotAnArray,
-    /// The encoding holds this many fields instead of one per [`Field`].
-    FieldCount(usize),
-    /// A field's array holds this many techniques instead of one per bit.
-    Width {
-        /// The field.
-        field: Field,
-        /// Techniques found.
-        bits: usize,
-    },
-    /// A field's array or one of its techniques is malformed.
-    Technique {
-        /// The field.
-        field: Field,
-        /// What is wrong with it.
-        message: String,
-    },
-}
-
-impl std::fmt::Display for PolicyDecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PolicyDecodeError::NotAnArray => {
-                f.write_str("scheduler policy must be an array of per-field arrays")
-            }
-            PolicyDecodeError::FieldCount(n) => write!(
-                f,
-                "scheduler policy has {n} fields, expected {}",
-                Field::ALL.len()
-            ),
-            PolicyDecodeError::Width { field, bits } => write!(
-                f,
-                "policy field {field} has {bits} techniques, expected one per bit ({})",
-                field.width()
-            ),
-            PolicyDecodeError::Technique { field, message } => {
-                write!(f, "policy field {field}: {message}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for PolicyDecodeError {}
 
 /// A field with ISV bits: written only while its timestamp gate is open,
 /// so its K-counter bits advance on their own schedule (one tick per
@@ -600,18 +539,44 @@ mod tests {
 
     #[test]
     fn policy_json_roundtrip_is_exact() {
-        let policy = SchedulerPolicy::paper_default();
-        let encoded = policy.to_json().encode();
-        let parsed = penelope_telemetry::json::parse(&encoded).expect("parses");
-        let restored = SchedulerPolicy::from_json(&parsed).expect("decodes");
-        assert_eq!(restored, policy);
+        // A profiled policy carries measured K values, which must come back
+        // bit for bit from the journal text.
+        let mut pipe = Pipeline::new(PipelineConfig::default());
+        pipe.run(
+            TraceSpec::new(Suite::Spec2006, 0).generate(5_000),
+            &mut NoHooks,
+        );
+        let profiled = SchedulerPolicy::from_scheduler(&pipe.parts.sched, pipe.now())
+            .expect("profiled biases are in range");
+        let k_bits = |policy: &SchedulerPolicy| -> Vec<u64> {
+            policy
+                .bits
+                .iter()
+                .flatten()
+                .filter_map(|t| match t {
+                    Technique::All1K(k) | Technique::All0K(k) => Some(k.to_bits()),
+                    _ => None,
+                })
+                .collect()
+        };
+        assert!(
+            !k_bits(&profiled).is_empty(),
+            "the profile picks K techniques"
+        );
+        for policy in [SchedulerPolicy::paper_default(), profiled] {
+            let text = policy.to_payload().encode();
+            let parsed = penelope_telemetry::json::parse(&text).expect("parses");
+            let restored = SchedulerPolicy::from_payload(&parsed).expect("decodes");
+            assert_eq!(restored, policy);
+            assert_eq!(k_bits(&restored), k_bits(&policy));
+        }
         for (broken, why) in [
             ("[]", "wrong field count"),
             (r#"[["bogus"]]"#, "unknown technique"),
         ] {
             let parsed = penelope_telemetry::json::parse(broken).expect("parses");
             assert!(
-                SchedulerPolicy::from_json(&parsed).is_err(),
+                SchedulerPolicy::from_payload(&parsed).is_err(),
                 "expected decode error: {why}"
             );
         }
@@ -619,13 +584,10 @@ mod tests {
 
     /// The paper policy's encoding with one field's array resized to
     /// `bits` entries.
-    fn resized(field: Field, bits: usize) -> penelope_telemetry::Json {
-        let mut json = SchedulerPolicy::paper_default().to_json();
-        if let penelope_telemetry::Json::Array(fields) = &mut json {
-            fields[field.index()] = penelope_telemetry::Json::Array(vec![
-                    penelope_telemetry::Json::Str("all1".into());
-                    bits
-                ]);
+    fn resized(field: Field, bits: usize) -> Json {
+        let mut json = SchedulerPolicy::paper_default().to_payload();
+        if let Json::Array(fields) = &mut json {
+            fields[field.index()] = Json::Array(vec![Json::Str("all1".into()); bits]);
         }
         json
     }
@@ -633,30 +595,25 @@ mod tests {
     #[test]
     fn policy_decode_rejects_arrays_of_the_wrong_width() {
         // Longer than the 128-bit word, one bit short, one bit long, and
-        // empty: each is a typed error naming the field, never a panic.
+        // empty: each is an error naming the field and both counts, never
+        // a panic.
         for (field, bits) in [
             (Field::Src1Data, 129),
             (Field::Latency, 4),
             (Field::Immediate, 17),
             (Field::Valid, 0),
         ] {
-            assert_eq!(
-                SchedulerPolicy::from_json(&resized(field, bits)),
-                Err(PolicyDecodeError::Width { field, bits }),
-                "{field} with {bits} bits"
+            let message = SchedulerPolicy::from_payload(&resized(field, bits))
+                .expect_err("a wrong width is refused");
+            let expected = format!(
+                "policy field {field} has {bits} techniques, expected one per bit ({})",
+                field.width()
             );
+            assert_eq!(message, expected, "{field} with {bits} bits");
         }
-        let exact = SchedulerPolicy::from_json(&resized(Field::Latency, 5)).expect("exact width");
+        let exact =
+            SchedulerPolicy::from_payload(&resized(Field::Latency, 5)).expect("exact width");
         assert_eq!(exact.technique(Field::Latency, 4), Technique::All1);
-        let message = PolicyDecodeError::Width {
-            field: Field::Latency,
-            bits: 4,
-        }
-        .to_string();
-        assert!(
-            message.contains("Latency") && message.contains('5'),
-            "{message}"
-        );
     }
 
     #[test]

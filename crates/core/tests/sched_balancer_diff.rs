@@ -10,6 +10,7 @@
 //! identical per-field residency after `sync`, and identical update
 //! success rates.
 
+use penelope::journal::CellPayload;
 use penelope::rinv::Rinv;
 use penelope::sched_aware::{SchedulerBalancer, SchedulerPolicy};
 use penelope::technique::{balancing_value, KCounter, Technique};
@@ -250,7 +251,7 @@ fn check_policy(policy: &SchedulerPolicy, seed: u64, steps: usize) {
     );
 }
 
-/// A policy from its JSON encoding, one entry per bit.
+/// A policy from its journal payload, one entry per bit.
 fn hand_built(fields: &[(Field, &str)]) -> SchedulerPolicy {
     let mut per_field: Vec<String> = Field::ALL
         .iter()
@@ -260,7 +261,7 @@ fn hand_built(fields: &[(Field, &str)]) -> SchedulerPolicy {
         per_field[field.index()] = bits.to_string();
     }
     let json = parse(&format!("[{}]", per_field.join(","))).expect("valid JSON");
-    SchedulerPolicy::from_json(&json).expect("well-formed policy")
+    SchedulerPolicy::from_payload(&json).expect("well-formed policy")
 }
 
 /// ISV on control fields (behind the SRC data gate), `ALL0-K%`, and `None`

@@ -26,7 +26,6 @@ pub struct AdderNetlist {
     netlist: Netlist,
     a: Vec<NetId>,
     b: Vec<NetId>,
-    cin: NetId,
     sum: Vec<NetId>,
     cout: NetId,
     width: usize,
@@ -53,20 +52,9 @@ impl AdderNetlist {
         &self.b
     }
 
-    /// Carry-in net. The paper's motivation (§1.1) observes this input is
-    /// "0" more than 90% of the time in real programs.
-    pub fn cin_net(&self) -> NetId {
-        self.cin
-    }
-
     /// Sum nets (LSB-first).
     pub fn sum_bus(&self) -> &[NetId] {
         &self.sum
-    }
-
-    /// Carry-out net.
-    pub fn cout_net(&self) -> NetId {
-        self.cout
     }
 
     /// Builds the primary-input assignment for the given operands, in the
@@ -213,7 +201,6 @@ impl LadnerFischerAdder {
                 netlist: b.finish(),
                 a: a_bus,
                 b: b_bus,
-                cin,
                 sum,
                 cout,
                 width,
@@ -279,7 +266,6 @@ impl RippleCarryAdder {
                 netlist: b.finish(),
                 a: a_bus,
                 b: b_bus,
-                cin,
                 sum,
                 cout: carry,
                 width,

@@ -349,6 +349,7 @@ fn an_empty_journal_refuses_resume_with_a_typed_error() {
 
 #[test]
 fn a_policy_of_the_wrong_width_refuses_resume_with_a_typed_error() {
+    use penelope::journal::CellPayload;
     use penelope::sched_aware::SchedulerPolicy;
     use uarch::scheduler::Field;
 
@@ -357,7 +358,7 @@ fn a_policy_of_the_wrong_width_refuses_resume_with_a_typed_error() {
     let context = CheckpointContext::create(&path, &header("table4")).expect("journal opens");
     // A sealed record whose policy gives the 5-bit latency field 129
     // techniques: the hash holds, so only the payload decoder can refuse.
-    let mut policy = SchedulerPolicy::paper_default().to_json();
+    let mut policy = SchedulerPolicy::paper_default().to_payload();
     if let Json::Array(fields) = &mut policy {
         fields[Field::Latency.index()] = Json::Array(vec![Json::Str("all1".into()); 129]);
     }
