@@ -14,6 +14,10 @@ use std::time::{Duration, Instant};
 
 use penelope_telemetry::{validate_report, Json};
 
+#[path = "../../../tests/common/mod.rs"]
+mod common;
+use common::canonicalize;
+
 fn fig6() -> Command {
     Command::new(env!("CARGO_BIN_EXE_fig6"))
 }
@@ -44,30 +48,6 @@ fn read_report(path: &std::path::Path) -> Json {
 
 fn stderr_of(output: &Output) -> String {
     String::from_utf8_lossy(&output.stderr).into_owned()
-}
-
-/// Strips wall-clock fields so reports can be compared across runs
-/// (mirrors tests/parallel.rs at the crate boundary).
-fn canonicalize(json: &mut Json) {
-    match json {
-        Json::Object(fields) => {
-            fields.retain(|(key, _)| {
-                !matches!(
-                    key.as_str(),
-                    "wall_seconds" | "cycles_per_sec" | "uops_per_sec"
-                )
-            });
-            for (_, value) in fields.iter_mut() {
-                canonicalize(value);
-            }
-        }
-        Json::Array(items) => {
-            for value in items.iter_mut() {
-                canonicalize(value);
-            }
-        }
-        _ => {}
-    }
 }
 
 fn canonical_report(path: &std::path::Path) -> String {

@@ -14,11 +14,9 @@
 //!   active policy must lie in `[0, 1]` (checked once, at the first
 //!   period).
 //!
-//! What happens on a violation is the [`Policy`]: log and continue, count
-//! silently (inspect with [`CheckedHooks::into_result`]), or fail fast.
-//! Fail-fast panics with the violation message — by design the only panic
-//! in the error-handling stack — and the bench supervisor turns it into a
-//! partial-results report with a nonzero exit code.
+//! A violation is counted, and the first few are kept verbatim; the run
+//! goes on, and [`CheckedHooks::into_result`] turns any violation into a
+//! typed [`Error::Invariant`] when it ends.
 
 use penelope_telemetry::EventSource;
 use uarch::pipeline::{Hooks, Parts};
@@ -26,17 +24,14 @@ use uarch::pipeline::{Hooks, Parts};
 use crate::error::Error;
 use crate::fault::RinvAccess;
 
-/// What to do when an invariant check fails.
+/// What to do when an invariant check fails: `Count` is the only
+/// policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Policy {
-    /// Print each violation to stderr and continue.
-    Log,
     /// Record silently; the caller inspects
     /// [`CheckedHooks::into_result`] / [`CheckedHooks::violation_count`].
     #[default]
     Count,
-    /// Panic on the first violation (caught by the bench supervisor).
-    FailFast,
 }
 
 /// One recorded invariant violation.
@@ -62,7 +57,6 @@ const STALENESS_PERIODS: u64 = 64;
 #[derive(Debug, Clone)]
 pub struct CheckedHooks<H> {
     inner: H,
-    policy: Policy,
     period: u64,
     next_check: u64,
     checked_budgets: bool,
@@ -72,11 +66,10 @@ pub struct CheckedHooks<H> {
 
 impl<H> CheckedHooks<H> {
     /// Wraps `inner`, checking invariants every `period` cycles (clamped to
-    /// at least 1) under the given violation policy.
-    pub fn new(inner: H, policy: Policy, period: u64) -> Self {
+    /// at least 1), counting violations under [`Policy::Count`].
+    pub fn new(inner: H, _policy: Policy, period: u64) -> Self {
         CheckedHooks {
             inner,
-            policy,
             period: period.max(1),
             next_check: 0,
             checked_budgets: false,
@@ -119,24 +112,16 @@ impl<H> CheckedHooks<H> {
     }
 
     /// Records one violation. Every message names the structure and the
-    /// cycle, so a violation surfaced later (through
-    /// [`Error::Invariant`]'s sample or a log line) is self-locating.
+    /// cycle, so a violation surfaced later through [`Error::Invariant`]'s
+    /// sample is self-locating.
     pub(crate) fn record(&mut self, cycle: u64, structure: &str, detail: String) {
-        let message = format!("[cycle {cycle}] {structure}: {detail}");
         self.count += 1;
         if self.sample.len() < MAX_SAMPLE {
             self.sample.push(Violation {
                 cycle,
                 structure: structure.to_string(),
-                message: message.clone(),
+                message: format!("[cycle {cycle}] {structure}: {detail}"),
             });
-        }
-        match self.policy {
-            Policy::Log => eprintln!("invariant violation {message}"),
-            Policy::Count => {}
-            Policy::FailFast => {
-                panic!("invariant violation {message}")
-            }
         }
     }
 
@@ -369,13 +354,6 @@ mod tests {
             }
             other => panic!("expected invariant error, got {other:?}"),
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "invariant violation")]
-    fn fail_fast_panics_on_first_violation() {
-        let mut checked = CheckedHooks::new(NoHooks, Policy::FailFast, 1);
-        checked.record(1, "test", "boom".into());
     }
 
     #[test]

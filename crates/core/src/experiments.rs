@@ -855,17 +855,42 @@ fn adder_sample(workload: &Workload, scale: Scale) -> Vec<(u64, u64, bool)> {
         .collect()
 }
 
+/// The efficiency comparison's full-guardband baseline row, with its paper
+/// value.
+fn baseline_row(model: &GuardbandModel) -> EfficiencyRow {
+    EfficiencyRow::new(
+        "baseline (full guardband)",
+        full_guardband_baseline(model),
+        1.73,
+    )
+}
+
+/// The four measured Penelope case studies of the efficiency comparison,
+/// in row order: label and paper NBTIefficiency.
+const MEASURED: [(&str, f64); 4] = [
+    ("Penelope adder (round-robin inputs)", 1.24),
+    ("Penelope register file (ISV at release)", 1.12),
+    ("Penelope scheduler (ALL1/ALL1-K%/ISV)", 1.24),
+    ("Penelope DL0 (LineFixed50%)", 1.09),
+];
+
+/// Labels each measured cost with its [`MEASURED`] row, in order.
+fn measured_rows(
+    costs: impl IntoIterator<Item = BlockCost>,
+) -> impl Iterator<Item = EfficiencyRow> {
+    MEASURED
+        .iter()
+        .zip(costs)
+        .map(|(&(name, paper), cost)| EfficiencyRow::new(name, cost, paper))
+}
+
 /// The §4.2–4.6 efficiency comparison: the two conventional designs and
 /// the four Penelope case studies, with measured inputs where available.
 pub fn efficiency_summary(scale: Scale) -> Result<Vec<EfficiencyRow>, Error> {
     let _span = penelope_telemetry::span!("driver: efficiency_summary");
     let model = GuardbandModel::paper_calibrated();
     let mut rows = vec![
-        EfficiencyRow::new(
-            "baseline (full guardband)",
-            full_guardband_baseline(&model),
-            1.73,
-        ),
+        baseline_row(&model),
         EfficiencyRow::new(
             "invert periodically",
             InvertMode::paper_default().block_cost(Duty::new(0.9)?, &model),
@@ -878,12 +903,6 @@ pub fn efficiency_summary(scale: Scale) -> Result<Vec<EfficiencyRow>, Error> {
     // call [`fig6`]/[`fig8`], whose own engine grids nest under the cell's
     // inherited recorder, so the merged phase stream matches the serial
     // one.
-    const MEASURED: [(&str, f64); 4] = [
-        ("Penelope adder (round-robin inputs)", 1.24),
-        ("Penelope register file (ISV at release)", 1.12),
-        ("Penelope scheduler (ALL1/ALL1-K%/ISV)", 1.24),
-        ("Penelope DL0 (LineFixed50%)", 1.09),
-    ];
     let costs = par::try_cells_named("efficiency", MEASURED.len(), |cell| match cell.index {
         0 => {
             // Adder: measured utilization → guardband.
@@ -930,12 +949,7 @@ pub fn efficiency_summary(scale: Scale) -> Result<Vec<EfficiencyRow>, Error> {
             ))
         }
     })?;
-    rows.extend(
-        MEASURED
-            .iter()
-            .zip(costs)
-            .map(|(&(name, paper), cost)| EfficiencyRow::new(name, cost, paper)),
-    );
+    rows.extend(measured_rows(costs));
     Ok(rows)
 }
 
@@ -1010,28 +1024,13 @@ pub fn efficiency_summary_faulted(
     let protection = AdderProtection::select(&adder);
     let adder_gb = protection.guardband(&adder, util, adder_sample(&workload, scale), &model);
 
-    let rows = vec![
-        EfficiencyRow::new(
-            "baseline (full guardband)",
-            full_guardband_baseline(&model),
-            1.73,
-        ),
-        EfficiencyRow::new(
-            "Penelope adder (round-robin inputs)",
-            AdderProtection::block_cost(adder_gb),
-            1.24,
-        ),
-        EfficiencyRow::new(
-            "Penelope register file (ISV at release)",
-            RegfileIsv::block_cost(rf_duty, &model),
-            1.12,
-        ),
-        EfficiencyRow::new(
-            "Penelope scheduler (ALL1/ALL1-K%/ISV)",
-            SchedulerBalancer::block_cost(sched_duty, &model),
-            1.24,
-        ),
-    ];
+    // The baseline and the first three measured rows (no DL0 run here).
+    let mut rows = vec![baseline_row(&model)];
+    rows.extend(measured_rows([
+        AdderProtection::block_cost(adder_gb),
+        RegfileIsv::block_cost(rf_duty, &model),
+        SchedulerBalancer::block_cost(sched_duty, &model),
+    ]));
 
     // Any invariant the faults managed to break fails the run with a
     // typed error instead of returning silently wrong numbers.

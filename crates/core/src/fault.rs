@@ -148,20 +148,6 @@ impl FaultPlan {
         self.kinds.is_empty()
     }
 
-    /// The plan as seen by retry attempt `attempt` (0-based): the full
-    /// plan on the first attempt, clean afterwards. This models the
-    /// *transient* fault family the supervisor's retry policy targets — a
-    /// cell that failed because of an injected disturbance succeeds when
-    /// re-executed without it, while genuinely broken cells keep failing
-    /// and end up quarantined.
-    pub fn for_attempt(&self, attempt: u32) -> FaultPlan {
-        if attempt == 0 {
-            self.clone()
-        } else {
-            FaultPlan::none()
-        }
-    }
-
     fn has(&self, pred: impl Fn(&FaultKind) -> bool) -> bool {
         self.kinds.iter().any(pred)
     }
@@ -505,14 +491,6 @@ mod tests {
             assert!(a.kinds.len() <= 3);
         }
         assert_ne!(FaultPlan::random(1), FaultPlan::random(2));
-    }
-
-    #[test]
-    fn for_attempt_models_a_transient_fault() {
-        let plan = FaultPlan::new(9).with(FaultKind::EmptyWorkload);
-        assert_eq!(plan.for_attempt(0), plan, "first attempt sees the plan");
-        assert!(plan.for_attempt(1).is_empty(), "retries run clean");
-        assert!(plan.for_attempt(7).is_empty());
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //!
 //! Every paper figure and table is a grid of independent, seed-
 //! deterministic runs — technique × K% × structure × scale. Each grid
-//! point is a [`Cell`]; a driver hands the engine the cell count and a
-//! closure computing one cell, and the engine executes cells on a pool of
-//! scoped worker threads (the workspace builds offline, so no rayon),
-//! pulling indices from a shared atomic cursor.
+//! point is a [`Cell`]; a driver hands the engine a sweep name, the cell
+//! count and a closure computing one cell ([`try_cells_named`], or
+//! [`run_cells_named`] to keep every cell's result), and the engine
+//! executes cells on a pool of scoped worker threads (the workspace builds
+//! offline, so no rayon), pulling indices from a shared atomic cursor.
 //!
 //! # Determinism contract
 //!
@@ -51,13 +52,13 @@
 //!
 //! # Checkpointing
 //!
-//! When the bench CLI arms a [`CheckpointContext`] (`--checkpoint`), the
-//! named entry points ([`run_cells_named`] / [`try_cells_named`]) persist
-//! every completed cell — payload plus exact telemetry snapshot — to the
-//! journal, and on `--resume` restore completed cells instead of
-//! re-executing them. Restored snapshots are absorbed through the same
-//! index-ordered merge, so an interrupted-then-resumed sweep reproduces
-//! the uninterrupted report byte for byte outside wall-clock fields.
+//! When the bench CLI arms a [`CheckpointContext`] (`--checkpoint`), every
+//! sweep persists each completed cell — payload plus exact telemetry
+//! snapshot — to the journal under its sweep name and cell index, and on
+//! `--resume` restores completed cells instead of re-executing them.
+//! Restored snapshots are absorbed through the same index-ordered merge,
+//! so an interrupted-then-resumed sweep reproduces the uninterrupted
+//! report byte for byte outside wall-clock fields.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -158,9 +159,9 @@ pub fn supervisor() -> SupervisorPolicy {
 
 static CHECKPOINT: Mutex<Option<CheckpointContext>> = Mutex::new(None);
 
-/// Arms (or with `None`, disarms) checkpointing for subsequent named
-/// sweeps. The bench CLI owns this: it builds the context from
-/// `--checkpoint` / `--resume` and clears it after the run.
+/// Arms (or with `None`, disarms) checkpointing for subsequent sweeps.
+/// The bench CLI owns this: it builds the context from `--checkpoint` /
+/// `--resume` and clears it after the run.
 pub fn set_checkpoint(context: Option<CheckpointContext>) {
     *CHECKPOINT.lock().unwrap_or_else(|p| p.into_inner()) = context;
 }
@@ -176,61 +177,16 @@ pub struct Cell {
     /// engine merges results and telemetry in this order.
     pub index: usize,
     /// Which supervised execution this is: 0 for the first attempt,
-    /// incremented on each retry. Deterministic cell bodies ignore it;
-    /// fault-injection harnesses use it to model transient failures.
+    /// incremented on each retry. Deterministic cell bodies ignore it; a
+    /// test body can read it to fail only a first attempt, modelling a
+    /// transient failure that the retry recovers from.
     pub attempt: u32,
 }
 
-/// How a named sweep's results cross into the checkpoint journal:
-/// monomorphized encode/decode hooks from the payload type's
-/// [`CellPayload`] impl. (A plain struct of `fn` pointers rather than a
-/// bound on the engine internals, so the unnamed entry points need no
-/// codec at all.)
-struct PayloadCodec<T> {
-    encode: fn(&T) -> Json,
-    decode: fn(&Json) -> Result<T, String>,
-}
-
-// Manual impls: a derive would demand `T: Clone`/`T: Copy`, which the fn
-// pointers don't need.
-impl<T> Clone for PayloadCodec<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for PayloadCodec<T> {}
-
-impl<T: CellPayload> PayloadCodec<T> {
-    fn of() -> Self {
-        PayloadCodec {
-            encode: T::to_payload,
-            decode: T::from_payload,
-        }
-    }
-}
-
-/// Executes `cells` grid cells with the process-wide [`jobs`] worker
-/// count (see [`run_cells_with_jobs`]) and stops at the first error in
-/// cell-index order (later cells still execute — the grid is already
-/// dispatched — but the lowest-indexed error wins deterministically).
-///
-/// # Errors
-///
-/// The error of the lowest-indexed failing cell ([`Error::Quarantined`]
-/// when the supervisor exhausted its retries on it).
-pub fn try_cells<T, F>(cells: usize, body: F) -> Result<Vec<T>, Error>
-where
-    T: Send,
-    F: Fn(Cell) -> Result<T, Error> + Sync,
-{
-    run_cells_with_jobs(jobs(), cells, body)
-        .into_iter()
-        .collect()
-}
-
-/// Executes `cells` grid cells on `jobs` scoped worker threads (clamped to
-/// the cell count; `jobs <= 1` runs inline on the calling thread), then
-/// merges per-cell telemetry snapshots and results in cell-index order.
+/// Executes `cells` grid cells of the sweep `name` on the process-wide
+/// [`jobs`] worker count (clamped to the cell count; one worker runs
+/// inline on the calling thread), then merges per-cell telemetry
+/// snapshots and results in cell-index order.
 ///
 /// The closure must be `Sync` (shared by every worker) and is handed each
 /// cell exactly once per attempt. Telemetry recorded inside a cell —
@@ -238,40 +194,24 @@ where
 /// instrumented-run output — lands in the cell's private recorder and is
 /// reassembled into the calling thread's recorder deterministically; with
 /// no recorder installed the cells run with zero telemetry bookkeeping.
-pub fn run_cells_with_jobs<T, F>(jobs: usize, cells: usize, body: F) -> Vec<Result<T, Error>>
-where
-    T: Send,
-    F: Fn(Cell) -> Result<T, Error> + Sync,
-{
-    run_supervised(None, None, supervisor(), jobs, cells, body)
-}
-
-/// Like [`run_cells_with_jobs`] at the process-wide [`jobs`] count, for a
-/// *named* sweep: when the bench CLI has armed a checkpoint journal, each
-/// completed cell's payload and telemetry snapshot are persisted under
-/// `(name, index)`, and cells already present in a resumed journal are
-/// restored instead of re-executed.
 ///
-/// Sweep names are the durability namespace: every distinct grid a binary
-/// dispatches (including sub-sweeps of composite drivers) must use a
-/// distinct name.
+/// When the bench CLI has armed a checkpoint journal, each completed
+/// cell's payload and telemetry snapshot are persisted under
+/// `(name, index)`, and cells already present in a resumed journal are
+/// restored instead of re-executed. The name is the journal key: every
+/// distinct grid a binary dispatches (including sub-sweeps of composite
+/// drivers) must use a distinct name.
 pub fn run_cells_named<T, F>(name: &str, cells: usize, body: F) -> Vec<Result<T, Error>>
 where
     T: CellPayload + Send,
     F: Fn(Cell) -> Result<T, Error> + Sync,
 {
-    run_supervised(
-        Some(name),
-        Some(PayloadCodec::of()),
-        supervisor(),
-        jobs(),
-        cells,
-        body,
-    )
+    run_supervised(name, supervisor(), jobs(), cells, body)
 }
 
-/// Like [`try_cells`], for a named (checkpointable) sweep. See
-/// [`run_cells_named`].
+/// [`run_cells_named`], stopping at the first error in cell-index order
+/// (later cells still execute — the grid is already dispatched — but the
+/// lowest-indexed error wins deterministically).
 ///
 /// # Errors
 ///
@@ -298,29 +238,25 @@ struct CellOutcome<T> {
 }
 
 fn run_supervised<T, F>(
-    name: Option<&str>,
-    codec: Option<PayloadCodec<T>>,
+    name: &str,
     policy: SupervisorPolicy,
     jobs: usize,
     cells: usize,
     body: F,
 ) -> Vec<Result<T, Error>>
 where
-    T: Send,
+    T: CellPayload + Send,
     F: Fn(Cell) -> Result<T, Error> + Sync,
 {
-    let sweep_name = name.unwrap_or("sweep");
     let handle = recorder::worker_handle();
     // The sweep span opens on the installing thread before any cell runs
     // and closes after the merge (guard drop at function exit), so every
     // merged cell span is adopted under it — at any jobs setting the tree
     // comes out identical, because both the open and the merge happen
     // here, never on a worker.
-    let _sweep_span = span!("sweep: {}", sweep_name);
+    let _sweep_span = span!("sweep: {}", name);
     let workers = jobs.clamp(1, cells.max(1));
-    // Checkpointing only engages for named sweeps; unnamed ones have no
-    // stable identity to key journal records by.
-    let context = if name.is_some() { checkpoint() } else { None };
+    let context = checkpoint();
 
     // Introspection state: completion counters for the stderr progress
     // line and the live event stream. Wall-clock domain only — nothing
@@ -339,7 +275,7 @@ where
             span::stream_event(
                 "cell-complete",
                 &[
-                    ("sweep", Json::from(sweep_name)),
+                    ("sweep", Json::from(name)),
                     ("cell", Json::UInt(index as u64)),
                     ("status", Json::from(status)),
                     ("attempts", Json::UInt(u64::from(attempts))),
@@ -350,7 +286,7 @@ where
         if progress {
             // `\x1b[K` clears to end-of-line so a shrinking redraw (fewer
             // digits, shorter status) leaves no stale tail behind.
-            eprint!("\r{sweep_name}: {finished}/{cells} cells ({bad} quarantined)\x1b[K");
+            eprint!("\r{name}: {finished}/{cells} cells ({bad} quarantined)\x1b[K");
         }
     };
 
@@ -359,7 +295,7 @@ where
             span::stream_event(
                 "heartbeat",
                 &[
-                    ("sweep", Json::from(sweep_name)),
+                    ("sweep", Json::from(name)),
                     ("done", Json::UInt(done.load(Ordering::Relaxed) as u64)),
                     ("total", Json::UInt(cells as u64)),
                     (
@@ -371,7 +307,7 @@ where
             span::stream_event(
                 "cell-start",
                 &[
-                    ("sweep", Json::from(sweep_name)),
+                    ("sweep", Json::from(name)),
                     ("cell", Json::UInt(index as u64)),
                     ("worker", Json::UInt(worker as u64)),
                     ("queue_wait_seconds", Json::Float(queue_wait_seconds)),
@@ -379,32 +315,23 @@ where
             );
         }
         let started = Instant::now();
-        if let (Some(name), Some(codec), Some(ctx)) = (name, codec, context.as_ref()) {
-            if let Some(restored) = ctx.restored(name, index) {
-                let result = (codec.decode)(&restored.payload).map_err(|e| {
-                    Error::journal(format!(
-                        "restored {name} cell {index} has an undecodable payload: {e}"
-                    ))
-                });
-                note_done(index, "restored", 0, started.elapsed().as_secs_f64());
-                return CellOutcome {
-                    result,
-                    snapshot: restored.snapshot,
-                    notes: Vec::new(),
-                    attempts: 0,
-                };
-            }
+        if let Some(restored) = context.as_ref().and_then(|ctx| ctx.restored(name, index)) {
+            let result = T::from_payload(&restored.payload).map_err(|e| {
+                Error::journal(format!(
+                    "restored {name} cell {index} has an undecodable payload: {e}"
+                ))
+            });
+            note_done(index, "restored", 0, started.elapsed().as_secs_f64());
+            return CellOutcome {
+                result,
+                snapshot: restored.snapshot,
+                notes: Vec::new(),
+                attempts: 0,
+            };
         }
-        let outcome = supervise(&handle, &policy, sweep_name, index, &body);
-        if let (Some(name), Some(codec), Some(ctx), Ok(value)) =
-            (name, codec, context.as_ref(), &outcome.result)
-        {
-            ctx.append(
-                name,
-                index,
-                (codec.encode)(value),
-                outcome.snapshot.as_ref(),
-            );
+        let outcome = supervise(&handle, &policy, name, index, &body);
+        if let (Some(ctx), Ok(value)) = (context.as_ref(), &outcome.result) {
+            ctx.append(name, index, value.to_payload(), outcome.snapshot.as_ref());
         }
         let status = match &outcome.result {
             Ok(_) => "ok",
@@ -466,12 +393,12 @@ where
         let bad = quarantined.load(Ordering::Relaxed);
         if bad > 0 {
             eprintln!(
-                "\r\x1b[K{sweep_name}: {} cells done, {bad} quarantined",
+                "\r\x1b[K{name}: {} cells done, {bad} quarantined",
                 done.load(Ordering::Relaxed)
             );
         } else {
             eprintln!(
-                "\r\x1b[K{sweep_name}: {} cells done",
+                "\r\x1b[K{name}: {} cells done",
                 done.load(Ordering::Relaxed)
             );
         }
@@ -677,19 +604,21 @@ mod tests {
     #[test]
     fn results_come_back_in_index_order() {
         for jobs in [1, 2, 4, 16] {
-            let results = run_cells_with_jobs(jobs, 9, |cell| Ok(cell.index * 10));
-            let values: Vec<usize> = results.into_iter().map(|r| r.unwrap()).collect();
+            let results = run_supervised("sweep", supervisor(), jobs, 9, |cell| {
+                Ok(cell.index as u64 * 10)
+            });
+            let values: Vec<u64> = results.into_iter().map(|r| r.unwrap()).collect();
             assert_eq!(values, (0..9).map(|i| i * 10).collect::<Vec<_>>());
         }
     }
 
     #[test]
     fn try_cells_quarantines_the_lowest_indexed_persistent_error() {
-        let out: Result<Vec<usize>, Error> = try_cells(8, |cell| {
+        let out: Result<Vec<u64>, Error> = try_cells_named("sweep", 8, |cell| {
             if cell.index % 3 == 2 {
                 Err(Error::config(format!("cell {} failed", cell.index)))
             } else {
-                Ok(cell.index)
+                Ok(cell.index as u64)
             }
         });
         match out {
@@ -710,11 +639,11 @@ mod tests {
     #[test]
     fn transient_failures_are_retried_and_recover() {
         recorder::install(Settings::default());
-        let results = run_cells_with_jobs(2, 4, |cell| {
+        let results = run_supervised("sweep", supervisor(), 2, 4, |cell| {
             if cell.index == 2 && cell.attempt == 0 {
                 Err(Error::config("transient glitch"))
             } else {
-                Ok(cell.index)
+                Ok(cell.index as u64)
             }
         });
         assert!(results.iter().all(Result::is_ok), "the retry must recover");
@@ -733,7 +662,7 @@ mod tests {
     fn telemetry_merges_in_cell_order_whatever_the_completion_order() {
         let run = |jobs: usize| {
             recorder::install(Settings::default());
-            let _ = run_cells_with_jobs(jobs, 6, |cell| {
+            let _ = run_supervised("sweep", supervisor(), jobs, 6, |cell| {
                 // Stagger completion: later cells finish first under
                 // parallelism, exercising the index-ordered merge.
                 if jobs > 1 {
@@ -744,7 +673,7 @@ mod tests {
                 recorder::phase(&format!("cell {}", cell.index), || {
                     recorder::record_run(100 * (cell.index as u64 + 1), 10);
                 });
-                Ok(cell.index)
+                Ok(cell.index as u64)
             });
             recorder::finish().expect("installed")
         };
@@ -762,12 +691,12 @@ mod tests {
     #[test]
     fn engine_without_a_recorder_is_inert() {
         let _ = recorder::finish();
-        let results = run_cells_with_jobs(4, 4, |cell| {
+        let results = run_supervised("sweep", supervisor(), 4, 4, |cell| {
             assert!(
                 !recorder::active(),
                 "no recorder must be installed in workers when the parent has none"
             );
-            Ok(cell.index)
+            Ok(cell.index as u64)
         });
         assert_eq!(results.len(), 4);
         assert!(recorder::finish().is_none());
@@ -776,11 +705,11 @@ mod tests {
     #[test]
     fn panicking_cells_are_quarantined_not_propagated() {
         recorder::install(Settings::default());
-        let results = run_cells_with_jobs(2, 4, |cell| {
+        let results = run_supervised("sweep", supervisor(), 2, 4, |cell| {
             if cell.index == 1 {
                 panic!("cell 1 exploded");
             }
-            Ok(cell.index)
+            Ok(cell.index as u64)
         });
         assert_eq!(results.len(), 4, "the rest of the grid still completes");
         assert!(results[0].is_ok() && results[2].is_ok() && results[3].is_ok());
@@ -822,7 +751,7 @@ mod tests {
             cycle_budget: Some(150),
             ..SupervisorPolicy::default()
         };
-        let results = run_supervised(None, None::<PayloadCodec<u64>>, policy, 1, 3, |cell| {
+        let results = run_supervised("sweep", policy, 1, 3, |cell| {
             recorder::record_run(100 * (cell.index as u64 + 1), 10);
             Ok(cell.index as u64)
         });
@@ -847,8 +776,11 @@ mod tests {
 
     #[test]
     fn zero_cells_is_an_empty_sweep() {
-        assert!(run_cells_with_jobs(4, 0, |_| Ok(())).is_empty());
-        assert_eq!(try_cells(0, |_| Ok(0u8)).map(|v| v.len()), Ok(0));
+        assert!(run_supervised("sweep", supervisor(), 4, 0, |_| Ok(0u64)).is_empty());
+        assert_eq!(
+            try_cells_named("sweep", 0, |_| Ok(0u64)).map(|v| v.len()),
+            Ok(0)
+        );
     }
 
     #[test]

@@ -58,6 +58,36 @@ impl<H: EventSource + ?Sized> EventSource for &mut H {
     }
 }
 
+/// The series names of one sampled cache-like structure: valid fraction,
+/// inverted fraction, inverted-time fraction and miss ratio. Static names
+/// keep the sampling path allocation-free.
+type CacheSeries = [&'static str; 4];
+
+const DL0_SERIES: CacheSeries = [
+    "cache.dl0.valid_fraction",
+    "cache.dl0.inverted_fraction",
+    "cache.dl0.inverted_time_fraction",
+    "cache.dl0.miss_ratio",
+];
+const L2_SERIES: CacheSeries = [
+    "cache.l2.valid_fraction",
+    "cache.l2.inverted_fraction",
+    "cache.l2.inverted_time_fraction",
+    "cache.l2.miss_ratio",
+];
+const DTLB_SERIES: CacheSeries = [
+    "dtlb.valid_fraction",
+    "dtlb.inverted_fraction",
+    "dtlb.inverted_time_fraction",
+    "dtlb.miss_ratio",
+];
+const BTB_SERIES: CacheSeries = [
+    "btb.valid_fraction",
+    "btb.inverted_fraction",
+    "btb.inverted_time_fraction",
+    "btb.miss_ratio",
+];
+
 /// Hot-path counter ids, resolved once at construction.
 #[derive(Debug, Clone, Copy)]
 struct Ids {
@@ -254,30 +284,12 @@ impl<H: Hooks + EventSource> TelemetryHooks<H> {
 
         // Caches: line-state fractions (the inversion schemes' footprint)
         // and miss ratios.
-        Self::sample_cache(
-            &mut self.output,
-            self.series_capacity,
-            "cache.dl0",
-            &parts.dl0,
-            now,
-        );
+        self.sample_cache(&DL0_SERIES, &parts.dl0, now);
         if let Some(l2) = parts.l2.as_ref() {
-            Self::sample_cache(&mut self.output, self.series_capacity, "cache.l2", l2, now);
+            self.sample_cache(&L2_SERIES, l2, now);
         }
-        Self::sample_cache(
-            &mut self.output,
-            self.series_capacity,
-            "dtlb",
-            parts.dtlb.cache(),
-            now,
-        );
-        Self::sample_cache(
-            &mut self.output,
-            self.series_capacity,
-            "btb",
-            parts.btb.cache(),
-            now,
-        );
+        self.sample_cache(&DTLB_SERIES, parts.dtlb.cache(), now);
+        self.sample_cache(&BTB_SERIES, parts.btb.cache(), now);
 
         // Events reported upward by the wrapped chain.
         self.push("events.faults", now, self.inner.fault_events() as f64);
@@ -296,64 +308,15 @@ impl<H: Hooks + EventSource> TelemetryHooks<H> {
         }
     }
 
-    fn sample_cache(
-        output: &mut TelemetryOutput,
-        capacity: usize,
-        prefix: &'static str,
-        cache: &SetAssocCache,
-        now: u64,
-    ) {
+    /// Samples one cache-like structure into its four series: valid
+    /// fraction, inverted fraction, inverted-time fraction and miss ratio.
+    fn sample_cache(&mut self, names: &CacheSeries, cache: &SetAssocCache, now: u64) {
         let lines = cache.config().lines() as f64;
-        let valid = cache.valid_count() as f64 / lines;
-        let inverted = cache.inverted_count() as f64 / lines;
-        let push = |output: &mut TelemetryOutput, name: &'static str, v: f64| match output
-            .series
-            .iter_mut()
-            .find(|(n, _)| *n == name)
-        {
-            Some((_, s)) => s.push(now, v),
-            None => {
-                let mut s = RingSeries::new(capacity);
-                s.push(now, v);
-                output.series.push((name, s));
-            }
-        };
-        // Static names per structure keep the hot path allocation-free.
-        let (valid_name, inverted_name, invfrac_name, miss_name): (
-            &'static str,
-            &'static str,
-            &'static str,
-            &'static str,
-        ) = match prefix {
-            "cache.dl0" => (
-                "cache.dl0.valid_fraction",
-                "cache.dl0.inverted_fraction",
-                "cache.dl0.inverted_time_fraction",
-                "cache.dl0.miss_ratio",
-            ),
-            "cache.l2" => (
-                "cache.l2.valid_fraction",
-                "cache.l2.inverted_fraction",
-                "cache.l2.inverted_time_fraction",
-                "cache.l2.miss_ratio",
-            ),
-            "dtlb" => (
-                "dtlb.valid_fraction",
-                "dtlb.inverted_fraction",
-                "dtlb.inverted_time_fraction",
-                "dtlb.miss_ratio",
-            ),
-            _ => (
-                "btb.valid_fraction",
-                "btb.inverted_fraction",
-                "btb.inverted_time_fraction",
-                "btb.miss_ratio",
-            ),
-        };
-        push(output, valid_name, valid);
-        push(output, inverted_name, inverted);
-        push(output, invfrac_name, cache.inverted_time_fraction(now));
-        push(output, miss_name, cache.stats().miss_ratio());
+        let [valid, inverted, inverted_time, miss] = *names;
+        self.push(valid, now, cache.valid_count() as f64 / lines);
+        self.push(inverted, now, cache.inverted_count() as f64 / lines);
+        self.push(inverted_time, now, cache.inverted_time_fraction(now));
+        self.push(miss, now, cache.stats().miss_ratio());
     }
 }
 

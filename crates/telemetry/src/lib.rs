@@ -19,9 +19,9 @@
 //!   signature changes; worker threads inherit the recording decision via
 //!   [`recorder::WorkerHandle`] and feed mergeable
 //!   [`recorder::Snapshot`]s back for a deterministic reassembly;
-//! - [`report`]: run-report assembly ([`build_report`]), schema
-//!   validation ([`validate_report`]) and the deterministic JSONL export
-//!   ([`series_jsonl`]) pinned by the determinism tests;
+//! - [`report`]: run-report assembly ([`build_report`]) and schema
+//!   validation ([`validate_report`]); a report with its wall-clock keys
+//!   stripped is what the determinism tests pin;
 //! - [`snapshot`]: the exact-state [`Snapshot`] codec
 //!   ([`encode_snapshot`] / [`decode_snapshot`]) behind the sweep
 //!   engine's crash-safe checkpoint journal — unlike the report encoder
@@ -54,7 +54,7 @@ pub use hooks::{EventSource, TelemetryHooks, TelemetryOutput};
 pub use json::Json;
 pub use metrics::{CounterId, GaugeId, Histogram, HistogramId, Registry};
 pub use recorder::{Collector, Settings, Snapshot, WorkerHandle};
-pub use report::{build_report, series_jsonl, validate_report, SCHEMA_VERSION};
+pub use report::{build_report, validate_report, SCHEMA_VERSION};
 pub use series::RingSeries;
 pub use snapshot::{decode_snapshot, encode_snapshot};
 pub use span::{chrome_trace, SpanGuard, SpanRecord, STREAM_SCHEMA_VERSION};

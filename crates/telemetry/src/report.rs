@@ -30,14 +30,14 @@
 //! [`crate::recorder::phase`] marked, in span order. The mark itself is
 //! not written into the `spans` entries.
 //!
-//! Wall-clock numbers live only in `wall_seconds` / `*_per_sec` keys
-//! (under `phases`, `spans` and `totals`); the [`series_jsonl`] export
-//! used by the determinism test contains purely simulated quantities, so
-//! two same-seed runs produce identical bytes. Span entries deliberately
-//! omit `wall_start_seconds` — a span's position on the host timeline
-//! belongs to the Chrome-trace export, not the report, so the established
-//! wall-strip rule (drop exactly those three keys) keeps canonicalized
-//! reports byte-identical across jobs settings.
+//! Wall-clock numbers live only in the `wall_seconds`, `cycles_per_sec`
+//! and `uops_per_sec` keys (under `phases`, `spans` and `totals`). The
+//! wall-strip rule drops exactly those three keys at every depth; what
+//! remains holds only simulated quantities, so two same-seed runs — at
+//! any jobs setting, interrupted and resumed or not — produce identical
+//! bytes. Span entries deliberately omit `wall_start_seconds`: a span's
+//! position on the host timeline belongs to the Chrome-trace export, not
+//! the report.
 
 use crate::json::Json;
 use crate::recorder::Collector;
@@ -160,28 +160,6 @@ fn rate(count: u64, seconds: f64) -> f64 {
     } else {
         0.0
     }
-}
-
-/// The deterministic JSONL export: one line per time series plus one
-/// metrics line, containing only simulated quantities (no wall time).
-/// Same seed, same bytes — this is what the determinism test pins.
-pub fn series_jsonl(collector: &Collector) -> String {
-    let mut out = String::new();
-    let mut metrics_line = Json::object();
-    metrics_line.set("metrics", collector.output.registry.to_json());
-    metrics_line.write(&mut out);
-    out.push('\n');
-    let mut names: Vec<usize> = (0..collector.output.series.len()).collect();
-    names.sort_by_key(|&i| collector.output.series[i].0);
-    for i in names {
-        let (name, ring) = &collector.output.series[i];
-        let mut line = Json::object();
-        line.set("series", Json::from(*name));
-        line.set("points", ring.to_json());
-        line.write(&mut out);
-        out.push('\n');
-    }
-    out
 }
 
 /// Checks a report against the expected top-level schema: required keys
@@ -888,20 +866,6 @@ mod tests {
         report.set("series", series);
         let err = validate_report(&report).expect_err("short point");
         assert!(err.contains("expected 2"), "{err}");
-    }
-
-    #[test]
-    fn jsonl_contains_no_wall_time_and_is_line_structured() {
-        let collector = sample_collector();
-        let jsonl = series_jsonl(&collector);
-        assert!(!jsonl.contains("wall"), "wall time leaked into JSONL");
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 2, "metrics line + one series line");
-        for line in lines {
-            parse(line).expect("each line is standalone JSON");
-        }
-        // Determinism: building twice gives identical bytes.
-        assert_eq!(jsonl, series_jsonl(&collector));
     }
 
     #[test]

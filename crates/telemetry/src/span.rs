@@ -14,9 +14,9 @@
 //!   span actually sat on the host timeline, measured against the run
 //!   epoch shared through [`crate::recorder::WorkerHandle`] so spans
 //!   recorded on worker threads line up with the installing thread's.
-//!   Wall values are segregated into the report's non-golden wall-clock
-//!   fields and the profiling sinks below; they never enter the
-//!   determinism-pinned exports.
+//!   Wall values are segregated into the report's wall-clock keys, which
+//!   the wall-strip rule drops before any determinism comparison, and the
+//!   profiling sinks below.
 //!
 //! Spans nest: the guard returned by [`enter`] parents every span opened
 //! before it drops, and the parallel engine attaches a merged cell's root
@@ -150,29 +150,6 @@ macro_rules! span {
             $crate::span::SpanGuard::inert()
         }
     };
-}
-
-/// The cycle-domain projection of a span tree: `[{name, parent, cycles,
-/// uops}]`, with every wall field dropped. Two same-seed runs encode this
-/// byte-identically at any jobs setting — this is what the span
-/// determinism tests pin.
-pub fn cycle_spans_json(spans: &[SpanRecord]) -> Json {
-    Json::Array(
-        spans
-            .iter()
-            .map(|span| {
-                let mut obj = Json::object();
-                obj.set("name", Json::from(span.name));
-                obj.set(
-                    "parent",
-                    span.parent.map_or(Json::Null, |p| Json::UInt(p as u64)),
-                );
-                obj.set("cycles", Json::UInt(span.cycles));
-                obj.set("uops", Json::UInt(span.uops));
-                obj
-            })
-            .collect(),
-    )
 }
 
 /// Exports a finished collector's span tree as a `chrome://tracing` JSON
@@ -426,19 +403,6 @@ mod tests {
         let collector = recorder::finish().expect("installed");
         let names: Vec<&str> = collector.spans.iter().map(|s| s.name).collect();
         assert_eq!(names, vec!["outer", "inner"]);
-    }
-
-    #[test]
-    fn cycle_projection_contains_no_wall_fields() {
-        recorder::install(Settings::default());
-        {
-            let _span = enter("work");
-            recorder::record_run(1_000, 400);
-        }
-        let collector = recorder::finish().expect("installed");
-        let encoded = cycle_spans_json(&collector.spans).encode();
-        assert!(!encoded.contains("wall"), "wall time leaked: {encoded}");
-        assert!(encoded.contains(r#""cycles":1000"#), "{encoded}");
     }
 
     #[test]

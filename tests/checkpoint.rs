@@ -13,8 +13,10 @@ use penelope::experiments::{self, Scale};
 use penelope::journal::{CheckpointContext, JournalHeader};
 use penelope::obs;
 use penelope::par;
-use penelope_telemetry::recorder::{self, Settings};
-use penelope_telemetry::{build_report, Json};
+use penelope_telemetry::{build_report, recorder, Json};
+
+mod common;
+use common::{canonicalize, settings};
 
 /// Serializes tests touching the process-global checkpoint slot and jobs
 /// setting.
@@ -24,13 +26,6 @@ fn checkpoint_lock() -> MutexGuard<'static, ()> {
     CHECKPOINT_LOCK
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-fn settings() -> Settings {
-    Settings {
-        sample_period: 256,
-        series_capacity: 128,
-    }
 }
 
 fn tmp_path(name: &str) -> PathBuf {
@@ -48,30 +43,6 @@ fn header(binary: &str) -> JournalHeader {
         fault_seed: 0,
         retries: 1,
         cell_budget: None,
-    }
-}
-
-/// Strips the report's wall-clock fields — everything else must be
-/// byte-identical across interruption and jobs settings.
-fn canonicalize(json: &mut Json) {
-    match json {
-        Json::Object(fields) => {
-            fields.retain(|(key, _)| {
-                !matches!(
-                    key.as_str(),
-                    "wall_seconds" | "cycles_per_sec" | "uops_per_sec"
-                )
-            });
-            for (_, value) in fields.iter_mut() {
-                canonicalize(value);
-            }
-        }
-        Json::Array(items) => {
-            for value in items.iter_mut() {
-                canonicalize(value);
-            }
-        }
-        _ => {}
     }
 }
 

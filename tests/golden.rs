@@ -17,6 +17,9 @@ use penelope::report::{render_fig6, render_table3};
 use penelope_telemetry::recorder::{self, Settings};
 use penelope_telemetry::{build_report, Json};
 
+mod common;
+use common::{canonicalize, settings};
+
 const ROW_NAMES: [&str; 6] = [
     "baseline (full guardband)",
     "invert periodically",
@@ -154,30 +157,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Strips wall-clock fields in place; everything that remains is a pure
-/// function of the simulation.
-fn strip_wall_clock(json: &mut Json) {
-    match json {
-        Json::Object(fields) => {
-            fields.retain(|(key, _)| {
-                !matches!(
-                    key.as_str(),
-                    "wall_seconds" | "cycles_per_sec" | "uops_per_sec"
-                )
-            });
-            for (_, value) in fields.iter_mut() {
-                strip_wall_clock(value);
-            }
-        }
-        Json::Array(items) => {
-            for value in items.iter_mut() {
-                strip_wall_clock(value);
-            }
-        }
-        _ => {}
-    }
-}
-
 /// Drops the top-level `spans` key so the rest of the report can be
 /// compared against the pre-tracing pins.
 fn strip_spans(json: &mut Json) {
@@ -199,15 +178,12 @@ fn series_names(json: &Json) -> Vec<String> {
 /// returns its report with the wall-clock fields stripped.
 fn canonical_report<T>(jobs: usize, driver: impl Fn() -> Result<T, Error>) -> Json {
     par::set_jobs(jobs);
-    recorder::install(Settings {
-        sample_period: 256,
-        series_capacity: 128,
-    });
+    recorder::install(settings());
     driver().expect("quick-scale drivers run");
     let collector = recorder::finish().expect("recorder was installed");
     par::set_jobs(0);
     let mut report = build_report(&collector);
-    strip_wall_clock(&mut report);
+    canonicalize(&mut report);
     report
 }
 

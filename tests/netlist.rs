@@ -21,9 +21,11 @@ use penelope::journal::{CheckpointContext, JournalHeader};
 use penelope::netlist_study::{self, stimulus, NetlistConfig, NetlistSource, NetlistSummary};
 use penelope::obs;
 use penelope::par;
-use penelope_telemetry::recorder::{self, Settings};
-use penelope_telemetry::{build_report, Json};
+use penelope_telemetry::{build_report, recorder};
 use proptest::prelude::*;
+
+mod common;
+use common::{canonicalize, settings};
 
 /// Serializes tests touching the process-global jobs/checkpoint slots.
 static NETLIST_LOCK: Mutex<()> = Mutex::new(());
@@ -32,13 +34,6 @@ fn netlist_lock() -> MutexGuard<'static, ()> {
     NETLIST_LOCK
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-fn settings() -> Settings {
-    Settings {
-        sample_period: 256,
-        series_capacity: 128,
-    }
 }
 
 fn tmp_path(name: &str) -> PathBuf {
@@ -56,30 +51,6 @@ fn header() -> JournalHeader {
         fault_seed: 0,
         retries: 1,
         cell_budget: None,
-    }
-}
-
-/// Strips the report's wall-clock fields — everything else must be
-/// byte-identical across jobs settings and interruption.
-fn canonicalize(json: &mut Json) {
-    match json {
-        Json::Object(fields) => {
-            fields.retain(|(key, _)| {
-                !matches!(
-                    key.as_str(),
-                    "wall_seconds" | "cycles_per_sec" | "uops_per_sec"
-                )
-            });
-            for (_, value) in fields.iter_mut() {
-                canonicalize(value);
-            }
-        }
-        Json::Array(items) => {
-            for value in items.iter_mut() {
-                canonicalize(value);
-            }
-        }
-        _ => {}
     }
 }
 

@@ -22,8 +22,10 @@ use penelope::error::Error;
 use penelope::experiments::{self, Scale};
 use penelope::fault::FaultPlan;
 use penelope::par;
-use penelope_telemetry::recorder::{self, Settings};
-use penelope_telemetry::{build_report, Json};
+use penelope_telemetry::{build_report, recorder};
+
+mod common;
+use common::{canonicalize, settings};
 
 static JOBS_LOCK: Mutex<()> = Mutex::new(());
 
@@ -31,37 +33,6 @@ fn jobs_lock() -> MutexGuard<'static, ()> {
     JOBS_LOCK
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-fn settings() -> Settings {
-    Settings {
-        sample_period: 256,
-        series_capacity: 128,
-    }
-}
-
-/// Strips the report's wall-clock fields — everything else must be
-/// byte-identical across jobs settings.
-fn canonicalize(json: &mut Json) {
-    match json {
-        Json::Object(fields) => {
-            fields.retain(|(key, _)| {
-                !matches!(
-                    key.as_str(),
-                    "wall_seconds" | "cycles_per_sec" | "uops_per_sec"
-                )
-            });
-            for (_, value) in fields.iter_mut() {
-                canonicalize(value);
-            }
-        }
-        Json::Array(items) => {
-            for value in items.iter_mut() {
-                canonicalize(value);
-            }
-        }
-        _ => {}
-    }
 }
 
 /// Runs `driver` under a fresh recorder at the given jobs setting and
@@ -139,16 +110,18 @@ fn merged_telemetry_is_invariant_under_seeded_completion_shuffles() {
                 (state >> 33) % 7
             })
             .collect();
+        par::set_jobs(jobs);
         recorder::install(settings());
-        let results = par::run_cells_with_jobs(jobs, CELLS, |cell| {
+        let results = par::run_cells_named("sweep", CELLS, |cell| {
             if jobs > 1 {
                 std::thread::sleep(Duration::from_millis(delays[cell.index]));
             }
             recorder::phase(&format!("cell {}", cell.index), || {
                 recorder::record_run((cell.index as u64 + 1) * 10, cell.index as u64 + 1);
             });
-            Ok(cell.index)
+            Ok(cell.index as u64)
         });
+        par::set_jobs(0);
         assert!(results.iter().all(Result::is_ok));
         let collector = recorder::finish().expect("recorder was installed");
         let mut report = build_report(&collector);
@@ -171,14 +144,17 @@ fn cell_errors_are_deterministic_at_any_jobs() {
     // cell first — a failing sweep reports the same thing serial or
     // parallel. Persistent errors now surface as supervised quarantines
     // carrying the retry count.
+    let _guard = jobs_lock();
     for jobs in [1, 2, 8] {
-        let result: Result<Vec<()>, Error> = par::try_cells(10, |cell| {
+        par::set_jobs(jobs);
+        let result: Result<Vec<u64>, Error> = par::try_cells_named("sweep", 10, |cell| {
             if cell.index >= 4 {
                 Err(Error::config(format!("cell {} rejected", cell.index)))
             } else {
-                Ok(())
+                Ok(0)
             }
         });
+        par::set_jobs(0);
         match result {
             Err(Error::Quarantined {
                 sweep,

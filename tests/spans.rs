@@ -11,8 +11,10 @@ use penelope::error::Error;
 use penelope::experiments::{self, Scale};
 use penelope::par;
 use penelope_telemetry::recorder::{self, Settings};
-use penelope_telemetry::span::{self, cycle_spans_json};
-use penelope_telemetry::{decode_snapshot, encode_snapshot, Json};
+use penelope_telemetry::{build_report, decode_snapshot, encode_snapshot, span, Json};
+
+mod common;
+use common::{canonicalize, settings};
 
 /// Serializes tests in this binary: the jobs count and the event stream
 /// are process-global.
@@ -25,18 +27,17 @@ fn global_lock() -> MutexGuard<'static, ()> {
 }
 
 /// Runs fig6 under a fresh recorder at the given jobs setting and returns
-/// the encoded cycle-domain span tree (names, parents, cycles, uops — no
-/// wall-clock fields).
+/// the encoded cycle-domain span tree: the report's `spans` with the
+/// wall-clock keys stripped (names, parents, cycles, uops).
 fn span_tree(jobs: usize) -> String {
     par::set_jobs(jobs);
-    recorder::install(Settings {
-        sample_period: 256,
-        series_capacity: 128,
-    });
+    recorder::install(settings());
     experiments::fig6(Scale::quick()).expect("quick fig6 runs");
     let collector = recorder::finish().expect("recorder was installed");
     par::set_jobs(0);
-    cycle_spans_json(&collector.spans).encode()
+    let mut report = build_report(&collector);
+    canonicalize(&mut report);
+    report.get("spans").expect("the report has spans").encode()
 }
 
 #[test]

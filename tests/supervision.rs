@@ -12,47 +12,19 @@ use std::sync::{Mutex, MutexGuard};
 
 use penelope::error::Error;
 use penelope::par::{self, SupervisorPolicy};
-use penelope_telemetry::recorder::{self, Settings};
-use penelope_telemetry::{build_report, Json};
+use penelope_telemetry::{build_report, recorder, Json};
 
-/// Serializes tests touching the process-global supervisor policy.
+mod common;
+use common::{canonicalize, settings};
+
+/// Serializes tests touching the process-global supervisor policy and
+/// jobs count.
 static SUPERVISOR_LOCK: Mutex<()> = Mutex::new(());
 
 fn supervisor_lock() -> MutexGuard<'static, ()> {
     SUPERVISOR_LOCK
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-fn settings() -> Settings {
-    Settings {
-        sample_period: 256,
-        series_capacity: 128,
-    }
-}
-
-/// Strips the report's wall-clock fields — everything else must be
-/// byte-identical across jobs settings.
-fn canonicalize(json: &mut Json) {
-    match json {
-        Json::Object(fields) => {
-            fields.retain(|(key, _)| {
-                !matches!(
-                    key.as_str(),
-                    "wall_seconds" | "cycles_per_sec" | "uops_per_sec"
-                )
-            });
-            for (_, value) in fields.iter_mut() {
-                canonicalize(value);
-            }
-        }
-        Json::Array(items) => {
-            for value in items.iter_mut() {
-                canonicalize(value);
-            }
-        }
-        _ => {}
-    }
 }
 
 fn warnings_of(report: &Json) -> Vec<String> {
@@ -71,9 +43,10 @@ fn warnings_of(report: &Json) -> Vec<String> {
 /// Runs an unhealthy 8-cell grid — cell 2 fails once then recovers,
 /// cell 5 errors persistently, cell 6 panics persistently — and returns
 /// the canonicalized report plus the per-cell results.
-fn unhealthy_grid(jobs: usize) -> (Json, Vec<Result<usize, Error>>) {
+fn unhealthy_grid(jobs: usize) -> (Json, Vec<Result<u64, Error>>) {
+    par::set_jobs(jobs);
     recorder::install(settings());
-    let results = par::run_cells_with_jobs(jobs, 8, |cell| {
+    let results = par::run_cells_named("sweep", 8, |cell| {
         match cell.index {
             2 if cell.attempt == 0 => {
                 return Err(Error::config("transient wobble"));
@@ -85,8 +58,9 @@ fn unhealthy_grid(jobs: usize) -> (Json, Vec<Result<usize, Error>>) {
         recorder::phase(&format!("cell {}", cell.index), || {
             recorder::record_run((cell.index as u64 + 1) * 100, cell.index as u64 + 1);
         });
-        Ok(cell.index)
+        Ok(cell.index as u64)
     });
+    par::set_jobs(0);
     let collector = recorder::finish().expect("recorder was installed");
     let mut report = build_report(&collector);
     canonicalize(&mut report);
@@ -122,7 +96,7 @@ fn supervisor_warnings_are_deterministic_and_in_cell_order() {
                 assert_eq!(*attempts, 2);
             }
             (5 | 6, other) => panic!("cell {index}: expected quarantine, got {other:?}"),
-            (_, Ok(value)) => assert_eq!(*value, index),
+            (_, Ok(value)) => assert_eq!(*value, index as u64),
             (_, Err(err)) => panic!("cell {index}: unexpected error {err}"),
         }
     }
@@ -178,12 +152,14 @@ fn the_cycle_budget_is_enforced_at_any_jobs() {
         cycle_budget: Some(500),
     });
     for jobs in [1, 4] {
+        par::set_jobs(jobs);
         recorder::install(settings());
-        let results = par::run_cells_with_jobs(jobs, 5, |cell| {
+        let results = par::run_cells_named("sweep", 5, |cell| {
             let cycles = if cell.index == 3 { 10_000 } else { 100 };
             recorder::record_run(cycles, 1);
-            Ok(cell.index)
+            Ok(cell.index as u64)
         });
+        par::set_jobs(0);
         let collector = recorder::finish().expect("recorder was installed");
         let report = build_report(&collector);
         match &results[3] {
@@ -207,7 +183,7 @@ fn the_cycle_budget_is_enforced_at_any_jobs() {
             results
                 .iter()
                 .enumerate()
-                .all(|(i, r)| i == 3 || matches!(r, Ok(v) if *v == i)),
+                .all(|(i, r)| i == 3 || matches!(r, Ok(v) if *v == i as u64)),
             "jobs={jobs}: in-budget cells must complete"
         );
         let warnings = warnings_of(&report);

@@ -1,22 +1,18 @@
-//! Integration tests for the telemetry layer: deterministic JSONL
-//! exports, valid run reports, and the inertness of a disabled recorder.
+//! Integration tests for the telemetry layer: deterministic run reports,
+//! valid run reports, and the inertness of a disabled recorder.
 //!
-//! The determinism pin is the load-bearing one: the JSONL export contains
-//! only simulated quantities, so two runs of the same seeded driver must
-//! produce byte-identical telemetry. Any nondeterminism smuggled into the
-//! pipeline (hash-map iteration, wall-clock leakage, uninitialized state)
-//! fails this test before it can corrupt a reproduced figure.
+//! The determinism pin is the load-bearing one: a report stripped of its
+//! wall-clock keys contains only simulated quantities, so two runs of the
+//! same seeded driver must produce byte-identical reports. Any
+//! nondeterminism smuggled into the pipeline (hash-map iteration,
+//! wall-clock leakage, uninitialized state) fails this test before it can
+//! corrupt a reproduced figure.
 
 use penelope::experiments::{self, Scale};
-use penelope_telemetry::recorder::{self, Settings};
-use penelope_telemetry::{build_report, series_jsonl, validate_report, Collector, Json};
+use penelope_telemetry::{build_report, recorder, validate_report, Collector, Json};
 
-fn settings() -> Settings {
-    Settings {
-        sample_period: 256,
-        series_capacity: 128,
-    }
-}
+mod common;
+use common::{canonicalize, settings};
 
 /// Runs the Figure 6 driver (register-file balancing — it exercises the
 /// full Penelope hook chain) under a fresh recorder and detaches the
@@ -27,24 +23,41 @@ fn instrumented_fig6() -> Collector {
     recorder::finish().expect("recorder was installed")
 }
 
+/// The encoded report of an instrumented fig6 run, wall-clock keys
+/// stripped.
+fn canonical_fig6_report() -> String {
+    let mut report = build_report(&instrumented_fig6());
+    canonicalize(&mut report);
+    report.encode()
+}
+
 #[test]
 fn same_seed_runs_emit_byte_identical_jsonl() {
-    let first = series_jsonl(&instrumented_fig6());
-    let second = series_jsonl(&instrumented_fig6());
-    assert!(
-        first.lines().count() > 1,
-        "expected a metrics line plus series lines, got:\n{first}"
-    );
+    let first = canonical_fig6_report();
+    let second = canonical_fig6_report();
+    let report = penelope_telemetry::json::parse(&first).expect("the report parses");
+    let series = report
+        .get("series")
+        .and_then(Json::as_object)
+        .expect("series object");
+    assert!(!series.is_empty(), "expected sampled series, got:\n{first}");
     assert_eq!(first, second, "seeded telemetry must be deterministic");
 }
 
 #[test]
 fn jsonl_lines_are_standalone_json_without_wall_time() {
-    let jsonl = series_jsonl(&instrumented_fig6());
-    assert!(!jsonl.contains("wall"), "wall time leaked into JSONL");
-    for line in jsonl.lines() {
-        penelope_telemetry::json::parse(line).expect("every JSONL line parses");
-    }
+    // A stripped report encodes as one standalone JSON line holding only
+    // simulated quantities.
+    let line = canonical_fig6_report();
+    assert!(!line.contains('\n'), "the report spans several lines");
+    assert!(!line.contains("wall"), "wall time leaked into the report");
+    assert!(!line.contains("_per_sec"), "a wall-clock rate leaked");
+    let parsed = penelope_telemetry::json::parse(&line).expect("the line parses");
+    assert_eq!(
+        parsed.encode(),
+        line,
+        "the line re-encodes byte-identically"
+    );
 }
 
 #[test]
