@@ -8,7 +8,6 @@
 //! the full durability path: flag parsing → journal create/resume →
 //! engine restore/skip → deterministic merge → report write.
 
-use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
@@ -16,7 +15,7 @@ use penelope_telemetry::{validate_report, Json};
 
 #[path = "../../../tests/common/mod.rs"]
 mod common;
-use common::canonicalize;
+use common::{canonicalize, tmp_path, truncate_journal};
 
 fn fig6() -> Command {
     Command::new(env!("CARGO_BIN_EXE_fig6"))
@@ -28,14 +27,6 @@ fn fleet() -> Command {
 
 fn netlist() -> Command {
     Command::new(env!("CARGO_BIN_EXE_netlist"))
-}
-
-fn tmp_path(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("penelope-checkpoint-cli");
-    std::fs::create_dir_all(&dir).expect("temp dir is writable");
-    let path = dir.join(name);
-    let _ = std::fs::remove_file(&path);
-    path
 }
 
 fn read_report(path: &std::path::Path) -> Json {
@@ -54,18 +45,6 @@ fn canonical_report(path: &std::path::Path) -> String {
     let mut report = read_report(path);
     canonicalize(&mut report);
     report.encode()
-}
-
-/// Simulates a crash mid-sweep: keeps the journal header plus one data
-/// record and discards the rest, as a SIGKILL between atomic appends
-/// would.
-fn truncate_journal(path: &std::path::Path) {
-    let text = std::fs::read_to_string(path).expect("journal exists");
-    let lines: Vec<&str> = text.lines().collect();
-    assert!(lines.len() > 2, "journal too short: {} lines", lines.len());
-    let mut out = lines[..2].join("\n");
-    out.push('\n');
-    std::fs::write(path, out).expect("journal is writable");
 }
 
 #[test]
@@ -102,7 +81,7 @@ fn interrupted_checkpointed_run_resumes_byte_identically() {
 
     // Crash after one completed cell, then resume at a different jobs
     // setting: still byte-identical.
-    truncate_journal(&journal);
+    truncate_journal(&journal, 1);
     let output = fig6()
         .args([
             "--scale",
@@ -312,9 +291,7 @@ fn run_copy(binary: &std::path::Path, args: &[&str], journal: &std::path::Path) 
 /// copy wrote, and the unmodified copy still resumes it.
 #[test]
 fn resuming_under_another_executable_is_refused() {
-    let dir = std::env::temp_dir()
-        .join("penelope-checkpoint-cli")
-        .join("executables");
+    let dir = tmp_path("executables");
     std::fs::create_dir_all(&dir).expect("temp dir is writable");
     let original = dir.join("fig6");
     let modified = dir.join("fig6-modified");
@@ -332,7 +309,7 @@ fn resuming_under_another_executable_is_refused() {
     let journal = tmp_path("fig6-executable.jsonl");
     let output = run_copy(&original, &["--scale", "quick", "--checkpoint"], &journal);
     assert!(output.status.success(), "{}", stderr_of(&output));
-    truncate_journal(&journal);
+    truncate_journal(&journal, 1);
 
     let resume = ["--scale", "quick", "--resume", "--checkpoint"];
     let output = run_copy(&modified, &resume, &journal);

@@ -7,14 +7,13 @@
 //! the full path: argument parsing → recorder install → engine jobs
 //! wiring → report write.
 
-use std::path::PathBuf;
 use std::process::{Command, Output};
 
 use penelope_telemetry::{validate_report, Json};
 
 #[path = "../../../tests/common/mod.rs"]
 mod common;
-use common::canonicalize;
+use common::{canonicalize, tmp_path};
 
 fn fig6() -> Command {
     Command::new(env!("CARGO_BIN_EXE_fig6"))
@@ -22,12 +21,6 @@ fn fig6() -> Command {
 
 fn l2() -> Command {
     Command::new(env!("CARGO_BIN_EXE_l2"))
-}
-
-fn tmp_path(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("penelope-parallel-cli");
-    std::fs::create_dir_all(&dir).expect("temp dir is writable");
-    dir.join(name)
 }
 
 fn read_report(path: &std::path::Path) -> Json {

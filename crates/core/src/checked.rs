@@ -7,7 +7,8 @@
 //!   occupancy, register-file free time, per-structure worst cell duty,
 //!   cache inverted-time fraction) must be finite and within `[0, 1]`;
 //! - **cache line accounting** — inverted plus valid lines can never
-//!   exceed the structure's capacity;
+//!   exceed the structure's capacity, in each of DL0, L2 (when present),
+//!   DTLB and BTB;
 //! - **RINV freshness** — sampled images must not be older than a large
 //!   multiple of their sampling period while traffic flows;
 //! - **K-fraction budgets** — every `ALL1-K%`/`ALL0-K%` fraction in the
@@ -19,6 +20,7 @@
 //! typed [`Error::Invariant`] when it ends.
 
 use penelope_telemetry::EventSource;
+use uarch::fault::CacheTarget;
 use uarch::pipeline::{Hooks, Parts};
 
 use crate::error::Error;
@@ -157,13 +159,11 @@ impl<H: Hooks + RinvAccess + EventSource> CheckedHooks<H> {
         self.check_fraction(now, "scheduler", "worst cell duty", duty);
 
         // Cache line accounting and inverted-time fractions.
-        let mut caches = vec![("DL0", &parts.dl0)];
-        if let Some(l2) = &parts.l2 {
-            caches.push(("L2", l2));
-        }
-        let dtlb = parts.dtlb.cache();
-        caches.push(("DTLB", dtlb));
-        for (name, cache) in caches {
+        let names = ["DL0", "L2", "DTLB", "BTB"];
+        for (target, name) in CacheTarget::ALL.into_iter().zip(names) {
+            let Some(cache) = parts.cache_mut(target) else {
+                continue;
+            };
             let lines = cache.config().lines();
             let used = cache.inverted_count() + cache.valid_count();
             if used > lines {

@@ -157,6 +157,11 @@ pub fn feed_arms<P: BorrowMut<Pipeline>, H: Hooks + EventSource>(
     uops: usize,
     mut injector: Option<&mut FaultInjector>,
 ) -> Result<Vec<Vec<RunResult>>, Error> {
+    // Refused before the hooks are wrapped, so a run that simulates
+    // nothing leaves no telemetry behind.
+    if workload.specs().is_empty() {
+        return Err(TraceError::EmptyWorkload.into());
+    }
     let (mut pipes, mut hooks): (Vec<&mut Pipeline>, Vec<&mut H>) = arms
         .iter_mut()
         .map(|(pipe, hooks)| (pipe.borrow_mut(), hooks))
@@ -185,9 +190,6 @@ pub fn feed_arms<P: BorrowMut<Pipeline>, H: Hooks + EventSource>(
         }
         runs
     });
-    if workload.specs().is_empty() {
-        return Err(TraceError::EmptyWorkload.into());
-    }
     // Credited once the telemetry wrappers have closed: their
     // `obs.with_recording` span covers sampling, not simulated cycles, and
     // the golden report hashes pin that split.
@@ -1652,6 +1654,24 @@ mod tests {
             Err(Error::Trace(TraceError::EmptyWorkload)) => {}
             other => panic!("expected empty-workload error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn an_empty_workload_is_refused_before_any_telemetry_is_recorded() {
+        recorder::install(penelope_telemetry::recorder::Settings::default());
+        let (mut pipe, mut hooks) = build(&PenelopeConfig::default()).expect("default config");
+        let result = feed(&mut pipe, &Workload::empty(), 1_000, &mut hooks, None);
+        let collector = recorder::finish().expect("installed");
+        assert!(
+            matches!(result, Err(Error::Trace(TraceError::EmptyWorkload))),
+            "{result:?}"
+        );
+        let spans: Vec<&str> = collector.spans.iter().map(|s| s.name).collect();
+        assert!(spans.is_empty(), "spans recorded: {spans:?}");
+        assert!(
+            collector.output.registry.is_empty(),
+            "counters registered for a run that simulated nothing"
+        );
     }
 
     #[test]

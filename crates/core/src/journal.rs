@@ -18,9 +18,8 @@
 //! than trusting it. The first record is the header:
 //!
 //! ```text
-//! {"body":{"journal_schema":2,"report_schema":1,"binary":"fig6",
-//!          "executable":"…","scale":{...},"fault_seed":0,
-//!          "jobs_independent":true},"hash":"…"}
+//! {"body":{"binary":"fig6","executable":"…","scale":{...},"fault_seed":0,
+//!          "retries":1,"cell_budget":null},"hash":"…"}
 //! {"body":{"sweep":"fig6","cell":0,"payload":…,"snapshot":…},"hash":"…"}
 //! ```
 //!
@@ -56,18 +55,23 @@
 //!
 //! # Trust policy
 //!
-//! The loader is strict: unparseable lines, hash mismatches, schema or
-//! run-identity (binary / executable / scale / fault seed) mismatches, and
+//! The loader is strict: unparseable lines, hash mismatches, a header
+//! that differs in any way from the one this run would write, and
 //! duplicate cell keys all produce a typed [`Error::Journal`] whose
-//! message starts with `resume refused:`.
+//! message starts with `resume refused:`. The header is compared as one
+//! value, so a key added to [`JournalHeader`] is checked with no further
+//! code, and the refusal names every differing key with both values.
 //!
 //! The header's `executable` is the FNV-1a of the running executable's
 //! bytes, so a journal resumes only under the build that wrote it: cell
 //! payloads and snapshots are whatever that build computed, and splicing
 //! them into another build's report would mix two generations of the
 //! code. A rebuild of the same source with another toolchain or profile
-//! is refused too. A process that cannot read its own executable stamps
-//! `null` and refuses every resume. Write failures *during* a run degrade instead:
+//! is refused too. The stamp is also why the header carries no journal
+//! or report schema version: a build that changes either has other bytes,
+//! so it refuses the old journal anyway. A process that cannot read its
+//! own executable stamps `null` and refuses every resume. Write failures
+//! *during* a run degrade instead:
 //! the writer goes quiet, the sweep continues uncheckpointed, and one
 //! warning lands in the report.
 //!
@@ -86,17 +90,12 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use penelope_telemetry::recorder::Snapshot;
-use penelope_telemetry::{decode_snapshot, encode_snapshot, span, Json, SCHEMA_VERSION};
+use penelope_telemetry::{decode_snapshot, encode_snapshot, span, Json};
 
 use crate::error::Error;
 use nbti_model::duty::Duty;
 use nbti_model::metric::BlockCost;
 use uarch::scheduler::Field;
-
-/// Version of the journal layout itself (distinct from the report schema).
-/// Version 2 carries phases as marked spans inside each cell snapshot,
-/// where version 1 kept them in a separate `phases` array.
-pub const JOURNAL_SCHEMA: u64 = 2;
 
 /// FNV-1a 64-bit over the canonical record body bytes. Not cryptographic —
 /// it detects torn writes and bit rot, not adversaries.
@@ -182,7 +181,7 @@ fn malformed(number: usize, what: &str) -> Error {
 
 /// The run identity stamped into a journal's header. Resume compares every
 /// field, and the executable stamp the header record carries beside them;
-/// any mismatch means the journal belongs to a different experiment or
+/// any difference means the journal belongs to a different experiment or
 /// build and is refused.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JournalHeader {
@@ -203,10 +202,9 @@ pub struct JournalHeader {
 }
 
 impl JournalHeader {
+    /// The header record's body: this run's identity.
     fn to_json(&self) -> Json {
         let mut obj = Json::object();
-        obj.set("journal_schema", Json::UInt(JOURNAL_SCHEMA));
-        obj.set("report_schema", Json::UInt(SCHEMA_VERSION));
         obj.set("binary", Json::Str(self.binary.clone()));
         obj.set(
             "executable",
@@ -219,91 +217,55 @@ impl JournalHeader {
             "cell_budget",
             self.cell_budget.map_or(Json::Null, Json::UInt),
         );
-        // Cells are hermetic and merged in index order, so journal state
-        // is valid at any worker count; recorded for the reader's benefit.
-        obj.set("jobs_independent", Json::Bool(true));
         obj
     }
 
+    /// Accepts a stored header body only if it encodes exactly as the one
+    /// this run would write, and only when this run has an executable
+    /// stamp to prove the journal is its own.
     fn check(&self, loaded: &Json) -> Result<(), Error> {
-        let refuse = |what: String| Error::journal(format!("resume refused: {what}"));
-        let field = |key: &str| {
-            loaded
-                .get(key)
-                .ok_or_else(|| refuse(format!("journal header is missing {key:?}")))
-        };
-        let schema = field("journal_schema")?.as_u64();
-        if schema != Some(JOURNAL_SCHEMA) {
-            return Err(refuse(format!(
-                "journal schema {schema:?} != supported {JOURNAL_SCHEMA}"
-            )));
-        }
-        let report = field("report_schema")?.as_u64();
-        if report != Some(SCHEMA_VERSION) {
-            return Err(refuse(format!(
-                "journal was written for report schema {report:?}, this build emits {SCHEMA_VERSION}"
-            )));
-        }
-        let binary = field("binary")?.as_str();
-        if binary != Some(self.binary.as_str()) {
-            return Err(refuse(format!(
-                "journal belongs to binary {binary:?}, this run is {:?}",
-                self.binary
-            )));
-        }
-        let written = loaded.get("executable").and_then(Json::as_str);
-        let this = executable_stamp();
-        if written.is_none() || written != this {
-            return Err(refuse(format!(
-                "journal was written by executable {}, this run is executable {}; \
-                 a journal resumes only under the build that wrote it",
-                written.unwrap_or("(unstamped)"),
-                this.unwrap_or("(unreadable)")
-            )));
-        }
-        if field("scale")? != &self.scale {
-            return Err(refuse(format!(
-                "journal scale {} != this run's scale {}",
-                field("scale")?.encode(),
-                self.scale.encode()
-            )));
-        }
-        let seed = field("fault_seed")?.as_u64();
-        if seed != Some(self.fault_seed) {
-            return Err(refuse(format!(
-                "journal fault seed {seed:?} != this run's seed {}",
-                self.fault_seed
-            )));
-        }
-        let retries = field("retries")?.as_u64();
-        if retries != Some(u64::from(self.retries)) {
-            let written = retries.map_or("none".to_string(), |r| r.to_string());
-            return Err(refuse(format!(
-                "journal was written with supervisor retries {written}, \
-                 this run uses {}",
-                self.retries
-            )));
-        }
-        let budget = match field("cell_budget")? {
-            Json::Null => None,
-            other => Some(other.as_u64().ok_or_else(|| {
-                refuse("journal cell_budget must be null or an unsigned integer".to_string())
-            })?),
-        };
-        if budget != self.cell_budget {
-            let show = |b: Option<u64>| b.map_or("none".to_string(), |v| v.to_string());
-            return Err(refuse(format!(
-                "journal was written with cell budget {}, this run uses {}",
-                show(budget),
-                show(self.cell_budget)
-            )));
-        }
-        if field("jobs_independent")? != &Json::Bool(true) {
-            return Err(refuse(
-                "journal does not declare jobs independence".to_string(),
+        if executable_stamp().is_none() {
+            return Err(Error::journal(
+                "resume refused: this process cannot read its own executable, \
+                 so no journal can be proven to be its own",
             ));
         }
-        Ok(())
+        let expected = self.to_json();
+        if loaded.encode() == expected.encode() {
+            return Ok(());
+        }
+        let mut keys: Vec<&str> = Vec::new();
+        for json in [&expected, loaded] {
+            for (key, _) in json.as_object().unwrap_or_default() {
+                if !keys.contains(&key.as_str()) {
+                    keys.push(key);
+                }
+            }
+        }
+        let show = |json: &Json, key: &str| json.get(key).map_or("(absent)".into(), Json::encode);
+        let mut differences: Vec<String> = keys
+            .into_iter()
+            .filter_map(|key| {
+                let (written, this) = (show(loaded, key), show(&expected, key));
+                (written != this).then(|| {
+                    let name = key.replace('_', " ");
+                    format!("{name}: journal {written}, this run {this}")
+                })
+            })
+            .collect();
+        if differences.is_empty() {
+            // Same keys and values, but another order or a repeated key.
+            differences.push(format!(
+                "header: journal {}, this run {}",
+                loaded.encode(),
+                expected.encode()
+            ));
+        }
+        Err(Error::journal(format!(
+            "resume refused: the journal was written by another run ({}); \
+             a journal resumes only under the executable and settings that wrote it",
+            differences.join("; ")
+        )))
     }
 }
 
@@ -884,21 +846,28 @@ mod tests {
     }
 
     #[test]
-    fn resume_refuses_another_journal_schema() {
-        let path = tmp_path("schema");
-        for schema in [JOURNAL_SCHEMA - 1, JOURNAL_SCHEMA + 1] {
-            let mut body = header().to_json();
-            body.set("journal_schema", Json::UInt(schema));
+    fn resume_refuses_a_header_with_an_extra_or_a_missing_key() {
+        let path = tmp_path("header-keys");
+        let mut extra = header().to_json();
+        extra.set("worker_count", Json::UInt(4));
+        let Json::Object(mut missing) = header().to_json() else {
+            unreachable!("the header is an object")
+        };
+        missing.retain(|(key, _)| key != "retries");
+        for (body, key) in [
+            (extra, "worker count: journal 4, this run (absent)"),
+            (
+                Json::Object(missing),
+                "retries: journal (absent), this run 1",
+            ),
+        ] {
             fs::write(&path, seal(&body) + "\n").expect("write");
             match CheckpointContext::resume(&path, &header()) {
                 Err(Error::Journal { message }) => {
                     assert!(message.starts_with("resume refused:"), "{message}");
-                    assert!(
-                        message.contains(&format!("journal schema Some({schema})")),
-                        "{message}"
-                    );
+                    assert!(message.contains(key), "{message}");
                 }
-                other => panic!("schema {schema} must be refused, got {other:?}"),
+                other => panic!("{} must be refused, got {other:?}", body.encode()),
             }
         }
         let _ = fs::remove_file(&path);

@@ -44,10 +44,13 @@
 //!   recorders and a deterministic, cell-index-ordered merge, so
 //!   `--jobs N` runs reproduce `--jobs 1` byte for byte outside
 //!   wall-clock fields. Cells run under a supervisor (panic capture,
-//!   deterministic retry, cycle-budget watchdog, quarantine);
+//!   an immediate rerun of a failed cell, cycle-budget watchdog,
+//!   quarantine);
 //! - [`journal`]: the crash-safe checkpoint journal the engine persists
 //!   completed cells into, so interrupted sweeps resume instead of
 //!   restarting ([`journal::CheckpointContext`], [`journal::CellPayload`]);
+//!   a journal resumes only under the executable and settings that wrote
+//!   it;
 //! - [`fleet`]: fleet-scale Monte Carlo aging sweeps — N core instances
 //!   with seeded process-variation draws and per-suite workload anchors,
 //!   aggregated through compact mergeable sketches

@@ -40,15 +40,14 @@
 //! Cells run under a supervisor ([`SupervisorPolicy`]): panics are caught
 //! (the per-cell recorder guard uninstalls the dead cell's collector
 //! first, so nothing stale leaks), typed errors and panics are retried up
-//! to `retries` times with a bounded, *seeded* backoff — cooperative
-//! yields, no wall-clock in the decision path, so retry behavior is
-//! reproducible — and a cell whose telemetry reports more simulated
-//! cycles than `cycle_budget` is treated as runaway. A cell that exhausts
-//! its retries is **quarantined**: its slot carries
-//! [`Error::Quarantined`], a structured `quarantined: …` entry lands in
-//! the report warnings, and the rest of the grid completes normally, so
-//! a persistently faulty cell degrades the sweep to a partial report
-//! instead of aborting it.
+//! to `retries` times, at once — a cell is a pure function of its inputs,
+//! so waiting before the rerun would change nothing — and a cell whose
+//! telemetry reports more simulated cycles than `cycle_budget` is treated
+//! as runaway. A cell that exhausts its retries is **quarantined**: its
+//! slot carries [`Error::Quarantined`], a structured `quarantined: …`
+//! entry lands in the report warnings, and the rest of the grid completes
+//! normally, so a persistently faulty cell degrades the sweep to a
+//! partial report instead of aborting it.
 //!
 //! # Checkpointing
 //!
@@ -122,30 +121,27 @@ pub struct SupervisorPolicy {
     /// most `1 + retries` times). Retries cover panics and typed errors —
     /// transient faults recover, persistent ones quarantine.
     pub retries: u32,
-    /// Seed for the deterministic retry backoff (bounded cooperative
-    /// yields — no wall-clock enters the decision path).
-    pub backoff_seed: u64,
     /// Simulated-cycle watchdog: a cell whose snapshot reports more total
     /// cycles than this is quarantined immediately (re-running a
     /// deterministic overrun would overrun again). `None` disables it.
     pub cycle_budget: Option<u64>,
 }
 
+impl SupervisorPolicy {
+    /// The policy the bench CLI runs: one retry, no cycle budget.
+    pub const DEFAULT: SupervisorPolicy = SupervisorPolicy {
+        retries: 1,
+        cycle_budget: None,
+    };
+}
+
 impl Default for SupervisorPolicy {
     fn default() -> Self {
-        SupervisorPolicy {
-            retries: 1,
-            backoff_seed: 0,
-            cycle_budget: None,
-        }
+        SupervisorPolicy::DEFAULT
     }
 }
 
-static SUPERVISOR: Mutex<SupervisorPolicy> = Mutex::new(SupervisorPolicy {
-    retries: 1,
-    backoff_seed: 0,
-    cycle_budget: None,
-});
+static SUPERVISOR: Mutex<SupervisorPolicy> = Mutex::new(SupervisorPolicy::DEFAULT);
 
 /// Sets the process-wide supervisor policy.
 pub fn set_supervisor(policy: SupervisorPolicy) {
@@ -170,17 +166,13 @@ fn checkpoint() -> Option<CheckpointContext> {
     CHECKPOINT.lock().unwrap_or_else(|p| p.into_inner()).clone()
 }
 
-/// One independent unit of an experiment grid.
+/// One independent unit of an experiment grid. A retry hands the body
+/// the same `Cell` again: a deterministic body reruns exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cell {
     /// Position in the grid, in the driver's serial iteration order. The
     /// engine merges results and telemetry in this order.
     pub index: usize,
-    /// Which supervised execution this is: 0 for the first attempt,
-    /// incremented on each retry. Deterministic cell bodies ignore it; a
-    /// test body can read it to fail only a first attempt, modelling a
-    /// transient failure that the retry recovers from.
-    pub attempt: u32,
 }
 
 /// Executes `cells` grid cells of the sweep `name` on the process-wide
@@ -434,9 +426,8 @@ where
     results
 }
 
-/// Runs one cell under the supervisor: catch panics, retry failures with
-/// deterministic backoff, watch the cycle budget, quarantine on
-/// exhaustion.
+/// Runs one cell under the supervisor: catch panics, retry failures, watch
+/// the cycle budget, quarantine on exhaustion.
 fn supervise<T, F>(
     handle: &WorkerHandle,
     policy: &SupervisorPolicy,
@@ -448,9 +439,9 @@ where
     F: Fn(Cell) -> Result<T, Error> + Sync,
 {
     let mut notes = Vec::new();
-    let mut attempt: u32 = 0;
+    let mut attempts: u32 = 0;
     loop {
-        let attempts = attempt + 1;
+        attempts += 1;
         // AssertUnwindSafe: on unwind the cell's half-built state is
         // discarded (record_cell already uninstalled its collector), and
         // the shared `body` is a pure Fn over plain-data inputs. The cell
@@ -461,7 +452,7 @@ where
         let caught = catch_unwind(AssertUnwindSafe(|| {
             handle.record_cell(|| {
                 let _cell_span = span!("{} cell {}", sweep, index);
-                body(Cell { index, attempt })
+                body(Cell { index })
             })
         }));
         let (failure, snapshot) = match caught {
@@ -492,7 +483,7 @@ where
                         };
                     }
                 }
-                if attempt > 0 {
+                if attempts > 1 {
                     notes.push(format!(
                         "{sweep} cell {index}: recovered on attempt {attempts}"
                     ));
@@ -510,7 +501,7 @@ where
                 None,
             ),
         };
-        if attempt >= policy.retries {
+        if attempts > policy.retries {
             notes.push(format!(
                 "quarantined: {sweep} cell {index} failed after {attempts} attempt(s): {failure}"
             ));
@@ -530,7 +521,6 @@ where
         notes.push(format!(
             "{sweep} cell {index}: attempt {attempts} failed ({failure}); retrying"
         ));
-        let backoff_yields = backoff(policy.backoff_seed, sweep, index, attempt);
         if span::stream_active() {
             span::stream_event(
                 "retry",
@@ -539,11 +529,9 @@ where
                     ("cell", Json::UInt(index as u64)),
                     ("attempt", Json::UInt(u64::from(attempts))),
                     ("failure", Json::from(failure.as_str())),
-                    ("backoff_yields", Json::UInt(backoff_yields)),
                 ],
             );
         }
-        attempt += 1;
     }
 }
 
@@ -562,28 +550,6 @@ fn stream_quarantine(sweep: &str, cell: usize, attempts: u32, message: &str) {
             ],
         );
     }
-}
-
-/// Bounded, seeded retry backoff: up to 255 cooperative yields, derived
-/// from (seed, sweep, cell, attempt) through a splitmix/xorshift scramble.
-/// No clock is read, so the retry schedule is a pure function of the run
-/// configuration. Returns the yield count taken, for the `retry` stream
-/// event.
-fn backoff(seed: u64, sweep: &str, index: usize, attempt: u32) -> u64 {
-    let mut x = seed
-        ^ (index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        ^ u64::from(attempt).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    for byte in sweep.bytes() {
-        x = (x ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    let yields = x % 256;
-    for _ in 0..yields {
-        thread::yield_now();
-    }
-    yields
 }
 
 // The result slots hold a `CellOutcome<T>` shared across the scope's
@@ -639,8 +605,9 @@ mod tests {
     #[test]
     fn transient_failures_are_retried_and_recover() {
         recorder::install(Settings::default());
+        let cell_2_runs = AtomicUsize::new(0);
         let results = run_supervised("sweep", supervisor(), 2, 4, |cell| {
-            if cell.index == 2 && cell.attempt == 0 {
+            if cell.index == 2 && cell_2_runs.fetch_add(1, Ordering::Relaxed) == 0 {
                 Err(Error::config("transient glitch"))
             } else {
                 Ok(cell.index as u64)
@@ -795,10 +762,11 @@ mod tests {
     #[test]
     fn supervisor_policy_round_trips_through_the_process_slot() {
         let before = supervisor();
-        // Keep retries/budget at their defaults so concurrently running
-        // sweeps in this test binary never observe a behavior change.
+        // Keep retries at their default and make the budget unreachable,
+        // so concurrently running sweeps in this test binary never observe
+        // a behavior change.
         let tweaked = SupervisorPolicy {
-            backoff_seed: 0xfeed,
+            cycle_budget: Some(u64::MAX),
             ..before
         };
         set_supervisor(tweaked);

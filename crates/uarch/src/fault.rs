@@ -9,6 +9,7 @@
 //! balancing mechanisms themselves use — so a strike is always a state the
 //! structures could legally reach, never undefined behaviour.
 
+use crate::cache::SetAssocCache;
 use crate::pipeline::{Parts, RegClass};
 use crate::scheduler::Field;
 
@@ -33,6 +34,19 @@ impl CacheTarget {
         CacheTarget::Dtlb,
         CacheTarget::Btb,
     ];
+}
+
+impl Parts {
+    /// The set-associative structure behind `target`, or `None` for an L2
+    /// that is not configured.
+    pub fn cache_mut(&mut self, target: CacheTarget) -> Option<&mut SetAssocCache> {
+        match target {
+            CacheTarget::Dl0 => Some(&mut self.dl0),
+            CacheTarget::L2 => self.l2.as_mut(),
+            CacheTarget::Dtlb => Some(self.dtlb.cache_mut()),
+            CacheTarget::Btb => Some(self.btb.cache_mut()),
+        }
+    }
 }
 
 /// One adversarial rewrite of live structure state.
@@ -78,27 +92,15 @@ pub enum StructureFault {
 pub fn apply(parts: &mut Parts, fault: &StructureFault, now: u64) -> bool {
     match *fault {
         StructureFault::InvertCacheLine { target, set } => {
-            let cache = match target {
-                CacheTarget::Dl0 => &mut parts.dl0,
-                CacheTarget::L2 => match parts.l2.as_mut() {
-                    Some(l2) => l2,
-                    None => return false,
-                },
-                CacheTarget::Dtlb => parts.dtlb.cache_mut(),
-                CacheTarget::Btb => parts.btb.cache_mut(),
+            let Some(cache) = parts.cache_mut(target) else {
+                return false;
             };
             let sets = cache.set_count();
             cache.invert_line_in(set % sets, now).is_some()
         }
         StructureFault::FlushCache { target } => {
-            let cache = match target {
-                CacheTarget::Dl0 => &mut parts.dl0,
-                CacheTarget::L2 => match parts.l2.as_mut() {
-                    Some(l2) => l2,
-                    None => return false,
-                },
-                CacheTarget::Dtlb => parts.dtlb.cache_mut(),
-                CacheTarget::Btb => parts.btb.cache_mut(),
+            let Some(cache) = parts.cache_mut(target) else {
+                return false;
             };
             cache.invalidate_all(now);
             true
@@ -143,6 +145,35 @@ mod tests {
 
     fn pipeline() -> Pipeline {
         Pipeline::new(PipelineConfig::default())
+    }
+
+    #[test]
+    fn cache_targets_resolve_to_their_structures() {
+        let mut pipe = pipeline();
+        let parts = &mut pipe.parts;
+        assert!(parts.l2.is_none(), "the default pipeline has no L2");
+        assert!(parts.cache_mut(CacheTarget::L2).is_none());
+        let dl0 = parts.dl0.config().lines();
+        let dtlb = parts.dtlb.cache().config().lines();
+        let btb = parts.btb.cache().config().lines();
+        for (target, lines) in [
+            (CacheTarget::Dl0, dl0),
+            (CacheTarget::Dtlb, dtlb),
+            (CacheTarget::Btb, btb),
+        ] {
+            let cache = parts.cache_mut(target).expect("always present");
+            assert_eq!(cache.config().lines(), lines, "{target:?}");
+        }
+
+        let mut with_l2 = Pipeline::new(PipelineConfig {
+            l2: Some(crate::cache::CacheConfig::dl0(256, 8)),
+            ..PipelineConfig::default()
+        });
+        let l2 = with_l2
+            .parts
+            .cache_mut(CacheTarget::L2)
+            .expect("configured");
+        assert_eq!(l2.config().lines(), 4096);
     }
 
     #[test]

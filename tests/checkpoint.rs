@@ -6,7 +6,6 @@
 
 use std::fs;
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard};
 
 use penelope::error::Error;
 use penelope::experiments::{self, Scale};
@@ -16,35 +15,7 @@ use penelope::par;
 use penelope_telemetry::{build_report, recorder, Json};
 
 mod common;
-use common::{canonicalize, settings};
-
-/// Serializes tests touching the process-global checkpoint slot and jobs
-/// setting.
-static CHECKPOINT_LOCK: Mutex<()> = Mutex::new(());
-
-fn checkpoint_lock() -> MutexGuard<'static, ()> {
-    CHECKPOINT_LOCK
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-fn tmp_path(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("penelope-checkpoint-tests");
-    fs::create_dir_all(&dir).expect("temp dir is writable");
-    let path = dir.join(name);
-    let _ = fs::remove_file(&path);
-    path
-}
-
-fn header(binary: &str) -> JournalHeader {
-    JournalHeader {
-        binary: binary.to_string(),
-        scale: obs::scale_json(&Scale::quick()),
-        fault_seed: 0,
-        retries: 1,
-        cell_budget: None,
-    }
-}
+use common::{canonicalize, global_lock, header, settings, tmp_path, truncate_journal};
 
 /// Runs `driver` at the given jobs setting with the given checkpoint
 /// context armed (or none) and returns the canonicalized report encoding
@@ -66,28 +37,9 @@ fn run_driver<T>(
     (report.encode(), value)
 }
 
-/// Simulates a crash mid-sweep: keeps the journal header plus the first
-/// `keep` data records and discards the rest, as a SIGKILL between
-/// atomic appends would. Returns how many data records remain.
-fn truncate_journal(path: &PathBuf, keep: usize) -> usize {
-    let text = fs::read_to_string(path).expect("journal exists");
-    let mut lines: Vec<&str> = text.lines().collect();
-    assert!(
-        lines.len() > keep + 1,
-        "journal too short to truncate: {} lines",
-        lines.len()
-    );
-    lines.truncate(keep + 1);
-    let kept = lines.len() - 1;
-    let mut out = lines.join("\n");
-    out.push('\n');
-    fs::write(path, out).expect("journal is writable");
-    kept
-}
-
 #[test]
 fn interrupted_table3_resumes_byte_identically_at_any_jobs() {
-    let _guard = checkpoint_lock();
+    let _guard = global_lock();
     let (baseline_report, baseline) = run_driver(1, None, || experiments::table3(Scale::quick()));
 
     for jobs in [1, 4] {
@@ -117,7 +69,7 @@ fn interrupted_table3_resumes_byte_identically_at_any_jobs() {
 
 #[test]
 fn interrupted_fig6_resumes_byte_identically_at_any_jobs() {
-    let _guard = checkpoint_lock();
+    let _guard = global_lock();
     let (baseline_report, baseline) = run_driver(1, None, || experiments::fig6(Scale::quick()));
 
     for jobs in [1, 4] {
@@ -148,7 +100,7 @@ fn resumes_from_a_complete_journal<T: PartialEq + std::fmt::Debug>(
     binary: &str,
     driver: impl Fn(Scale) -> Result<T, Error>,
 ) {
-    let _guard = checkpoint_lock();
+    let _guard = global_lock();
     let quick = || driver(Scale::quick());
     let (baseline_report, baseline) = run_driver(1, None, quick);
 
@@ -324,7 +276,7 @@ fn a_policy_of_the_wrong_width_refuses_resume_with_a_typed_error() {
     use penelope::sched_aware::SchedulerPolicy;
     use uarch::scheduler::Field;
 
-    let _guard = checkpoint_lock();
+    let _guard = global_lock();
     let path = tmp_path("policy-width.jsonl");
     let context = CheckpointContext::create(&path, &header("table4")).expect("journal opens");
     // A sealed record whose policy gives the 5-bit latency field 129

@@ -4,48 +4,16 @@
 //! and the fleet driver's report must stay byte-identical across jobs
 //! settings and across a crash-and-resume through the checkpoint journal.
 
-use std::fs;
-use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard};
-
 use penelope::error::Error;
 use penelope::experiments::Scale;
 use penelope::fleet::{self, FleetConfig, FleetSketch, FleetSummary};
-use penelope::journal::{CheckpointContext, JournalHeader};
-use penelope::obs;
+use penelope::journal::CheckpointContext;
 use penelope::par;
 use penelope_telemetry::{build_report, recorder};
 use proptest::prelude::*;
 
 mod common;
-use common::{canonicalize, settings};
-
-/// Serializes tests touching the process-global jobs/checkpoint slots.
-static FLEET_LOCK: Mutex<()> = Mutex::new(());
-
-fn fleet_lock() -> MutexGuard<'static, ()> {
-    FLEET_LOCK
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-fn tmp_path(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("penelope-fleet-tests");
-    fs::create_dir_all(&dir).expect("temp dir is writable");
-    let path = dir.join(name);
-    let _ = fs::remove_file(&path);
-    path
-}
-
-fn header() -> JournalHeader {
-    JournalHeader {
-        binary: "fleet".to_string(),
-        scale: obs::scale_json(&Scale::quick()),
-        fault_seed: 0,
-        retries: 1,
-        cell_budget: None,
-    }
-}
+use common::{canonicalize, global_lock, header, settings, tmp_path, truncate_journal};
 
 /// Runs the quick-scale fleet driver at the given jobs setting (with an
 /// optional checkpoint context armed) and returns the canonicalized
@@ -63,24 +31,6 @@ fn run_fleet(jobs: usize, context: Option<CheckpointContext>) -> (String, FleetS
     let mut report = build_report(&collector);
     canonicalize(&mut report);
     (report.encode(), summary)
-}
-
-/// Simulates a crash mid-sweep: keeps the journal header plus the first
-/// `keep` data records, as a SIGKILL between atomic appends would.
-fn truncate_journal(path: &PathBuf, keep: usize) -> usize {
-    let text = fs::read_to_string(path).expect("journal exists");
-    let mut lines: Vec<&str> = text.lines().collect();
-    assert!(
-        lines.len() > keep + 1,
-        "journal too short to truncate: {} lines",
-        lines.len()
-    );
-    lines.truncate(keep + 1);
-    let kept = lines.len() - 1;
-    let mut out = lines.join("\n");
-    out.push('\n');
-    fs::write(path, out).expect("journal is writable");
-    kept
 }
 
 // ------------------------------------------------ partition invariance
@@ -162,7 +112,7 @@ proptest! {
 
 #[test]
 fn fleet_reports_are_byte_identical_across_jobs_settings() {
-    let _guard = fleet_lock();
+    let _guard = global_lock();
     let (serial_report, serial) = run_fleet(1, None);
     let (parallel_report, parallel) = run_fleet(4, None);
     assert_eq!(serial, parallel, "fleet summary must not depend on --jobs");
@@ -178,7 +128,7 @@ fn fleet_reports_are_byte_identical_across_jobs_settings() {
 
 #[test]
 fn an_interrupted_fleet_sweep_resumes_byte_identically() {
-    let _guard = fleet_lock();
+    let _guard = global_lock();
     let (baseline_report, baseline) = run_fleet(1, None);
 
     for jobs in [1, 4] {
@@ -186,14 +136,14 @@ fn an_interrupted_fleet_sweep_resumes_byte_identically() {
 
         // A clean checkpointed run is indistinguishable from an
         // uncheckpointed one.
-        let context = CheckpointContext::create(&path, &header()).expect("journal opens");
+        let context = CheckpointContext::create(&path, &header("fleet")).expect("journal opens");
         let (full_report, full) = run_fleet(jobs, Some(context));
         assert_eq!(full, baseline, "jobs={jobs}");
         assert_eq!(full_report, baseline_report, "jobs={jobs}");
 
         // Crash after three completed cells, then resume.
         let kept = truncate_journal(&path, 3);
-        let context = CheckpointContext::resume(&path, &header()).expect("resume succeeds");
+        let context = CheckpointContext::resume(&path, &header("fleet")).expect("resume succeeds");
         assert_eq!(context.restored_cells(), kept, "jobs={jobs}");
         let (resumed_report, resumed) = run_fleet(jobs, Some(context));
         assert_eq!(resumed, baseline, "jobs={jobs}");

@@ -6,8 +6,6 @@
 //! identity, ordering and sanity are pinned here (determinism across runs
 //! is covered by the `determinism` suite).
 
-use std::sync::{Mutex, MutexGuard};
-
 use penelope::error::Error;
 use penelope::experiments::{self, efficiency_summary, efficiency_summary_faulted, Scale};
 use penelope::fault::FaultPlan;
@@ -18,7 +16,7 @@ use penelope_telemetry::recorder::{self, Settings};
 use penelope_telemetry::{build_report, Json};
 
 mod common;
-use common::{canonicalize, settings};
+use common::{canonicalize, fnv1a, global_lock, settings};
 
 const ROW_NAMES: [&str; 6] = [
     "baseline (full guardband)",
@@ -120,14 +118,6 @@ fn measured_rows_stay_within_paper_neighborhood() {
 // pins the full report, span tree included (one `obs.with_recording`
 // span per geometry cell).
 
-static JOBS_LOCK: Mutex<()> = Mutex::new(());
-
-fn jobs_lock() -> MutexGuard<'static, ()> {
-    JOBS_LOCK
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 const FIG6_REPORT_FNV1A: u64 = 0xe85f_91cf_3266_1cd1;
 const TABLE3_REPORT_FNV1A: u64 = 0x32a5_fd4b_00a4_d523;
 const PRE_TRACING_FIG6_REPORT_FNV1A: u64 = 0x8e66_90d8_63a2_c3c1;
@@ -145,17 +135,6 @@ const NON_CACHE_SERIES: [&str; 4] = [
     "sched.worst_cell_duty",
     "rinv.staleness",
 ];
-
-/// FNV-1a 64-bit, the same hash everywhere so pins are easy to regenerate
-/// (print `canonical_report_hash(...)` and paste).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 /// Drops the top-level `spans` key so the rest of the report can be
 /// compared against the pre-tracing pins.
@@ -202,7 +181,7 @@ fn canonical_report_hashes<T>(jobs: usize, driver: impl Fn() -> Result<T, Error>
 
 #[test]
 fn fig6_report_matches_the_golden_hashes() {
-    let _guard = jobs_lock();
+    let _guard = global_lock();
     for jobs in [1, 4] {
         let (hash, sans_spans) =
             canonical_report_hashes(jobs, || experiments::fig6(Scale::quick()));
@@ -226,7 +205,7 @@ fn fig6_report_matches_the_golden_hashes() {
 /// were dropped from it.
 #[test]
 fn table3_report_matches_the_golden_hashes() {
-    let _guard = jobs_lock();
+    let _guard = global_lock();
     for jobs in [1, 4] {
         let mut report = canonical_report(jobs, || experiments::table3(Scale::quick()));
         let hash = report_hash(&report);
@@ -271,7 +250,7 @@ fn debug_hash(value: &impl std::fmt::Debug) -> u64 {
 
 #[test]
 fn table3_numbers_match_the_pinned_rows() {
-    let _guard = jobs_lock();
+    let _guard = global_lock();
     let scale = Scale::quick();
     for jobs in [1, 4] {
         par::set_jobs(jobs);
@@ -298,7 +277,7 @@ fn table3_numbers_match_the_pinned_rows() {
 /// arithmetic or the cell merge order flips this hash.
 #[test]
 fn fleet_report_matches_the_golden_hash() {
-    let _guard = jobs_lock();
+    let _guard = global_lock();
     for jobs in [1, 4] {
         let (hash, _) = canonical_report_hashes(jobs, || {
             fleet::fleet(Scale::quick(), FleetConfig::for_scale(Scale::quick()))
@@ -317,7 +296,7 @@ fn fleet_report_matches_the_golden_hash() {
 /// tables are compared across the two paths here.
 #[test]
 fn rendered_tables_do_not_depend_on_the_recorder() {
-    let _guard = jobs_lock();
+    let _guard = global_lock();
     let render = || {
         let scale = Scale::quick();
         let fig6 = experiments::fig6(scale).expect("quick fig6 runs");

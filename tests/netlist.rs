@@ -5,10 +5,6 @@
 //! settings and crash-and-resume, and golden report-hash pins for the
 //! bundled decoder and multiplier fixtures at standard scale.
 
-use std::fs;
-use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard};
-
 use gatesim::adder::LadnerFischerAdder;
 use gatesim::blif;
 use gatesim::passes::{self, MergedStress, PartitionStress, PassConfig};
@@ -17,53 +13,14 @@ use gatesim::stress::StressTracker;
 use nbti_model::guardband::GuardbandModel;
 use penelope::error::Error;
 use penelope::experiments::Scale;
-use penelope::journal::{CheckpointContext, JournalHeader};
+use penelope::journal::CheckpointContext;
 use penelope::netlist_study::{self, stimulus, NetlistConfig, NetlistSource, NetlistSummary};
-use penelope::obs;
 use penelope::par;
 use penelope_telemetry::{build_report, recorder};
 use proptest::prelude::*;
 
 mod common;
-use common::{canonicalize, settings};
-
-/// Serializes tests touching the process-global jobs/checkpoint slots.
-static NETLIST_LOCK: Mutex<()> = Mutex::new(());
-
-fn netlist_lock() -> MutexGuard<'static, ()> {
-    NETLIST_LOCK
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-fn tmp_path(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("penelope-netlist-tests");
-    fs::create_dir_all(&dir).expect("temp dir is writable");
-    let path = dir.join(name);
-    let _ = fs::remove_file(&path);
-    path
-}
-
-fn header() -> JournalHeader {
-    JournalHeader {
-        binary: "netlist".to_string(),
-        scale: obs::scale_json(&Scale::quick()),
-        fault_seed: 0,
-        retries: 1,
-        cell_budget: None,
-    }
-}
-
-/// FNV-1a 64-bit (same hash as `tests/golden.rs`, so pins are easy to
-/// regenerate: print the hash and paste).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
+use common::{canonicalize, fnv1a, global_lock, header, settings, tmp_path, truncate_journal};
 
 /// Runs the netlist driver at the given jobs setting (optionally with a
 /// checkpoint context armed) and returns the canonicalized report
@@ -84,24 +41,6 @@ fn run_study(
     let mut report = build_report(&collector);
     canonicalize(&mut report);
     (report.encode(), summary)
-}
-
-/// Simulates a crash mid-sweep: keeps the journal header plus the first
-/// `keep` data records, as a SIGKILL between atomic appends would.
-fn truncate_journal(path: &PathBuf, keep: usize) -> usize {
-    let text = fs::read_to_string(path).expect("journal exists");
-    let mut lines: Vec<&str> = text.lines().collect();
-    assert!(
-        lines.len() > keep + 1,
-        "journal too short to truncate: {} lines",
-        lines.len()
-    );
-    lines.truncate(keep + 1);
-    let kept = lines.len() - 1;
-    let mut out = lines.join("\n");
-    out.push('\n');
-    fs::write(path, out).expect("journal is writable");
-    kept
 }
 
 // ------------------------------------------------- differential oracle
@@ -192,7 +131,7 @@ proptest! {
 /// reorganize the work, never the physics.
 #[test]
 fn pass_pipeline_never_changes_driver_aging_results() {
-    let _guard = netlist_lock();
+    let _guard = global_lock();
     let base = NetlistConfig {
         source: NetlistSource::AdderExport,
         ..NetlistConfig::for_scale(Scale::quick())
@@ -219,7 +158,7 @@ fn pass_pipeline_never_changes_driver_aging_results() {
 
 #[test]
 fn netlist_reports_are_byte_identical_across_jobs_settings() {
-    let _guard = netlist_lock();
+    let _guard = global_lock();
     let config = NetlistConfig::for_scale(Scale::quick());
     let (serial_report, serial) = run_study(&config, 1, None);
     let (parallel_report, parallel) = run_study(&config, 4, None);
@@ -234,7 +173,7 @@ fn netlist_reports_are_byte_identical_across_jobs_settings() {
 
 #[test]
 fn an_interrupted_netlist_study_resumes_byte_identically() {
-    let _guard = netlist_lock();
+    let _guard = global_lock();
     let config = NetlistConfig::for_scale(Scale::quick());
     let (baseline_report, baseline) = run_study(&config, 1, None);
 
@@ -243,14 +182,15 @@ fn an_interrupted_netlist_study_resumes_byte_identically() {
 
         // A clean checkpointed run is indistinguishable from an
         // uncheckpointed one.
-        let context = CheckpointContext::create(&path, &header()).expect("journal opens");
+        let context = CheckpointContext::create(&path, &header("netlist")).expect("journal opens");
         let (full_report, full) = run_study(&config, jobs, Some(context));
         assert_eq!(full, baseline, "jobs={jobs}");
         assert_eq!(full_report, baseline_report, "jobs={jobs}");
 
         // Crash after two completed partition cells, then resume.
         let kept = truncate_journal(&path, 2);
-        let context = CheckpointContext::resume(&path, &header()).expect("resume succeeds");
+        let context =
+            CheckpointContext::resume(&path, &header("netlist")).expect("resume succeeds");
         assert_eq!(context.restored_cells(), kept, "jobs={jobs}");
         let (resumed_report, resumed) = run_study(&config, jobs, Some(context));
         assert_eq!(resumed, baseline, "jobs={jobs}");
@@ -281,7 +221,7 @@ fn golden_config(source: NetlistSource) -> NetlistConfig {
 
 #[test]
 fn decoder_report_matches_the_golden_hash() {
-    let _guard = netlist_lock();
+    let _guard = global_lock();
     for jobs in [1, 4] {
         let (report, summary) = run_study(&golden_config(NetlistSource::Decoder), jobs, None);
         assert_eq!(summary.model, "decoder4x16");
@@ -296,7 +236,7 @@ fn decoder_report_matches_the_golden_hash() {
 
 #[test]
 fn multiplier_report_matches_the_golden_hash() {
-    let _guard = netlist_lock();
+    let _guard = global_lock();
     for jobs in [1, 4] {
         let (report, summary) = run_study(&golden_config(NetlistSource::Multiplier), jobs, None);
         assert_eq!(summary.model, "mul4x4");

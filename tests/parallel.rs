@@ -10,12 +10,11 @@
 //! recorder — shows up as a byte diff here before it can corrupt a
 //! reproduced figure.
 //!
-//! The `JOBS_LOCK` mutex serializes tests that touch the process-global
+//! The shared `global_lock` serializes tests that touch the process-global
 //! jobs setting; the contract itself makes cross-test interference
 //! harmless (outputs are identical at any setting), but the lock keeps
 //! each assertion about a *specific* setting honest.
 
-use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use penelope::error::Error;
@@ -25,15 +24,7 @@ use penelope::par;
 use penelope_telemetry::{build_report, recorder};
 
 mod common;
-use common::{canonicalize, settings};
-
-static JOBS_LOCK: Mutex<()> = Mutex::new(());
-
-fn jobs_lock() -> MutexGuard<'static, ()> {
-    JOBS_LOCK
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
+use common::{canonicalize, global_lock, settings};
 
 /// Runs `driver` under a fresh recorder at the given jobs setting and
 /// returns the canonicalized report encoding plus the driver's value.
@@ -50,7 +41,7 @@ fn report_at_jobs<T>(jobs: usize, driver: impl Fn() -> Result<T, Error>) -> (Str
 
 #[test]
 fn table3_reports_are_byte_identical_at_jobs_1_and_4() {
-    let _guard = jobs_lock();
+    let _guard = global_lock();
     let (serial_report, serial) = report_at_jobs(1, || experiments::table3(Scale::quick()));
     let (parallel_report, parallel) = report_at_jobs(4, || experiments::table3(Scale::quick()));
     assert_eq!(
@@ -69,7 +60,7 @@ fn table3_reports_are_byte_identical_at_jobs_1_and_4() {
 
 #[test]
 fn fig6_reports_are_byte_identical_at_jobs_1_and_4() {
-    let _guard = jobs_lock();
+    let _guard = global_lock();
     let (serial_report, serial) = report_at_jobs(1, || experiments::fig6(Scale::quick()));
     let (parallel_report, parallel) = report_at_jobs(4, || experiments::fig6(Scale::quick()));
     assert_eq!(serial, parallel, "fig6 results must not depend on jobs");
@@ -84,7 +75,7 @@ fn nested_driver_reports_are_byte_identical_at_jobs_1_and_4() {
     // efficiency_summary nests engine grids (its cells call fig6/fig8,
     // which run their own grids), so it exercises recorder inheritance
     // two levels deep.
-    let _guard = jobs_lock();
+    let _guard = global_lock();
     let (serial_report, serial) =
         report_at_jobs(1, || experiments::efficiency_summary(Scale::quick()));
     let (parallel_report, parallel) =
@@ -98,7 +89,7 @@ fn merged_telemetry_is_invariant_under_seeded_completion_shuffles() {
     // Property-style pin: whatever (seeded) completion order the workers
     // produce, the merged report equals the serial one. Per-cell delays
     // come from an LCG so each seed exercises a different finish order.
-    let _guard = jobs_lock();
+    let _guard = global_lock();
     const CELLS: usize = 12;
     let run = |seed: u64, jobs: usize| -> String {
         let mut state = seed;
@@ -144,7 +135,7 @@ fn cell_errors_are_deterministic_at_any_jobs() {
     // cell first — a failing sweep reports the same thing serial or
     // parallel. Persistent errors now surface as supervised quarantines
     // carrying the retry count.
-    let _guard = jobs_lock();
+    let _guard = global_lock();
     for jobs in [1, 2, 8] {
         par::set_jobs(jobs);
         let result: Result<Vec<u64>, Error> = par::try_cells_named("sweep", 10, |cell| {
@@ -179,7 +170,7 @@ fn cell_errors_are_deterministic_at_any_jobs() {
 fn faulted_runs_are_unaffected_by_the_jobs_setting() {
     // Fault injection and parallelism compose: the same seeded plan
     // produces the same outcome (rows or typed error) at any jobs.
-    let _guard = jobs_lock();
+    let _guard = global_lock();
     let plan = FaultPlan::random(7);
     par::set_jobs(1);
     let serial = experiments::efficiency_summary_faulted(Scale::quick(), &plan);
@@ -196,7 +187,7 @@ fn table3_thorough_parallel_speedup_is_at_least_2x() {
     // must be at least 2x faster than --jobs 1. Wall-clock sensitive, so
     // it is opt-in (CI machines with throttled or single cores would
     // flake); the byte-identity tests above cover correctness.
-    let _guard = jobs_lock();
+    let _guard = global_lock();
     let cores = par::available_parallelism();
     if cores < 2 {
         eprintln!("single-core machine; speedup benchmark has nothing to measure");

@@ -5,7 +5,7 @@
 //! lifecycle — heartbeats, cell completions, retries and quarantines.
 
 use std::io::Write;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 use penelope::error::Error;
 use penelope::experiments::{self, Scale};
@@ -14,17 +14,7 @@ use penelope_telemetry::recorder::{self, Settings};
 use penelope_telemetry::{build_report, decode_snapshot, encode_snapshot, span, Json};
 
 mod common;
-use common::{canonicalize, settings};
-
-/// Serializes tests in this binary: the jobs count and the event stream
-/// are process-global.
-static GLOBAL_LOCK: Mutex<()> = Mutex::new(());
-
-fn global_lock() -> MutexGuard<'static, ()> {
-    GLOBAL_LOCK
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
+use common::{canonicalize, global_lock, settings};
 
 /// Runs fig6 under a fresh recorder at the given jobs setting and returns
 /// the encoded cycle-domain span tree: the report's `spans` with the

@@ -8,24 +8,14 @@
 //! at `--jobs 1` and `--jobs 4`, with supervisor warnings in cell-index
 //! order regardless of which worker hit the failure first.
 
-use std::sync::{Mutex, MutexGuard};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use penelope::error::Error;
 use penelope::par::{self, SupervisorPolicy};
 use penelope_telemetry::{build_report, recorder, Json};
 
 mod common;
-use common::{canonicalize, settings};
-
-/// Serializes tests touching the process-global supervisor policy and
-/// jobs count.
-static SUPERVISOR_LOCK: Mutex<()> = Mutex::new(());
-
-fn supervisor_lock() -> MutexGuard<'static, ()> {
-    SUPERVISOR_LOCK
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
+use common::{canonicalize, global_lock, settings};
 
 fn warnings_of(report: &Json) -> Vec<String> {
     report
@@ -46,9 +36,10 @@ fn warnings_of(report: &Json) -> Vec<String> {
 fn unhealthy_grid(jobs: usize) -> (Json, Vec<Result<u64, Error>>) {
     par::set_jobs(jobs);
     recorder::install(settings());
+    let cell_2_runs = AtomicUsize::new(0);
     let results = par::run_cells_named("sweep", 8, |cell| {
         match cell.index {
-            2 if cell.attempt == 0 => {
+            2 if cell_2_runs.fetch_add(1, Ordering::Relaxed) == 0 => {
                 return Err(Error::config("transient wobble"));
             }
             5 => return Err(Error::config("persistent fault")),
@@ -69,7 +60,7 @@ fn unhealthy_grid(jobs: usize) -> (Json, Vec<Result<u64, Error>>) {
 
 #[test]
 fn supervisor_warnings_are_deterministic_and_in_cell_order() {
-    let _guard = supervisor_lock();
+    let _guard = global_lock();
     let (serial_report, serial) = unhealthy_grid(1);
     let (parallel_report, parallel) = unhealthy_grid(4);
 
@@ -116,7 +107,7 @@ fn supervisor_warnings_are_deterministic_and_in_cell_order() {
 
 #[test]
 fn persistent_faults_yield_a_partial_report_not_a_panic() {
-    let _guard = supervisor_lock();
+    let _guard = global_lock();
     let (report, results) = unhealthy_grid(4);
 
     // Quarantined cells are recorded, completed cells are preserved: the
@@ -144,11 +135,10 @@ fn persistent_faults_yield_a_partial_report_not_a_panic() {
 
 #[test]
 fn the_cycle_budget_is_enforced_at_any_jobs() {
-    let _guard = supervisor_lock();
+    let _guard = global_lock();
     let default_policy = par::supervisor();
     par::set_supervisor(SupervisorPolicy {
         retries: 1,
-        backoff_seed: 0,
         cycle_budget: Some(500),
     });
     for jobs in [1, 4] {
