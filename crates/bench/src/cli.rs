@@ -1,9 +1,14 @@
 //! The shared command-line front end for every `penelope-bench` binary.
 //!
-//! All eleven binaries funnel through [`run_main`]: flag parsing, the
+//! All thirteen binaries funnel through [`run_main`]: flag parsing, the
 //! panic supervisor and — when a report path is given — the telemetry
 //! recorder lifecycle. A binary's `main` is one call naming its slug,
 //! artifact and paper section plus a closure running the experiment.
+//!
+//! Every run takes one path: one closure runs under one `catch_unwind`,
+//! its outcome maps to one status and exit code, and its rendered result
+//! goes to one human-readable stream (stdout, or stderr under
+//! `--stream -`). `--faults` only swaps which closure runs.
 //!
 //! Accepted flags (shared by every binary):
 //!
@@ -20,16 +25,15 @@
 //!   with a typed error;
 //! - `--stream <path|->` — emit live JSONL introspection events
 //!   (run/heartbeat/cell/retry/quarantine/journal-append) to a file or
-//!   stdout while the run executes (`penelope_telemetry::span`); with
+//!   stdout while the run executes (`penelope_telemetry::span`); the
+//!   heartbeats carry a sweep's done/total/quarantined cell counts. With
 //!   `-` the human-readable output moves to stderr so stdout stays pure
 //!   JSONL;
 //! - `--trace <path>` — write a `chrome://tracing` span timeline of the
 //!   finished run (implies the recorder, like `--json`);
-//! - `--progress` — live cells-done/total progress line on stderr;
-//!   auto-disabled when stderr is not a terminal so CI logs stay clean;
-//! - `--faults <seed>` — replace the experiment with a seeded
-//!   fault-injection run of the efficiency pipeline (always exits
-//!   nonzero);
+//! - `--faults <seed>` — run a seeded fault plan through the efficiency
+//!   pipeline in place of the experiment, on the same supervised path
+//!   (always exits 1: a faulted run is never a reproduction);
 //! - `-h` / `--help` — print usage and exit successfully.
 //!
 //! Flags are the only configuration channel, and every one is strict: a
@@ -40,13 +44,14 @@
 //!
 //! When a report path is active, drivers contribute phases/series through
 //! `penelope::obs`, and the finished report is validated and written even
-//! when the experiment fails (with `"status": "error"` in the manifest).
+//! when the run fails (with `"status": "error"` in the manifest) — a
+//! refused checkpoint journal included.
 //! A run whose sweeps quarantined cells (see `penelope::par`) writes the
 //! report with `"status": "incomplete"` and exits with code 3: the
 //! partial results and the structured `quarantined: …` warnings are
 //! preserved instead of aborting the whole reproduction.
 
-use std::io::{self, IsTerminal, Write};
+use std::io::{self, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe, UnwindSafe};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -90,7 +95,7 @@ pub fn parse_scale(name: &str) -> Result<Scale, String> {
 
 /// The canonical name of a scale, for the run manifest. Scales that match
 /// none of the presets (impossible through this CLI) read "custom".
-pub fn scale_name(scale: Scale) -> &'static str {
+fn scale_name(scale: Scale) -> &'static str {
     if scale == Scale::quick() {
         "quick"
     } else if scale == Scale::standard() {
@@ -117,7 +122,7 @@ fn degraded(message: String) {
 /// # Errors
 ///
 /// Returns a human-readable description of the rejected value.
-pub fn parse_jobs(value: &str) -> Result<usize, String> {
+fn parse_jobs(value: &str) -> Result<usize, String> {
     match value.trim().parse::<usize>() {
         Ok(0) | Err(_) => Err(format!(
             "invalid job count {value:?} (expected a positive integer)"
@@ -131,7 +136,7 @@ pub fn parse_jobs(value: &str) -> Result<usize, String> {
 /// # Errors
 ///
 /// Returns a human-readable description of the rejected value.
-pub fn parse_fault_seed(value: &str) -> Result<u64, String> {
+fn parse_fault_seed(value: &str) -> Result<u64, String> {
     value
         .trim()
         .parse::<u64>()
@@ -143,7 +148,7 @@ pub fn parse_fault_seed(value: &str) -> Result<u64, String> {
 /// # Errors
 ///
 /// Returns the stream's write error.
-pub fn header(out: &mut dyn Write, what: &str, paper_ref: &str, scale: Scale) -> io::Result<()> {
+fn header(out: &mut dyn Write, what: &str, paper_ref: &str, scale: Scale) -> io::Result<()> {
     writeln!(out, "=== Penelope reproduction: {what} ({paper_ref}) ===")?;
     writeln!(
         out,
@@ -176,7 +181,6 @@ struct Args {
     resume: bool,
     stream: Option<PathBuf>,
     trace: Option<PathBuf>,
-    progress: bool,
     faults: Option<u64>,
     help: bool,
     /// Registered experiment-specific flags, as `(flag, value)` pairs in
@@ -226,12 +230,6 @@ fn parse_args_with<I: IntoIterator<Item = String>>(
             }
             "--stream" => parsed.stream = Some(PathBuf::from(value("--stream")?)),
             "--trace" => parsed.trace = Some(PathBuf::from(value("--trace")?)),
-            "--progress" => {
-                if inline.is_some() {
-                    return Err("--progress does not take a value".to_string());
-                }
-                parsed.progress = true;
-            }
             "--faults" => {
                 parsed.faults = Some(named("--faults", parse_fault_seed(&value("--faults")?))?);
             }
@@ -267,7 +265,7 @@ fn usage_with(slug: &str, extra_flags: &[ExtraFlag]) {
     println!(
         "USAGE: {slug} [--scale <quick|standard|thorough>] [--jobs <N>] [--json <path>]\n\
          \x20               [--checkpoint <path>] [--resume] [--stream <path|->]\n\
-         \x20               [--trace <path>] [--progress] [--faults <seed>]\n\
+         \x20               [--trace <path>] [--faults <seed>]\n\
          \n\
          Options:\n\
          \x20 --scale <name>      experiment size (default: standard)\n\
@@ -285,8 +283,6 @@ fn usage_with(slug: &str, extra_flags: &[ExtraFlag]) {
          \x20                     or to stdout when the path is '-' (the human-readable\n\
          \x20                     output then moves to stderr)\n\
          \x20 --trace <path>      write a chrome://tracing span timeline of the run\n\
-         \x20 --progress          live cells-done/total line on stderr (auto-disabled\n\
-         \x20                     when stderr is not a terminal)\n\
          \x20 --faults <seed>     replace the experiment with a seeded fault-injection\n\
          \x20                     run (u64 seed; always exits nonzero)\n\
          \x20 -h, --help          print this help"
@@ -309,7 +305,7 @@ fn usage_with(slug: &str, extra_flags: &[ExtraFlag]) {
 /// # Errors
 ///
 /// Returns a human-readable description of the rejected value.
-pub fn parse_report_path(value: &str) -> Result<PathBuf, String> {
+fn parse_report_path(value: &str) -> Result<PathBuf, String> {
     let trimmed = value.trim();
     if trimmed.is_empty() {
         return Err(format!(
@@ -362,9 +358,9 @@ impl Outcome {
 /// section. The closure receives the chosen scale and returns the rendered
 /// report. Typed errors and panics are both reported to stderr with a
 /// partial-results note and mapped to a nonzero exit code. With
-/// `--faults <seed>` the closure is bypassed: the seeded fault plan runs
-/// through the full pipeline instead, and the process always exits
-/// nonzero.
+/// `--faults <seed>` the seeded fault plan runs through the efficiency
+/// pipeline in the closure's place, under the same supervisor, and the
+/// outcome is then forced to failure.
 ///
 /// With `--json <path>` the telemetry recorder is active for the whole run
 /// and a validated JSON run report is written to `path` on the way out —
@@ -409,8 +405,7 @@ pub fn run_main_with(
     let scale = args.scale.unwrap_or_else(Scale::standard);
     // `--trace` implies the recorder too: the chrome trace is rendered
     // from the same collector.
-    let recording = args.json.is_some() || args.trace.is_some();
-    if recording {
+    if args.json.is_some() || args.trace.is_some() {
         recorder::install(Settings::default());
         recorder::manifest_entry("binary", Json::from(slug));
         recorder::manifest_entry("artifact", Json::from(what));
@@ -421,25 +416,21 @@ pub fn run_main_with(
     // of the manifest so reports stay byte-identical across --jobs
     // settings (the determinism contract in `penelope::par`).
     par::set_jobs(args.jobs.unwrap_or_else(par::available_parallelism));
-    // Progress is a terminal affordance: when stderr is a pipe (CI logs,
-    // redirects) the flag silently stands down so logs stay clean.
-    if args.progress && std::io::stderr().is_terminal() {
-        par::set_progress(true);
-    }
-    // With the event stream on stdout, the human-readable output moves to
-    // stderr so stdout stays pure, machine-parseable JSONL.
+    // The human-readable output (header and result) goes to one stream:
+    // stdout, or stderr when the event stream takes stdout, so that stdout
+    // stays pure, machine-parseable JSONL.
     let stream_to_stdout = args
         .stream
         .as_ref()
         .is_some_and(|path| path.as_os_str() == "-");
-    let written = if stream_to_stdout {
-        header(&mut io::stderr(), what, paper_ref, scale)
+    let mut human: Box<dyn Write> = if stream_to_stdout {
+        Box::new(io::stderr())
     } else {
-        header(&mut io::stdout(), what, paper_ref, scale)
+        Box::new(io::stdout())
     };
-    if let Err(err) = written {
+    if let Err(err) = header(&mut *human, what, paper_ref, scale) {
         eprintln!("error: cannot write the header: {err}");
-        return ExitCode::FAILURE;
+        return conclude(slug, &args, Outcome::Failed);
     }
 
     let plan = args.faults.map(FaultPlan::random);
@@ -474,9 +465,8 @@ pub fn run_main_with(
                 par::set_checkpoint(Some(context));
             }
             Err(err) => {
-                eprintln!("{slug}: {err}");
-                let _ = recorder::finish();
-                return ExitCode::FAILURE;
+                degraded(format!("{slug}: {err}"));
+                return conclude(slug, &args, Outcome::Failed);
             }
         }
     }
@@ -485,76 +475,87 @@ pub fn run_main_with(
     // fully resolved configuration. `-` streams to stdout for piping into
     // `jq`-style consumers; a file that cannot be created degrades the
     // run (warning on stderr and in the report) instead of failing it.
-    let mut streaming = false;
-    if let Some(path) = &args.stream {
-        let writer: Option<Box<dyn std::io::Write + Send>> = if path.as_os_str() == "-" {
-            Some(Box::new(std::io::stdout()))
-        } else {
-            match std::fs::File::create(path) {
-                Ok(file) => Some(Box::new(file)),
-                Err(err) => {
-                    degraded(format!(
-                        "cannot open event stream {}: {err}; streaming disabled",
-                        path.display()
-                    ));
-                    None
-                }
+    let stream: Option<Box<dyn Write + Send>> = match &args.stream {
+        Some(_) if stream_to_stdout => Some(Box::new(io::stdout())),
+        Some(path) => match std::fs::File::create(path) {
+            Ok(file) => Some(Box::new(file)),
+            Err(err) => {
+                degraded(format!(
+                    "cannot open event stream {}: {err}; streaming disabled",
+                    path.display()
+                ));
+                None
             }
-        };
-        if let Some(writer) = writer {
-            span::set_stream(Some(writer));
-            span::stream_event(
-                "run-start",
-                &[
-                    ("binary", Json::from(slug)),
-                    ("artifact", Json::from(what)),
-                    ("scale", Json::from(scale_name(scale))),
-                ],
-            );
-            streaming = true;
-        }
+        },
+        None => None,
+    };
+    let streaming = stream.is_some();
+    if streaming {
+        span::set_stream(stream);
+        span::stream_event(
+            "run-start",
+            &[
+                ("binary", Json::from(slug)),
+                ("artifact", Json::from(what)),
+                ("scale", Json::from(scale_name(scale))),
+            ],
+        );
     }
 
-    let outcome = if let Some(plan) = plan {
+    // A fault plan replaces the experiment: the seeded plan runs through
+    // the efficiency pipeline, on the same supervised path as any run.
+    if let Some(plan) = &plan {
         recorder::manifest_entry("fault_seed", Json::from(plan.seed));
-        run_faulted(what, scale, &plan)
-    } else {
-        match catch_unwind(AssertUnwindSafe(|| experiment(scale, &args.extras))) {
-            Ok(Ok(rendered)) => {
-                if stream_to_stdout {
-                    eprint!("{rendered}");
-                } else {
-                    print!("{rendered}");
-                }
-                Outcome::Pass
-            }
-            Ok(Err(err @ Error::Quarantined { .. })) => {
-                eprintln!("{what}: experiment incomplete: {err}");
-                eprintln!(
-                    "{what}: quarantined cells are recorded in the report's \
-                     warnings; completed cells were preserved"
-                );
-                Outcome::Incomplete
-            }
-            Ok(Err(err)) => {
-                eprintln!("{what}: experiment failed: {err}");
-                eprintln!("{what}: no results were produced");
+        eprintln!(
+            "{what}: FAULT INJECTION ACTIVE (seed {}, {:?}) — robustness \
+             exercise, not a reproduction",
+            plan.seed, plan.kinds
+        );
+    }
+    let run = || match &plan {
+        Some(plan) => efficiency_summary_faulted(scale, plan).map(|rows| render_efficiency(&rows)),
+        None => experiment(scale, &args.extras),
+    };
+    let mut outcome = match catch_unwind(AssertUnwindSafe(run)) {
+        Ok(Ok(rendered)) => match human
+            .write_all(rendered.as_bytes())
+            .and_then(|()| human.flush())
+        {
+            Ok(()) => Outcome::Pass,
+            Err(err) => {
+                eprintln!("{what}: cannot write the result: {err}");
                 Outcome::Failed
             }
-            Err(payload) => {
-                // `degraded` lands the payload message in the report's
-                // warnings array too, not just on stderr.
-                degraded(format!(
-                    "{what}: experiment panicked: {}",
-                    panic_message(&*payload)
-                ));
-                eprintln!("{what}: partial results lost; this is a bug in the harness");
-                Outcome::Failed
-            }
+        },
+        Ok(Err(err @ Error::Quarantined { .. })) => {
+            eprintln!("{what}: experiment incomplete: {err}");
+            eprintln!(
+                "{what}: quarantined cells are recorded in the report's \
+                 warnings; completed cells were preserved"
+            );
+            Outcome::Incomplete
+        }
+        Ok(Err(err)) => {
+            eprintln!("{what}: experiment failed: {err}");
+            eprintln!("{what}: no results were produced");
+            Outcome::Failed
+        }
+        Err(payload) => {
+            // `degraded` lands the payload message in the report's
+            // warnings array too, not just on stderr.
+            degraded(format!(
+                "{what}: experiment PANICKED: {} — partial results lost; \
+                 this is a bug in the harness",
+                panic_message(&*payload)
+            ));
+            Outcome::Failed
         }
     };
+    if plan.is_some() {
+        eprintln!("{what}: fault injection was active, so the run is not a reproduction");
+        outcome = Outcome::Failed;
+    }
     par::set_checkpoint(None);
-    par::set_progress(false);
     if streaming {
         span::stream_event("run-end", &[("status", Json::from(outcome.status()))]);
         if let Some(fault) = span::take_stream_fault() {
@@ -562,23 +563,24 @@ pub fn run_main_with(
         }
         span::set_stream(None);
     }
+    conclude(slug, &args, outcome)
+}
 
-    let exit = outcome.exit();
-    if recording {
-        match write_outputs(
-            slug,
-            args.json.as_deref(),
-            args.trace.as_deref(),
-            outcome.status(),
-        ) {
-            Ok(()) => exit,
-            Err(message) => {
-                eprintln!("{slug}: {message}");
-                ExitCode::FAILURE
-            }
+/// The one way out of a run: writes the requested outputs stamped with the
+/// outcome's status, and maps the outcome to the exit code — or to failure
+/// when an output cannot be written.
+fn conclude(slug: &str, args: &Args, outcome: Outcome) -> ExitCode {
+    match write_outputs(
+        slug,
+        args.json.as_deref(),
+        args.trace.as_deref(),
+        outcome.status(),
+    ) {
+        Ok(()) => outcome.exit(),
+        Err(message) => {
+            eprintln!("{slug}: {message}");
+            ExitCode::FAILURE
         }
-    } else {
-        exit
     }
 }
 
@@ -639,37 +641,6 @@ fn write_outputs(
         eprintln!("{slug}: chrome trace written to {}", path.display());
     }
     Ok(())
-}
-
-/// Executes a fault plan through the pipeline and reports the outcome.
-/// Always returns failure: a faulted run never counts as a reproduction.
-fn run_faulted(what: &str, scale: Scale, plan: &FaultPlan) -> Outcome {
-    eprintln!(
-        "{what}: FAULT INJECTION ACTIVE (seed {}, {:?}) — robustness \
-         exercise, not a reproduction",
-        plan.seed, plan.kinds
-    );
-    let plan_clone = plan.clone();
-    match catch_unwind(move || efficiency_summary_faulted(scale, &plan_clone)) {
-        Ok(Ok(rows)) => {
-            eprintln!("{what}: faulted run completed; results below are suspect");
-            print!("{}", render_efficiency(&rows));
-        }
-        Ok(Err(err)) => {
-            eprintln!("{what}: faulted run rejected with a typed error: {err}");
-        }
-        Err(payload) => {
-            // Preserve the payload message in the report's warnings, not
-            // just on stderr: a batch consumer reading only the JSON must
-            // see what killed the run.
-            degraded(format!(
-                "{what}: faulted run PANICKED: {} — the error layer should \
-                 have caught this; please report it",
-                panic_message(&*payload)
-            ));
-        }
-    }
-    Outcome::Failed
 }
 
 #[cfg(test)]
@@ -757,6 +728,7 @@ mod tests {
         for (args, flag, detail) in [
             (&["--faults", "banana"][..], "--faults", "decimal u64 seed"),
             (&["--retries", "1"][..], "--retries", "unknown argument"),
+            (&["--progress"][..], "--progress", "unknown argument"),
             (&["--json", "reports/"][..], "--json", "a directory"),
         ] {
             let err = parse_args(strings(args)).unwrap_err();
@@ -949,24 +921,12 @@ mod tests {
 
     #[test]
     fn observability_flags_parse_both_styles() {
-        let parsed = parse_args(strings(&[
-            "--stream",
-            "-",
-            "--trace",
-            "t.json",
-            "--progress",
-        ]))
-        .unwrap();
+        let parsed = parse_args(strings(&["--stream", "-", "--trace", "t.json"])).unwrap();
         assert_eq!(parsed.stream, Some(PathBuf::from("-")));
         assert_eq!(parsed.trace, Some(PathBuf::from("t.json")));
-        assert!(parsed.progress);
         let parsed = parse_args(strings(&["--stream=events.jsonl", "--trace=out/t.json"])).unwrap();
         assert_eq!(parsed.stream, Some(PathBuf::from("events.jsonl")));
         assert_eq!(parsed.trace, Some(PathBuf::from("out/t.json")));
-        assert!(!parsed.progress);
-        assert!(parse_args(strings(&["--progress=yes"]))
-            .unwrap_err()
-            .contains("does not take a value"));
         assert!(parse_args(strings(&["--stream"]))
             .unwrap_err()
             .contains("requires a value"));

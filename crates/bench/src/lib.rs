@@ -1,7 +1,7 @@
 //! Shared helpers for the Penelope benchmark harness.
 //!
 //! Every `penelope-bench` binary regenerates one table or figure of the
-//! paper, and they all share one front end, [`cli::run_main`]:
+//! paper, and they all share one front end, [`run_main`]:
 //!
 //! - scale selection via `--scale` (`quick`, `standard` — the default —
 //!   or `thorough`; at any scale the *shape* of the paper's results is
@@ -14,13 +14,14 @@
 //! - a panic supervisor: drivers return typed errors, and anything that
 //!   still panics is caught, reported as a partial-results failure and
 //!   mapped to a nonzero exit code instead of an abort;
-//! - fault injection: `--faults <u64 seed>` replaces the binary's
-//!   experiment with a seeded random fault plan pushed through the full
-//!   pipeline. A faulted run is a robustness exercise, not a reproduction,
-//!   so it always exits nonzero after reporting what the fault did.
+//! - fault injection: `--faults <u64 seed>` runs a seeded random fault
+//!   plan through the efficiency pipeline in place of the binary's
+//!   experiment, on the same supervised path, with its output on the same
+//!   stream. A faulted run is a robustness exercise, not a reproduction,
+//!   so it always exits 1 after reporting what the fault did.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod cli;
+mod cli;
 
-pub use cli::{header, parse_jobs, parse_scale, run_main, run_main_with, scale_name, ExtraFlag};
+pub use cli::{parse_scale, run_main, run_main_with, ExtraFlag};

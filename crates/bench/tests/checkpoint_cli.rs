@@ -210,9 +210,12 @@ fn a_damaged_journal_refuses_resume_with_a_clear_error() {
     bytes[start] = if bytes[start] == b'0' { b'1' } else { b'0' };
     std::fs::write(&journal, bytes).expect("journal is writable");
 
+    let report_path = tmp_path("fig6-damaged.json");
     let output = fig6()
         .args(["--scale", "quick", "--resume", "--checkpoint"])
         .arg(&journal)
+        .arg("--json")
+        .arg(&report_path)
         .output()
         .expect("fig6 binary runs");
     assert!(
@@ -221,6 +224,27 @@ fn a_damaged_journal_refuses_resume_with_a_clear_error() {
     );
     let stderr = stderr_of(&output);
     assert!(stderr.contains("resume refused"), "stderr: {stderr}");
+
+    // The refusal still writes the report, marked failed and naming why.
+    let report = read_report(&report_path);
+    assert_eq!(
+        report
+            .get("manifest")
+            .and_then(|m| m.get("status"))
+            .and_then(Json::as_str),
+        Some("error")
+    );
+    let warnings = report
+        .get("warnings")
+        .and_then(Json::as_array)
+        .expect("the report has a warnings array");
+    assert!(
+        warnings
+            .iter()
+            .filter_map(Json::as_str)
+            .any(|w| w.contains("resume refused")),
+        "warnings: {warnings:?}"
+    );
 }
 
 #[test]

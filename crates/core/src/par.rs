@@ -60,7 +60,7 @@
 //! report byte for byte outside wall-clock fields.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
 use std::time::Instant;
@@ -95,21 +95,6 @@ pub fn jobs() -> usize {
 /// The machine's available parallelism (1 when undeterminable).
 pub fn available_parallelism() -> usize {
     thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Whether sweeps print a live cells-done/total progress line on stderr.
-/// Cosmetic only — progress output never enters reports or the event
-/// stream. The bench CLI arms it from `--progress` (and only when stderr
-/// is a terminal, so CI logs stay clean).
-static PROGRESS: AtomicBool = AtomicBool::new(false);
-
-/// Arms (or disarms) the stderr progress line for subsequent sweeps.
-pub fn set_progress(enabled: bool) {
-    PROGRESS.store(enabled, Ordering::Relaxed);
-}
-
-fn progress_enabled() -> bool {
-    PROGRESS.load(Ordering::Relaxed)
 }
 
 /// How the supervisor treats failing or runaway cells. Process-wide, like
@@ -250,19 +235,16 @@ where
     let workers = jobs.clamp(1, cells.max(1));
     let context = checkpoint();
 
-    // Introspection state: completion counters for the stderr progress
-    // line and the live event stream. Wall-clock domain only — nothing
-    // here feeds the recorder.
+    // Introspection state: completion counters for the live event
+    // stream's heartbeats. Wall-clock domain only — nothing here feeds
+    // the recorder.
     let done = AtomicUsize::new(0);
     let quarantined = AtomicUsize::new(0);
-    let progress = progress_enabled() && cells > 0;
     let note_done = |index: usize, status: &str, attempts: u32, cell_wall_seconds: f64| {
-        let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-        let bad = if status == "quarantined" {
-            quarantined.fetch_add(1, Ordering::Relaxed) + 1
-        } else {
-            quarantined.load(Ordering::Relaxed)
-        };
+        done.fetch_add(1, Ordering::Relaxed);
+        if status == "quarantined" {
+            quarantined.fetch_add(1, Ordering::Relaxed);
+        }
         if span::stream_active() {
             span::stream_event(
                 "cell-complete",
@@ -274,11 +256,6 @@ where
                     ("cell_wall_seconds", Json::Float(cell_wall_seconds)),
                 ],
             );
-        }
-        if progress {
-            // `\x1b[K` clears to end-of-line so a shrinking redraw (fewer
-            // digits, shorter status) leaves no stale tail behind.
-            eprint!("\r{name}: {finished}/{cells} cells ({bad} quarantined)\x1b[K");
         }
     };
 
@@ -378,24 +355,6 @@ where
             .map(|slot| slot.into_inner().unwrap_or_else(|p| p.into_inner()))
             .collect()
     };
-    if progress {
-        // Replace the live carriage-returned line with a final summary —
-        // the transient line erases itself instead of lingering half-drawn
-        // above whatever stderr prints next.
-        let bad = quarantined.load(Ordering::Relaxed);
-        if bad > 0 {
-            eprintln!(
-                "\r\x1b[K{name}: {} cells done, {bad} quarantined",
-                done.load(Ordering::Relaxed)
-            );
-        } else {
-            eprintln!(
-                "\r\x1b[K{name}: {} cells done",
-                done.load(Ordering::Relaxed)
-            );
-        }
-    }
-
     // Deterministic merge: cell-index order, not completion order. Each
     // cell's snapshot lands before its supervisor notes, so the warnings
     // array reads in grid order at any worker count.

@@ -208,10 +208,11 @@ pub fn manifest_entry(key: &str, value: Json) {
 }
 
 /// Adds (or replaces) a driver-contributed report section: `value` is
-/// emitted verbatim as the top-level report key `name`. Reserved top-level
-/// keys (`schema_version`, `manifest`, …) are rejected by report
-/// validation, so sections must pick fresh names and version themselves
-/// with a `<name>_schema` field. No-op when disabled.
+/// emitted verbatim as the top-level report key `name`. A section named
+/// after a reserved top-level key (`schema_version`, `manifest`, …) is
+/// silently skipped when the report is built, so sections must pick fresh
+/// names and version themselves with a `<name>_schema` field. No-op when
+/// disabled.
 pub fn section(name: &str, value: Json) {
     ACTIVE.with(|slot| {
         if let Some(active) = slot.borrow_mut().as_mut() {

@@ -39,8 +39,7 @@
 //! - the **live event stream** ([`set_stream`] / [`stream_event`]): a
 //!   process-wide JSONL sink the sweep engine and bench CLI write
 //!   heartbeat, cell lifecycle, retry, quarantine and journal-append
-//!   events into *while the run executes* — the first concrete slice of
-//!   the roadmap's aging-telemetry server mode. Every line is a
+//!   events into *while the run executes*. Every line is a
 //!   self-contained JSON object stamped with [`STREAM_SCHEMA_VERSION`]
 //!   and a wall-clock offset, validated by [`validate_stream_event`].
 //!   Stream contents are wall-clock domain by construction and carry no
