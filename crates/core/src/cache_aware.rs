@@ -21,8 +21,9 @@
 
 use uarch::cache::{AccessOutcome, CacheConfig, SetAssocCache};
 
-/// Minimal deterministic PRNG (xorshift64*), so experiments are exactly
-/// reproducible without threading a `rand` generator through the hooks.
+/// Minimal deterministic PRNG (xorshift64*) owned by each cache scheme,
+/// so experiments are exactly reproducible without threading a generator
+/// through the hooks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct XorShift(u64);
 

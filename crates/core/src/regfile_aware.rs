@@ -14,12 +14,12 @@
 //! guardband from 20% to ~3.6%.
 
 use nbti_model::duty::Duty;
-use nbti_model::guardband::{Guardband, GuardbandModel};
+use nbti_model::guardband::GuardbandModel;
 use nbti_model::metric::BlockCost;
 use uarch::pipeline::{Hooks, RegClass};
 use uarch::regfile::{PhysReg, RegisterFile};
 
-use crate::rinv::Rinv;
+use crate::rinv::{IsvGate, Rinv};
 
 /// ISV mechanism for one register file.
 #[derive(Debug, Clone)]
@@ -29,15 +29,11 @@ pub struct RegfileIsv {
     /// Balancing-write statistics (the "92% of the times" measurement).
     attempts: u64,
     successes: u64,
-    /// Timestamp tracking of one sampled entry (§3.2.2: "we sample a single
-    /// entry to decide when to write inverted contents ... a fixed entry
-    /// for the sake of simplicity"). The gate keeps entries holding
-    /// inverted and non-inverted contents about 50% of the time each.
+    /// The one sampled entry (§3.2.2: "we sample a single entry to decide
+    /// when to write inverted contents ... a fixed entry for the sake of
+    /// simplicity") and its timestamp gate.
     sampled: PhysReg,
-    sampled_inverted: bool,
-    sampled_since: u64,
-    time_inverted: u64,
-    time_normal: u64,
+    gate: IsvGate,
 }
 
 impl RegfileIsv {
@@ -50,35 +46,15 @@ impl RegfileIsv {
             attempts: 0,
             successes: 0,
             sampled: 0,
-            sampled_inverted: false,
-            sampled_since: 0,
-            time_inverted: 0,
-            time_normal: 0,
+            gate: IsvGate::default(),
         }
-    }
-
-    fn sampled_flip(&mut self, inverted: bool, now: u64) {
-        let elapsed = now.saturating_sub(self.sampled_since);
-        if self.sampled_inverted {
-            self.time_inverted += elapsed;
-        } else {
-            self.time_normal += elapsed;
-        }
-        self.sampled_inverted = inverted;
-        self.sampled_since = now;
     }
 
     /// Whether the sampled entry has spent at least as long non-inverted as
     /// inverted — the §3.2.2 timestamp gate deciding if releases should be
     /// rewritten right now.
     pub fn should_invert(&self, now: u64) -> bool {
-        let open = now.saturating_sub(self.sampled_since);
-        let (inv, norm) = if self.sampled_inverted {
-            (self.time_inverted + open, self.time_normal)
-        } else {
-            (self.time_inverted, self.time_normal + open)
-        };
-        norm >= inv
+        self.gate.should_invert(now)
     }
 
     /// The register class this instance protects.
@@ -92,7 +68,7 @@ impl RegfileIsv {
         self.rinv.offer(value, now);
         if preg == self.sampled {
             // A real write replaces the inverted image with live data.
-            self.sampled_flip(false, now);
+            self.gate.flip(false, now);
         }
     }
 
@@ -108,7 +84,7 @@ impl RegfileIsv {
         if rf.try_write_free(preg, self.rinv.value(), now) {
             self.successes += 1;
             if preg == self.sampled {
-                self.sampled_flip(true, now);
+                self.gate.flip(true, now);
             }
         }
     }
@@ -143,11 +119,6 @@ impl RegfileIsv {
     pub fn block_cost(worst_bias: Duty, model: &GuardbandModel) -> BlockCost {
         let gb = model.cell_guardband(worst_bias);
         BlockCost::new(1.0, 1.01, gb.fraction())
-    }
-
-    /// Guardband for a measured worst bias.
-    pub fn guardband(worst_bias: Duty, model: &GuardbandModel) -> Guardband {
-        model.cell_guardband(worst_bias)
     }
 }
 

@@ -107,6 +107,46 @@ impl Rinv {
     }
 }
 
+/// Inverted/non-inverted residency timestamps for one sampled entry — the
+/// §3.2.2 gate deciding whether ISV writes should happen right now: it
+/// allows them while the sampled entry has spent at least as long
+/// non-inverted as inverted, keeping it near 50% of each. The register
+/// files keep one gate each; the scheduler keeps two ("2 timestamps of 10
+/// bits each"), one shared by the SRC data fields, one for the immediate.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct IsvGate {
+    inverted: bool,
+    since: u64,
+    time_inverted: u64,
+    time_normal: u64,
+}
+
+impl IsvGate {
+    /// Records that the sampled entry now holds inverted (`true`) or live
+    /// (`false`) contents, closing the open interval at `now`.
+    pub(crate) fn flip(&mut self, inverted: bool, now: u64) {
+        let elapsed = now.saturating_sub(self.since);
+        if self.inverted {
+            self.time_inverted += elapsed;
+        } else {
+            self.time_normal += elapsed;
+        }
+        self.inverted = inverted;
+        self.since = now;
+    }
+
+    /// Whether ISV writes should happen at `now`.
+    pub(crate) fn should_invert(&self, now: u64) -> bool {
+        let open = now.saturating_sub(self.since);
+        let (inv, norm) = if self.inverted {
+            (self.time_inverted + open, self.time_normal)
+        } else {
+            (self.time_inverted, self.time_normal + open)
+        };
+        norm >= inv
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

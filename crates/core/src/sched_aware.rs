@@ -24,43 +24,8 @@ use uarch::pipeline::Hooks;
 use uarch::scheduler::{EntryValues, Field, Scheduler, SlotId};
 
 use crate::journal::CellPayload;
-use crate::rinv::Rinv;
+use crate::rinv::{IsvGate, Rinv};
 use crate::technique::{choose_technique, KCounter, Technique, TechniqueError};
-
-/// Inverted/non-inverted residency timestamps for one sampled entry — the
-/// §3.2.2 gate deciding whether ISV writes should happen right now. The
-/// paper uses "2 timestamps of 10 bits each" for the scheduler: one shared
-/// by the SRC data fields, one for the immediate.
-#[derive(Debug, Clone, Copy, Default)]
-struct IsvGate {
-    inverted: bool,
-    since: u64,
-    time_inverted: u64,
-    time_normal: u64,
-}
-
-impl IsvGate {
-    fn flip(&mut self, inverted: bool, now: u64) {
-        let elapsed = now.saturating_sub(self.since);
-        if self.inverted {
-            self.time_inverted += elapsed;
-        } else {
-            self.time_normal += elapsed;
-        }
-        self.inverted = inverted;
-        self.since = now;
-    }
-
-    fn should_invert(&self, now: u64) -> bool {
-        let open = now.saturating_sub(self.since);
-        let (inv, norm) = if self.inverted {
-            (self.time_inverted + open, self.time_normal)
-        } else {
-            (self.time_inverted, self.time_normal + open)
-        };
-        norm >= inv
-    }
-}
 
 /// Per-bit technique assignment for every scheduler field.
 #[derive(Debug, Clone, PartialEq)]

@@ -14,8 +14,8 @@
 //! - memory streams with tunable locality so cache capacity matters
 //!   (Table 3 sweeps 8/16/32KB caches and 32/64/128-entry DTLBs).
 //!
-//! Every trace is reproducible: the generator is seeded from the suite name
-//! and trace index only.
+//! Every trace is reproducible: it draws from one xoshiro256** generator
+//! ([`rng::TraceRng`]) seeded from the suite name and trace index only.
 //!
 //! # Example
 //!
@@ -35,8 +35,42 @@
 pub mod error;
 pub mod fault;
 pub mod memgen;
+pub mod rng;
 pub mod soa;
 pub mod suite;
 pub mod trace;
 pub mod uop;
 pub mod values;
+
+#[cfg(test)]
+mod tests {
+    use crate::rng::TraceRng;
+
+    #[test]
+    fn gen_range_respects_bounds() {
+        let mut rng = TraceRng::new(3);
+        for _ in 0..1_000 {
+            let a = rng.range(5, 10);
+            assert!((5..10).contains(&a));
+            let b = rng.range(0, 49);
+            assert!(b < 49);
+            let c = rng.range(0, 16);
+            assert!(c < 16);
+        }
+    }
+
+    #[test]
+    fn gen_range_covers_both_endpoints_of_inclusive_ranges() {
+        // `range` is half-open, so `range(0, 3)` covers the inclusive 0..=2.
+        let mut rng = TraceRng::new(9);
+        let (mut lo_seen, mut hi_seen) = (false, false);
+        for _ in 0..1_000 {
+            match rng.range(0, 3) {
+                0 => lo_seen = true,
+                2 => hi_seen = true,
+                _ => {}
+            }
+        }
+        assert!(lo_seen && hi_seen);
+    }
+}

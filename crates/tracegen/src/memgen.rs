@@ -9,7 +9,7 @@
 //! - working-set array accesses (reuse within a configurable footprint);
 //! - streaming accesses (sequential, large footprint, little reuse).
 
-use rand::Rng;
+use crate::rng::TraceRng;
 
 /// Address-stream parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -92,11 +92,11 @@ impl AddressStream {
     }
 
     /// Draws the next effective address.
-    pub fn next_address<R: Rng + ?Sized>(&mut self, rng: &mut R) -> u64 {
-        let roll: f64 = rng.gen();
+    pub fn next_address(&mut self, rng: &mut TraceRng) -> u64 {
+        let roll = rng.unit();
         if roll < self.profile.p_hot {
             // Hot region (stack/globals), 8-byte aligned.
-            let off = rng.gen_range(0..self.profile.hot_bytes.max(8) / 8) * 8;
+            let off = rng.range(0, self.profile.hot_bytes.max(8) / 8) * 8;
             self.hot_base + off
         } else if roll < self.profile.p_hot + self.profile.p_stream {
             self.stream_pos += self.profile.stream_stride;
@@ -105,8 +105,8 @@ impl AddressStream {
         } else {
             // Working set: sequential walk with occasional jumps.
             let ws = self.profile.working_set_bytes.max(64);
-            if rng.gen::<f64>() < WS_JUMP_PROB {
-                self.ws_pos = rng.gen_range(0..ws) & !7;
+            if rng.unit() < WS_JUMP_PROB {
+                self.ws_pos = rng.range(0, ws) & !7;
             } else {
                 self.ws_pos = (self.ws_pos + 8) % ws;
             }
@@ -118,12 +118,10 @@ impl AddressStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use std::collections::HashSet;
 
     fn distinct_lines(profile: MemProfile, n: usize) -> usize {
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = TraceRng::new(7);
         let mut stream = AddressStream::new(profile);
         let mut lines = HashSet::new();
         for _ in 0..n {
@@ -153,8 +151,8 @@ mod tests {
     fn addresses_are_reproducible() {
         let mut a = AddressStream::new(MemProfile::resident(4096));
         let mut b = AddressStream::new(MemProfile::resident(4096));
-        let mut ra = StdRng::seed_from_u64(9);
-        let mut rb = StdRng::seed_from_u64(9);
+        let mut ra = TraceRng::new(9);
+        let mut rb = TraceRng::new(9);
         for _ in 0..100 {
             assert_eq!(a.next_address(&mut ra), b.next_address(&mut rb));
         }
@@ -162,7 +160,7 @@ mod tests {
 
     #[test]
     fn regions_do_not_overlap() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = TraceRng::new(3);
         let mut stream = AddressStream::new(MemProfile::streaming(64 * 1024));
         for _ in 0..10_000 {
             let addr = stream.next_address(&mut rng);

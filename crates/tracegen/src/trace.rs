@@ -5,11 +5,9 @@
 //! [`Workload`] enumerates the full 531-trace population of Table 1 or
 //! deterministic subsamples of it.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use crate::error::TraceError;
 use crate::memgen::AddressStream;
+use crate::rng::TraceRng;
 use crate::suite::{Suite, SuiteProfile};
 use crate::uop::{Uop, UopClass, Value80};
 
@@ -86,7 +84,7 @@ impl TraceSpec {
     pub fn generate(&self, len: usize) -> TraceIter {
         let profile = self.suite.profile();
         TraceIter {
-            rng: StdRng::seed_from_u64(self.seed()),
+            rng: TraceRng::new(self.seed()),
             profile,
             mem: AddressStream::new(profile.mem),
             remaining: len,
@@ -117,10 +115,10 @@ struct OpcodeMap {
 
 impl OpcodeMap {
     fn new(seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
+        let mut rng = TraceRng::new(seed ^ 0x9E37_79B9_7F4A_7C15);
         let mut codes = [[0u16; 2]; 7];
         for pair in &mut codes {
-            let c: u16 = rng.gen_range(0..0x1000);
+            let c = rng.range(0, 0x1000) as u16;
             // The second encoding is the 12-bit complement: alternating
             // them keeps every opcode bit near 50%.
             *pair = [c, !c & 0x0FFF];
@@ -128,20 +126,17 @@ impl OpcodeMap {
         OpcodeMap { codes }
     }
 
-    #[allow(clippy::expect_used)]
-    fn code<R: Rng + ?Sized>(&self, class: UopClass, rng: &mut R) -> u16 {
-        let idx = UopClass::ALL
-            .iter()
-            .position(|&c| c == class)
-            .expect("UopClass::ALL lists every class");
-        self.codes[idx][usize::from(rng.gen::<bool>())]
+    /// `class as usize` is the class's position in `UopClass::ALL`: the
+    /// enum declares its variants in that order.
+    fn code(&self, class: UopClass, rng: &mut TraceRng) -> u16 {
+        self.codes[class as usize][usize::from(rng.coin())]
     }
 }
 
 /// Lazy uop stream for one trace.
 #[derive(Debug, Clone)]
 pub struct TraceIter {
-    rng: StdRng,
+    rng: TraceRng,
     profile: SuiteProfile,
     mem: AddressStream,
     remaining: usize,
@@ -155,7 +150,7 @@ pub struct TraceIter {
 impl TraceIter {
     fn gen_uop(&mut self) -> Uop {
         let rng = &mut self.rng;
-        let class = self.profile.pick_class(rng.gen());
+        let class = self.profile.pick_class(rng.unit());
         let fp = class.is_fp();
         let pc = self.pc;
 
@@ -163,12 +158,12 @@ impl TraceIter {
         let reg_space = if fp { 8 } else { 16 };
         let dst = match class {
             UopClass::Store | UopClass::Branch => None,
-            _ => Some(rng.gen_range(0..reg_space)),
+            _ => Some(rng.range(0, reg_space) as u8),
         };
-        let src1 = Some(rng.gen_range(0..reg_space));
+        let src1 = Some(rng.range(0, reg_space) as u8);
         let src2 = match class {
             UopClass::Load => None,
-            _ => Some(rng.gen_range(0..reg_space)),
+            _ => Some(rng.range(0, reg_space) as u8),
         };
 
         let result = if fp {
@@ -179,7 +174,7 @@ impl TraceIter {
         let src1_val = self.profile.int_values.sample(rng);
         let src2_val = self.profile.int_values.sample(rng);
 
-        let immediate = if !fp && rng.gen::<f64>() < self.profile.p_immediate {
+        let immediate = if !fp && rng.unit() < self.profile.p_immediate {
             // Immediates are small constants with the same skew as data.
             Some((self.profile.int_values.sample(rng) & 0xFFFF) as u16)
         } else {
@@ -189,7 +184,7 @@ impl TraceIter {
         let mut flags = 0u8;
         if matches!(class, UopClass::IntAlu | UopClass::IntMul) {
             for (i, &p) in self.profile.flag_set_prob.iter().enumerate() {
-                if rng.gen::<f64>() < p {
+                if rng.unit() < p {
                     flags |= 1 << i;
                 }
             }
@@ -197,8 +192,8 @@ impl TraceIter {
 
         if fp {
             // FP stack pointer random-walks slowly.
-            if rng.gen::<f64>() < 0.3 {
-                self.tos = (self.tos + if rng.gen() { 1 } else { 7 }) % 8;
+            if rng.unit() < 0.3 {
+                self.tos = (self.tos + if rng.coin() { 1 } else { 7 }) % 8;
             }
         }
 
@@ -208,7 +203,7 @@ impl TraceIter {
             None
         };
 
-        let taken = class == UopClass::Branch && rng.gen::<f64>() < self.profile.p_branch_taken;
+        let taken = class == UopClass::Branch && rng.unit() < self.profile.p_branch_taken;
         // Branch PCs recur heavily (loop branches dominate dynamic branch
         // counts), so they are drawn from a fixed pool of branch sites with
         // a skew towards the hottest ones; other uops fetch sequentially.
@@ -216,7 +211,7 @@ impl TraceIter {
             // Cubic skew: a few loop branches dominate the dynamic count.
             // The 20-byte site stride avoids power-of-two aliasing in the
             // BTB index.
-            let u: f64 = rng.gen();
+            let u = rng.unit();
             let idx = ((u * u * u) * self.branch_sites as f64) as u64;
             0x0040_0000 + idx * 20
         } else {
@@ -241,13 +236,13 @@ impl TraceIter {
             port: class.port(),
             flags,
             taken,
-            mispredict: class == UopClass::Branch && rng.gen::<f64>() < self.profile.p_mispredict,
+            mispredict: class == UopClass::Branch && rng.unit() < self.profile.p_mispredict,
             tos: if fp { self.tos } else { 0 },
-            shift1: !fp && rng.gen::<f64>() < self.profile.p_shift,
-            shift2: !fp && rng.gen::<f64>() < self.profile.p_shift,
+            shift1: !fp && rng.unit() < self.profile.p_shift,
+            shift2: !fp && rng.unit() < self.profile.p_shift,
             opcode: self.opcode_map.code(class, rng),
             mem_addr,
-            carry_in: class == UopClass::IntAlu && rng.gen::<f64>() < self.profile.p_carry_in,
+            carry_in: class == UopClass::IntAlu && rng.unit() < self.profile.p_carry_in,
         }
     }
 }
@@ -427,6 +422,50 @@ mod tests {
                 "opcode bit {bit} imbalanced: {ones}"
             );
         }
+    }
+
+    #[test]
+    fn uop_class_declaration_order_matches_all() {
+        // `OpcodeMap::code` indexes by `class as usize`; reordering the
+        // enum away from `UopClass::ALL` would silently remap opcodes.
+        for (i, &class) in UopClass::ALL.iter().enumerate() {
+            assert_eq!(class as usize, i, "{class:?}");
+        }
+    }
+
+    #[test]
+    fn first_uops_of_every_suite_are_pinned() {
+        // FNV-1a over the `Debug` text of the first 2,000 uops of trace 0
+        // of each suite: pins the generator's whole draw sequence, not
+        // only what the downstream goldens happen to observe.
+        let hashes: Vec<u64> = Suite::ALL
+            .iter()
+            .map(|&suite| {
+                let mut h = 0xcbf2_9ce4_8422_2325u64;
+                for uop in TraceSpec::new(suite, 0).generate(2_000) {
+                    for byte in format!("{uop:?}").bytes() {
+                        h ^= u64::from(byte);
+                        h = h.wrapping_mul(0x0100_0000_01b3);
+                    }
+                }
+                h
+            })
+            .collect();
+        assert_eq!(
+            hashes,
+            [
+                0x35f4_8228_db7f_f747, // Encoder
+                0x60e1_490c_df8c_2a11, // SpecFp2000
+                0x97ca_5c6a_319f_2caa, // SpecInt2000
+                0xcef1_8387_181b_3aa1, // Kernels
+                0x754e_48cc_429e_bd30, // Multimedia
+                0x8b45_1f9e_9f47_89ab, // Office
+                0x6457_5be3_6eba_6d3e, // Productivity
+                0xd4ae_3d76_45ca_05c5, // Server
+                0x6e02_be7a_8582_1b09, // Workstation
+                0x1156_17c0_1c4b_4f42, // Spec2006
+            ]
+        );
     }
 
     #[test]

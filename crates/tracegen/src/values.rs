@@ -11,9 +11,7 @@
 //!   integer bit almost always 1 (i.e. biased towards "1", which matters
 //!   for the complementary PMOS of the cell).
 
-use rand::distributions::Distribution;
-use rand::Rng;
-
+use crate::rng::TraceRng;
 use crate::uop::Value80;
 
 /// Knobs for the integer value mixture.
@@ -49,43 +47,36 @@ impl IntProfile {
     }
 
     /// Draws one 32-bit integer value.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
-        let roll: f64 = rng.gen();
+    pub fn sample(&self, rng: &mut TraceRng) -> u32 {
+        let roll = rng.unit();
         let mut acc = self.p_zero;
         if roll < acc {
             return 0;
         }
         acc += self.p_small;
         if roll < acc {
-            return rng.gen_range(1..256);
+            return rng.range(1, 256) as u32;
         }
         acc += self.p_medium;
         if roll < acc {
-            return rng.gen_range(256..65536);
+            return rng.range(256, 65536) as u32;
         }
         acc += self.p_pointer;
         if roll < acc {
             // Heap-like region: high bits constant, low bits varying.
-            return 0x0804_0000 | rng.gen_range(0u32..0x0004_0000);
+            return 0x0804_0000 | rng.range(0, 0x0004_0000) as u32;
         }
         acc += self.p_negative;
         if roll < acc {
-            let magnitude: u32 = rng.gen_range(1..4096);
-            return magnitude.wrapping_neg();
+            return (rng.range(1, 4096) as u32).wrapping_neg();
         }
-        rng.gen()
+        (rng.next_u64() >> 32) as u32
     }
 }
 
 impl Default for IntProfile {
     fn default() -> Self {
         IntProfile::default_calibrated()
-    }
-}
-
-impl Distribution<u32> for IntProfile {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
-        IntProfile::sample(self, rng)
     }
 }
 
@@ -115,20 +106,22 @@ impl FpProfile {
     }
 
     /// Draws one 80-bit FP value.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Value80 {
-        if rng.gen::<f64>() < self.p_zero {
+    pub fn sample(&self, rng: &mut TraceRng) -> Value80 {
+        if rng.unit() < self.p_zero {
             return Value80::from_bits(0);
         }
-        let sign = rng.gen::<f64>() < self.p_negative;
-        let spread = i32::from(self.exponent_spread);
-        let exponent = (0x3FFF + rng.gen_range(-spread..=spread)) as u16;
-        let mantissa = if rng.gen::<f64>() < self.p_round_mantissa {
+        let sign = rng.unit() < self.p_negative;
+        // Exponent offset uniform in -spread..=spread.
+        let spread = u64::from(self.exponent_spread);
+        let offset = rng.range(0, 2 * spread + 1) as i32 - spread as i32;
+        let exponent = (0x3FFF + offset) as u16;
+        let mantissa = if rng.unit() < self.p_round_mantissa {
             // Round value: explicit integer bit set, few significant bits.
-            let significant_bits = rng.gen_range(1..16u32);
-            let payload: u64 = rng.gen::<u64>() >> (64 - significant_bits);
+            let significant_bits = rng.range(1, 16) as u32;
+            let payload = rng.next_u64() >> (64 - significant_bits);
             (1u64 << 63) | (payload << (63 - significant_bits))
         } else {
-            (1u64 << 63) | rng.gen::<u64>()
+            (1u64 << 63) | rng.next_u64()
         };
         Value80::pack(sign, exponent, mantissa)
     }
@@ -137,12 +130,6 @@ impl FpProfile {
 impl Default for FpProfile {
     fn default() -> Self {
         FpProfile::default_calibrated()
-    }
-}
-
-impl Distribution<Value80> for FpProfile {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Value80 {
-        FpProfile::sample(self, rng)
     }
 }
 
@@ -181,11 +168,9 @@ pub fn fp_bit_bias(values: &[Value80]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(42)
+    fn rng() -> TraceRng {
+        TraceRng::new(42)
     }
 
     #[test]
@@ -255,13 +240,5 @@ mod tests {
     fn bias_helpers_handle_empty_input() {
         assert_eq!(int_bit_bias(&[])[0], 0.0);
         assert_eq!(fp_bit_bias(&[]).len(), 80);
-    }
-
-    #[test]
-    fn distribution_trait_is_usable() {
-        let mut r = rng();
-        let profile = IntProfile::default_calibrated();
-        let xs: Vec<u32> = (&mut r).sample_iter(profile).take(10).collect();
-        assert_eq!(xs.len(), 10);
     }
 }

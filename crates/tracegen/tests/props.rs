@@ -2,6 +2,7 @@
 //! respects the field bounds of Table 2.
 
 use proptest::prelude::*;
+use tracegen::rng::TraceRng;
 use tracegen::suite::Suite;
 use tracegen::trace::{TraceSpec, Workload};
 use tracegen::values::{FpProfile, IntProfile};
@@ -44,9 +45,8 @@ proptest! {
 
     #[test]
     fn int_profile_probabilities_are_honoured(seed in any::<u64>()) {
-        use rand::{rngs::StdRng, SeedableRng};
         let profile = IntProfile::default_calibrated();
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = TraceRng::new(seed);
         let zeros = (0..4_000)
             .filter(|_| profile.sample(&mut rng) == 0)
             .count() as f64
@@ -57,9 +57,8 @@ proptest! {
 
     #[test]
     fn fp_values_mask_to_80_bits(seed in any::<u64>()) {
-        use rand::{rngs::StdRng, SeedableRng};
         let profile = FpProfile::default_calibrated();
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = TraceRng::new(seed);
         for _ in 0..200 {
             let v = profile.sample(&mut rng);
             prop_assert_eq!(v.bits() >> 80, 0);
